@@ -81,7 +81,18 @@ def _spec_float(spec: str, token: str, what: str) -> float:
 
 
 def parse_graph(spec: str) -> graphs.Graph:
-    """Parse a ``family:args`` graph spec into a Graph (or Digraph)."""
+    """Parse a ``family:args`` graph spec into a Graph (or Digraph).
+
+    A builder's :class:`~repro.graphs.GraphError` (``cycle:2``,
+    ``random_regular:5:3``) exits with the spec named, not a traceback.
+    """
+    try:
+        return _build_graph(spec)
+    except graphs.GraphError as exc:
+        raise SystemExit(f"graph spec {spec!r}: {exc}") from None
+
+
+def _build_graph(spec: str) -> graphs.Graph:
     parts = spec.split(":")
     family = parts[0]
     if family == "random_digraph":
@@ -93,10 +104,7 @@ def parse_graph(spec: str) -> graphs.Graph:
         n = _spec_int(spec, parts[1], "N")
         p = _spec_float(spec, parts[2], "P")
         seed = _spec_int(spec, parts[3], "SEED") if len(parts) > 3 else 0
-        try:
-            return graphs.random_digraph(n, p, seed)
-        except ValueError as exc:
-            raise SystemExit(f"graph spec {spec!r}: {exc}") from None
+        return graphs.random_digraph(n, p, seed)
     if family == "oneway":
         if len(parts) < 2 or len(parts) > 3:
             raise SystemExit(
@@ -105,10 +113,7 @@ def parse_graph(spec: str) -> graphs.Graph:
             )
         n = _spec_int(spec, parts[1], "N")
         k = _spec_int(spec, parts[2], "K") if len(parts) > 2 else 1
-        try:
-            return graphs.oneway_ring(n, k)
-        except ValueError as exc:
-            raise SystemExit(f"graph spec {spec!r}: {exc}") from None
+        return graphs.oneway_ring(n, k)
     if family == "cycle":
         return graphs.cycle_graph(int(parts[1]))
     if family == "complete":

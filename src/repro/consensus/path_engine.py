@@ -181,9 +181,15 @@ class PathFloodEngine:
                 dfs(forwarded, child)
                 on_stack.remove(nxt)
 
-        for origin in sorted(graph.nodes - {receiver}, key=repr):
-            on_stack = {origin}
-            dfs(self.effective_initial(origin), (origin,))
+        try:
+            for origin in sorted(graph.nodes - {receiver}, key=repr):
+                on_stack = {origin}
+                dfs(self.effective_initial(origin), (origin,))
+        finally:
+            # ``dfs`` calls itself through its own closure cell, a cycle
+            # that would keep ``out`` alive until the cyclic collector
+            # runs; emptying the cell frees it by reference counting.
+            del dfs
         metrics = self.metrics
         if delivered:
             metrics.inc("path_engine.paths_evaluated", delivered)

@@ -33,7 +33,7 @@ on its path, so honest downstream nodes are never blamed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from ..graphs import (
@@ -60,30 +60,6 @@ class ReportBundle:
 
     reporter: Hashable
     entries: Tuple[Tuple[Hashable, Transcript], ...]
-    #: lazily built subject→transcript map; excluded from repr, equality
-    #: and hashing, so two bundles with equal entries stay canonically
-    #: equal whether or not either has been queried.
-    _by_subject: Optional[Dict[Hashable, Transcript]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def transcript_of(self, subject: Hashable) -> Optional[Transcript]:
-        """The transcript this bundle claims for ``subject``, if any.
-
-        Served from a cached mapping built on first use.  The build
-        keeps the *first* entry per subject — a Byzantine bundle may
-        carry duplicate subjects, and the linear scan this replaces
-        returned the first match.
-        """
-        mapping = self._by_subject
-        if mapping is None:
-            mapping = {}
-            for s, transcript in self.entries:
-                if s not in mapping:
-                    mapping[s] = transcript
-            # frozen dataclass: route the cache write around __setattr__.
-            object.__setattr__(self, "_by_subject", mapping)
-        return mapping.get(subject)
 
     @classmethod
     def build(
@@ -301,6 +277,15 @@ class ReceiptTracker:
         return result
 
 
+def _first_send_rounds(transcript: Transcript) -> Dict[object, int]:
+    """Each message of ``transcript`` → the earliest round it was sent."""
+    rounds: Dict[object, int] = {}
+    for r, m in transcript:
+        if rounds.setdefault(m, r) > r:
+            rounds[m] = r
+    return rounds
+
+
 class ClaimIndex:
     """Reliable knowledge about *other nodes' transmissions*, from bundles.
 
@@ -310,6 +295,15 @@ class ClaimIndex:
     claimed transcript to ``me`` along the flood path ``reporter … me``.
     Reliability = direct observation (``z`` adjacent or ``z == me``) or
     ``f + 1`` internally node-disjoint composite paths agreeing.
+
+    Claimed transcripts are interned by value into *evidence groups* (a
+    directly observed transcript gets a group of its own); a group's
+    messages are looked up through a table of their first send rounds,
+    built on first use.  Honest forwarders relay one bundle object, so
+    most entries repeat a transcript object already interned: those are
+    found by identity, and a transcript tuple is compared or hashed only
+    the first time its object is seen.  Equal copies (a Byzantine
+    re-encoding) still merge into one group.
     """
 
     def __init__(
@@ -326,12 +320,28 @@ class ClaimIndex:
         self.me = me
         self.own_transcripts = dict(own_transcripts)
         self.own_sent = own_sent
-        # transcript evidence: subject -> claimed transcript -> [composite paths]
-        self._transcript_paths: Dict[Hashable, Dict[Transcript, List[PathTuple]]] = {}
-        # composite path -> internal-node bitmask (None if the index
-        # cannot encode it); the packing currency of both certificates.
-        self._composite_masks: Dict[PathTuple, Optional[int]] = {}
+        # evidence group -> its transcript, and its send-round table
+        self._transcripts: List[Transcript] = []
+        self._send_rounds: Dict[int, Dict[object, int]] = {}
+        # subject -> group -> flood paths ``reporter … me`` whose bundle
+        # claimed that transcript; each composite path is (subject,) + path.
+        self._evidence: Dict[Hashable, Dict[int, List[PathTuple]]] = {}
+        # flood path -> internal-node bitmask of its composite paths,
+        # ``path[:-1]`` whatever the subject (None if the index cannot
+        # encode it); the packing currency of both certificates.
+        self._path_masks: Dict[PathTuple, Optional[int]] = {}
+        self._known_group: Dict[Hashable, Optional[int]] = {}
+        self._claim_cache: Dict[Tuple[Hashable, object], bool] = {}
         index = graph.node_index()
+        nodes = graph.nodes
+        transcripts = self._transcripts
+        evidence = self._evidence
+        path_masks = self._path_masks
+        group_of: Dict[Transcript, int] = {}
+        # Identity keys are valid only while their objects live: ``pinned``
+        # holds every transcript whose id() is a key, so none is reused.
+        group_of_id: Dict[int, int] = {}
+        pinned: List[Transcript] = []
         # repro: allow[REPRO001] bundle_deliveries preserves the
         # deterministic flood-processing insertion order; the evidence
         # lists built here feed packing-existence checks only.
@@ -340,59 +350,92 @@ class ClaimIndex:
             if bundle.reporter != reporter:
                 continue  # malformed: claimed reporter must be the flood origin
             for subject, transcript in bundle.entries:
-                if subject not in graph.nodes:
+                if subject not in nodes:
                     continue
                 if reporter not in graph.neighbors(subject):
                     continue  # a reporter can only attest about its neighbors
                 if subject in path:
                     continue  # composite path (subject,)+path must stay simple
-                composite = (subject,) + path
-                if composite not in self._composite_masks:
-                    # internal nodes of (subject,) + path are path[:-1]
-                    self._composite_masks[composite] = index.mask_of_strict(
-                        path[:-1]
-                    )
-                self._transcript_paths.setdefault(subject, {}).setdefault(
-                    transcript, []
-                ).append(composite)
-        self._reliable_transcript_cache: Dict[Hashable, Optional[Transcript]] = {}
-        self._claim_cache: Dict[Tuple[Hashable, object], bool] = {}
+                group = group_of_id.get(id(transcript))
+                if group is None:
+                    # Reporters that heard the same broadcasts hold equal
+                    # tuples over the *same* message objects: comparing with
+                    # the subject's first claim settles those by identity,
+                    # far cheaper than hashing the tuple through every
+                    # message (a dataclass __hash__ call each).
+                    claimed = evidence.get(subject)
+                    group = next(iter(claimed)) if claimed else None
+                    if group is None or transcripts[group] != transcript:
+                        group = group_of.setdefault(transcript, len(transcripts))
+                        if group == len(transcripts):
+                            transcripts.append(transcript)
+                    group_of_id[id(transcript)] = group
+                    pinned.append(transcript)
+                if path not in path_masks:
+                    path_masks[path] = index.mask_of_strict(path[:-1])
+                evidence.setdefault(subject, {}).setdefault(group, []).append(path)
 
     # ------------------------------------------------------------------
-    def _packs(self, paths: List[PathTuple]) -> bool:
-        """``f + 1`` internally node-disjoint paths among ``paths``?
+    def _rounds(self, group: int) -> Dict[object, int]:
+        rounds = self._send_rounds.get(group)
+        if rounds is None:
+            rounds = self._send_rounds[group] = _first_send_rounds(
+                self._transcripts[group]
+            )
+        return rounds
 
-        Mask packing over the composite masks computed at build time;
-        falls back to the frozenset search iff some path carried an
-        off-index node (identical decision either way).
+    def _packs(self, subject: Hashable, paths: List[PathTuple]) -> bool:
+        """``f + 1`` internally node-disjoint composite paths among
+        ``(subject,) + p`` for ``p`` in ``paths``?
+
+        Mask packing over the masks computed at build time; falls back
+        to the frozenset search iff some path carried an off-index node
+        (identical decision either way).
         """
-        masks = [self._composite_masks.get(p) for p in paths]
+        masks = [self._path_masks[p] for p in paths]
         if all(m is not None for m in masks):
             return has_disjoint_mask_packing(masks, self.f + 1)
-        return has_disjoint_path_packing(paths, self.f + 1, mode="uv")
+        composites = [(subject,) + p for p in paths]
+        return has_disjoint_path_packing(composites, self.f + 1, mode="uv")
+
+    def _reliable_group(self, subject: Hashable) -> Optional[int]:
+        """Evidence group of ``subject``'s reliably known transcript."""
+        if subject in self._known_group:
+            return self._known_group[subject]
+        group: Optional[int] = None
+        if subject == self.me or self.me in self.graph.neighbors(subject):
+            # Observed directly, never merged with claims: a group of its
+            # own, so the transcript is never hashed.
+            group = len(self._transcripts)
+            self._transcripts.append(
+                self.own_sent
+                if subject == self.me
+                else self.own_transcripts.get(subject, ())
+            )
+        else:
+            # repro: allow[REPRO001] insertion order is deterministic and
+            # at most one transcript can ever pass the f+1 disjoint-path
+            # certificate (single-valuedness), so order cannot matter.
+            for candidate, paths in self._evidence.get(subject, {}).items():
+                if self._packs(subject, paths):
+                    group = candidate
+                    break
+        self._known_group[subject] = group
+        return group
 
     # ------------------------------------------------------------------
     def reliable_transcript(self, subject: Hashable) -> Optional[Transcript]:
         """The complete timed phase-1 transcript of ``subject`` if
         reliably known, else ``None``.  Unique when it exists (a second
         candidate would need f + 1 disjoint fabricated evidence paths)."""
-        if subject == self.me:
-            return self.own_sent
-        if subject in self._reliable_transcript_cache:
-            return self._reliable_transcript_cache[subject]
-        result: Optional[Transcript] = None
-        if self.me in self.graph.neighbors(subject):
-            result = self.own_transcripts.get(subject, ())
-        else:
-            # repro: allow[REPRO001] insertion order is deterministic and
-            # at most one transcript can ever pass the f+1 disjoint-path
-            # certificate (single-valuedness), so order cannot matter.
-            for transcript, paths in self._transcript_paths.get(subject, {}).items():
-                if self._packs(paths):
-                    result = transcript
-                    break
-        self._reliable_transcript_cache[subject] = result
-        return result
+        group = self._reliable_group(subject)
+        return None if group is None else self._transcripts[group]
+
+    def send_rounds(self, subject: Hashable) -> Optional[Mapping[object, int]]:
+        """``message → earliest send round`` over :meth:`reliable_transcript`
+        of ``subject``, or ``None`` when no transcript is reliably known."""
+        group = self._reliable_group(subject)
+        return None if group is None else self._rounds(group)
 
     def reliably_transmitted(self, subject: Hashable, message: object) -> bool:
         """Did ``me`` reliably learn that ``subject`` transmitted
@@ -405,22 +448,18 @@ class ClaimIndex:
         key = (subject, message)
         if key in self._claim_cache:
             return self._claim_cache[key]
-        if subject == self.me:
-            result = any(m == message for _, m in self.own_sent)
-        elif self.me in self.graph.neighbors(subject):
-            result = any(
-                m == message for _, m in self.own_transcripts.get(subject, ())
-            )
+        if subject == self.me or self.me in self.graph.neighbors(subject):
+            result = message in self.send_rounds(subject)
         else:
             paths = [
                 p
                 # repro: allow[REPRO001] deterministic insertion order; the
                 # consumer only checks packing *existence*.
-                for transcript, plist in self._transcript_paths.get(subject, {}).items()
-                if any(m == message for _, m in transcript)
+                for group, plist in self._evidence.get(subject, {}).items()
+                if message in self._rounds(group)
                 for p in plist
             ]
-            result = self._packs(paths)
+            result = self._packs(subject, paths)
         self._claim_cache[key] = result
         return result
 
@@ -481,17 +520,19 @@ def detect_faults(
     """
     detected: set[Hashable] = set()
     # Depends only on z's transcript — memoized so the quadruple loop
-    # scans each node's transcript once, not once per (origin, path, slot).
+    # scans each node's send table once, not once per (origin, path, slot).
     _early_cache: Dict[Hashable, bool] = {}
 
-    def forwards_in_initiation_round(z: Hashable, transcript: Transcript) -> bool:
+    def forwards_in_initiation_round(
+        z: Hashable, rounds: Mapping[object, int]
+    ) -> bool:
         if z not in _early_cache:
             _early_cache[z] = any(
                 r <= first_round
                 and isinstance(m, FloodMessage)
                 and m.phase == phase1_tag
                 and len(m.path) > 0
-                for r, m in transcript
+                for m, r in rounds.items()
             )
         return _early_cache[z]
 
@@ -499,6 +540,10 @@ def detect_faults(
         b = reliable_values[w]
         wrong = ValuePayload(1 - b)
         right = ValuePayload(b)
+        # A slot's verdict depends only on the slot path[:idx + 1] (z and
+        # the prefix before it), and the path families towards different
+        # targets u share prefixes: each slot is judged once per origin.
+        verdicts: Dict[PathTuple, bool] = {}
         for u in sorted(graph.nodes, key=repr):
             if u == w:
                 continue
@@ -514,21 +559,26 @@ def detect_faults(
                     z = path[idx]
                     if z == me:
                         continue  # a node never suspects itself
-                    prefix = path[:idx]
-                    tampered = FloodMessage(phase1_tag, wrong, prefix)
-                    honest_fwd = FloodMessage(phase1_tag, right, prefix)
-                    schedule_round = first_round + idx
-                    suspicious = claims.reliably_transmitted(z, tampered)
-                    if not suspicious:
-                        transcript = claims.reliable_transcript(z)
-                        if transcript is not None:
-                            on_time = any(
-                                r <= schedule_round and m == honest_fwd
-                                for r, m in transcript
-                            )
-                            suspicious = not on_time or (
-                                forwards_in_initiation_round(z, transcript)
-                            )
+                    slot = path[: idx + 1]
+                    suspicious = verdicts.get(slot)
+                    if suspicious is None:
+                        prefix = path[:idx]
+                        suspicious = claims.reliably_transmitted(
+                            z, FloodMessage(phase1_tag, wrong, prefix)
+                        )
+                        if not suspicious:
+                            rounds = claims.send_rounds(z)
+                            if rounds is not None:
+                                first = rounds.get(
+                                    FloodMessage(phase1_tag, right, prefix)
+                                )
+                                on_time = first is not None and (
+                                    first <= first_round + idx
+                                )
+                                suspicious = not on_time or (
+                                    forwards_in_initiation_round(z, rounds)
+                                )
+                        verdicts[slot] = suspicious
                     if suspicious:
                         detected.add(z)
                         break  # only the first such node on this path

@@ -15,8 +15,6 @@ Three oracles are kept in this file or in the shipped tree:
   :class:`ReceiptTracker`'s incremental verdicts.
 """
 
-import pickle
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +22,6 @@ from repro.consensus import (
     FloodInstance,
     NodeBehavior,
     PathFloodEngine,
-    ReportBundle,
     reliable_payload,
 )
 from repro.consensus.reliable import ReceiptTracker
@@ -385,25 +382,3 @@ class TestMaskPacking:
         best = max_disjoint_path_packing(pool, mode="uv")
         assert has_disjoint_mask_packing(masks, best)
         assert not has_disjoint_mask_packing(masks, best + 1)
-
-
-class TestReportBundleCache:
-    def test_first_entry_wins_for_duplicate_subjects(self):
-        bundle = ReportBundle(
-            reporter=0,
-            entries=((1, ("early",)), (1, ("late",)), (2, ("only",))),
-        )
-        assert bundle.transcript_of(1) == ("early",)
-        assert bundle.transcript_of(2) == ("only",)
-        assert bundle.transcript_of(9) is None
-
-    def test_cache_does_not_break_equality_or_pickle(self):
-        a = ReportBundle(reporter=0, entries=((1, ("m",)),))
-        b = ReportBundle(reporter=0, entries=((1, ("m",)),))
-        assert a == b
-        a.transcript_of(1)  # populate a's cache only
-        assert a == b
-        assert hash(a) == hash(b)
-        clone = pickle.loads(pickle.dumps(a))
-        assert clone == a
-        assert clone.transcript_of(1) == ("m",)

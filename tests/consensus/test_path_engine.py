@@ -1,5 +1,7 @@
 """The analytic flood engine, cross-validated against the simulator."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,6 +131,22 @@ class TestEngineBasics:
     def test_missing_behavior_rejected(self, c5):
         with pytest.raises(ValueError):
             PathFloodEngine(c5, {0: NodeBehavior.honest(0)})
+
+    def test_deliveries_at_frees_its_result_without_the_collector(self, c5):
+        """The result is freed by reference counting alone: the call
+        leaves no reference cycle for the cyclic collector to find."""
+        behaviors = {v: NodeBehavior.honest(v % 2) for v in c5.nodes}
+        engine = PathFloodEngine(c5, behaviors)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert len(engine.deliveries_at(0)) > 1
+            found = gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+        assert found == 0
 
 
 class TestEngineEquivalence:

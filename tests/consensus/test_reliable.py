@@ -4,7 +4,7 @@ import pytest
 
 from repro.consensus import ClaimIndex, ReportBundle, reliable_value
 from repro.consensus.reliable import detect_faults
-from repro.graphs import complete_graph, cycle_graph
+from repro.graphs import Graph, complete_graph, cycle_graph
 from repro.net import FloodMessage, ValuePayload
 
 
@@ -119,6 +119,86 @@ class TestClaimIndex:
         assert idx.reliable_transcript(2) is None
 
 
+class TestClaimIndexInterning:
+    """Evidence groups merge *equal* transcripts, not just identical
+    objects: reporters build their own tuples of what they heard, and a
+    Byzantine forwarder may re-encode a bundle without changing it."""
+
+    # Subject 0 is heard by reporters 1, 2 and 3, each adjacent to me = 4:
+    # composite paths (0, r, 4) are internally disjoint, and f = 1 needs 2.
+    graph = Graph.from_edges(
+        [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]
+    )
+
+    @staticmethod
+    def transcript():
+        return (
+            (1, FloodMessage("p1", vp(1), ())),
+            (2, FloodMessage("p1", vp(0), (1,))),
+        )
+
+    @staticmethod
+    def rebuilt(transcript):
+        """An equal copy sharing no object with the original."""
+        return tuple(
+            (r, FloodMessage(m.phase, vp(m.payload.value), tuple(m.path)))
+            for r, m in transcript
+        )
+
+    def index(self, claims):
+        bundles = {
+            (reporter, 4): ReportBundle(reporter, ((0, claimed),))
+            for reporter, claimed in claims.items()
+        }
+        return ClaimIndex(self.graph, 1, 4, bundles, {})
+
+    def test_equal_distinct_copies_certify(self):
+        t = self.transcript()
+        copies = {1: t, 2: tuple(list(t)), 3: self.rebuilt(t)}
+        assert len({id(c) for c in copies.values()}) == 3
+        for claims in ({1: copies[1], 2: copies[2]},
+                       {2: copies[2], 3: copies[3]},
+                       copies):
+            idx = self.index(claims)
+            assert idx.reliable_transcript(0) == t
+            for _, m in t:
+                assert idx.reliably_transmitted(0, m)
+
+    def test_equal_copies_merge_behind_a_differing_first_claim(self):
+        t = self.transcript()
+        forged = ((1, FloodMessage("p1", vp(0), ())),) + t[1:]
+        idx = self.index({1: forged, 2: tuple(list(t)), 3: self.rebuilt(t)})
+        assert idx.reliable_transcript(0) == t
+        assert idx.reliably_transmitted(0, t[0][1])
+        assert not idx.reliably_transmitted(0, forged[0][1])
+        # Both sides claim the second message: three disjoint paths.
+        assert idx.reliably_transmitted(0, t[1][1])
+
+    def test_one_differing_copy_is_refused(self):
+        t = self.transcript()
+        late = (t[0], (3, t[1][1]))  # the forward, one round late
+        idx = self.index({1: t, 2: late})
+        assert idx.reliable_transcript(0) is None
+        # Per-message containment still agrees on both messages ...
+        assert idx.reliably_transmitted(0, t[0][1])
+        assert idx.reliably_transmitted(0, t[1][1])
+        # ... but a message only one copy carries is refused.
+        tampered = self.rebuilt(t)[:1] + ((2, FloodMessage("p1", vp(1), (1,))),)
+        idx = self.index({1: t, 2: tampered})
+        assert idx.reliable_transcript(0) is None
+        assert not idx.reliably_transmitted(0, t[1][1])
+        assert not idx.reliably_transmitted(0, tampered[1][1])
+
+
+    def test_send_rounds_keep_the_earliest_send(self):
+        m = FloodMessage("p1", vp(1), (2,))
+        other = FloodMessage("p1", vp(0), ())
+        sent = ((3, m), (1, other), (2, m))
+        idx = ClaimIndex(self.graph, 1, 4, {}, {}, own_sent=sent)
+        assert idx.send_rounds(4) == {m: 2, other: 1}
+        assert idx.send_rounds(0) is None
+
+
 class TestDetectFaults:
     def _claims_with_transcripts(self, graph, me, transcripts):
         """Direct-neighbor transcripts only (me adjacent to everyone)."""
@@ -169,11 +249,6 @@ class TestReportBundle:
         b = ReportBundle.build(0, {1: [(1, "m1")], 2: [(1, "m2")]})
         assert a == b
         assert [s for s, _ in a.entries] == [1, 2]
-
-    def test_transcript_of(self):
-        b = ReportBundle.build(0, {1: [(1, "x")]})
-        assert b.transcript_of(1) == ((1, "x"),)
-        assert b.transcript_of(9) is None
 
     def test_hashable(self):
         b = ReportBundle.build(0, {1: [(1, "x")]})

@@ -312,6 +312,17 @@ class TestRandomGraphSpecs:
         assert parse_graph("random_regular:8:4:3") == random_regular_graph(8, 4, 3)
         assert parse_graph("random_regular:8:4") == random_regular_graph(8, 4, 0)
 
+    @pytest.mark.parametrize("spec,fragment", [
+        ("cycle:2", "at least three nodes"),
+        ("random_regular:5:3", "n * d must be even"),
+    ])
+    def test_graph_error_exits_cleanly(self, spec, fragment):
+        import re
+
+        message = f"graph spec {spec!r}: .*{re.escape(fragment)}"
+        with pytest.raises(SystemExit, match=message):
+            parse_graph(spec)
+
     def test_gnp_spec(self):
         from repro.graphs import gnp_supercritical_graph
 
