@@ -115,20 +115,22 @@ def _build_graph(spec: str) -> graphs.Graph:
         k = _spec_int(spec, parts[2], "K") if len(parts) > 2 else 1
         return graphs.oneway_ring(n, k)
     if family == "cycle":
-        return graphs.cycle_graph(int(parts[1]))
+        return graphs.cycle_graph(_spec_int(spec, parts[1], "N"))
     if family == "complete":
-        return graphs.complete_graph(int(parts[1]))
+        return graphs.complete_graph(_spec_int(spec, parts[1], "N"))
     if family == "path":
-        return graphs.path_graph(int(parts[1]))
+        return graphs.path_graph(_spec_int(spec, parts[1], "N"))
     if family == "wheel":
-        return graphs.wheel_graph(int(parts[1]))
+        return graphs.wheel_graph(_spec_int(spec, parts[1], "N"))
     if family == "star":
-        return graphs.star_graph(int(parts[1]))
+        return graphs.star_graph(_spec_int(spec, parts[1], "N"))
     if family == "circulant":
-        offsets = [int(x) for x in parts[2].split(",")]
-        return graphs.circulant_graph(int(parts[1]), offsets)
+        offsets = [_spec_int(spec, x, "offset") for x in parts[2].split(",")]
+        return graphs.circulant_graph(_spec_int(spec, parts[1], "N"), offsets)
     if family == "harary":
-        return graphs.harary_graph(int(parts[1]), int(parts[2]))
+        return graphs.harary_graph(
+            _spec_int(spec, parts[1], "K"), _spec_int(spec, parts[2], "N")
+        )
     if family == "petersen":
         return graphs.petersen_graph()
     if family == "fig1a":
@@ -136,12 +138,16 @@ def _build_graph(spec: str) -> graphs.Graph:
     if family == "fig1b":
         return graphs.paper_figure_1b()
     if family == "random_regular":
-        seed = int(parts[3]) if len(parts) > 3 else 0
-        return graphs.random_regular_graph(int(parts[1]), int(parts[2]), seed)
+        seed = _spec_int(spec, parts[3], "SEED") if len(parts) > 3 else 0
+        return graphs.random_regular_graph(
+            _spec_int(spec, parts[1], "N"), _spec_int(spec, parts[2], "D"), seed
+        )
     if family in ("gnp", "gnp_supercritical"):
-        c = float(parts[2]) if len(parts) > 2 else 2.0
-        seed = int(parts[3]) if len(parts) > 3 else 0
-        return graphs.gnp_supercritical_graph(int(parts[1]), c, seed)
+        c = _spec_float(spec, parts[2], "C") if len(parts) > 2 else 2.0
+        seed = _spec_int(spec, parts[3], "SEED") if len(parts) > 3 else 0
+        return graphs.gnp_supercritical_graph(
+            _spec_int(spec, parts[1], "N"), c, seed
+        )
     raise SystemExit(f"unknown graph spec {spec!r}")
 
 
@@ -757,8 +763,19 @@ def cmd_trace(args: argparse.Namespace) -> int:
     (nothing to blame), 2 when an anomaly could not be attributed —
     blaming an honest node is a bug in the model, never an exit code.
     ``replay`` exits 0 on byte-identical re-execution, 1 on divergence,
-    2 when the recording is not replayable.
+    2 when the recording is not replayable.  Every action exits 2 with a
+    one-line message when the file is malformed.
     """
+    from .obs import FlightError
+
+    try:
+        return _trace_action(args)
+    except FlightError as exc:
+        print(f"trace {args.action}: {args.file}: {exc}", file=sys.stderr)
+        return 2
+
+
+def _trace_action(args: argparse.Namespace) -> int:
     from .obs import (
         FlightRecord,
         FlightReplayError,

@@ -10,6 +10,7 @@ structured verdict, so tests and benchmarks stay declarative.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Union
 
 from ..graphs import Graph
@@ -63,14 +64,29 @@ class ConsensusResult:
     #: QUARANTINED wall-clock timings when metered.  Never compare these
     #: for determinism — strip via :func:`repro.obs.strip_timings`.
     timings: Optional[dict] = field(default=None, compare=False)
-    #: The causal flight recording (``run_consensus(..., flight=True)``
-    #: only): header + happened-before event stream + outcome as a
-    #: replayable :class:`~repro.obs.FlightRecord`.  Derived entirely
-    #: from the trace and the run's configuration, so it is excluded
-    #: from equality like the trace-derived counters above it.
-    flight: Optional[FlightRecord] = field(
-        default=None, repr=False, compare=False
+    #: The flight recording's header and outcome lines, built at run end
+    #: (``run_consensus(..., flight=True)`` only); :attr:`flight` adds
+    #: the event stream from the trace on first access.
+    _flight_frame: Optional[tuple[dict, dict]] = field(
+        default=None, init=False, repr=False, compare=False
     )
+
+    @cached_property
+    def flight(self) -> Optional[FlightRecord]:
+        """The causal flight recording (``flight=True`` runs only):
+        header + happened-before event stream + outcome as a replayable
+        :class:`~repro.obs.FlightRecord`.
+
+        The event stream is serialized from :attr:`trace` on first
+        access and cached, so a caller that never reads it (a sweep
+        keeping only anomalous runs) never pays for it.  Derived
+        entirely from the trace and the run's configuration, it stays
+        out of ``repr`` and equality like the trace itself.
+        """
+        if self._flight_frame is None:
+            return None
+        header, outcome = self._flight_frame
+        return flight_from_trace(self.trace, header, outcome)
 
     @property
     def honest_outputs(self) -> Dict[Hashable, Optional[int]]:
@@ -169,9 +185,9 @@ def run_consensus(
     quarantined — on ``ConsensusResult.timings``.
 
     ``flight=True`` records the run as a causal flight recording
-    (:class:`~repro.obs.FlightRecord` on ``ConsensusResult.flight``):
-    the full happened-before event stream plus everything needed to
-    re-execute the run byte-identically
+    (:class:`~repro.obs.FlightRecord` on ``ConsensusResult.flight``,
+    built on first access): the full happened-before event stream plus
+    everything needed to re-execute the run byte-identically
     (:func:`repro.analysis.replay_flight`).  ``run_spec`` is an optional
     JSON-ready dict stored verbatim in the flight header (provenance —
     e.g. the sweep task index that produced the recording); it must be
@@ -314,11 +330,10 @@ def run_consensus(
                 for v in sorted(result.outputs, key=repr)
             ],
         }
-        # The result dataclass is frozen for callers; the recording is
-        # derived data attached once here, before the result escapes.
-        object.__setattr__(
-            result, "flight", flight_from_trace(net.trace, header, outcome_line)
-        )
+        # The result dataclass is frozen for callers; the header and
+        # outcome capture run state, so they are attached here, before
+        # the result escapes.  The event stream waits for `flight`.
+        object.__setattr__(result, "_flight_frame", (header, outcome_line))
     if registry is not None:
         registry.emit(
             "result",

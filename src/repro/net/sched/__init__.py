@@ -20,14 +20,13 @@ follow-up paper (arXiv:1909.02865):
 
 from .adversarial import AdversarialScheduler
 from .base import EventDrivenNetwork, Scheduler, SchedulingError
-from .events import DeliveryEvent, SendEvent
+from .events import SendEvent
 from .lockstep import LockstepScheduler
 from .seeded import SeededAsyncScheduler
 from .specs import SCHEDULER_KINDS, SchedulerSpec, parse_scheduler
 
 __all__ = [
     "AdversarialScheduler",
-    "DeliveryEvent",
     "EventDrivenNetwork",
     "LockstepScheduler",
     "SCHEDULER_KINDS",

@@ -19,15 +19,15 @@ This module makes message *timing* a first-class, pluggable axis:
   - **FIFO per link** — deliveries over one directed link never
     overtake each other (late-assigned timestamps are clamped up to the
     link's high-water mark; equal timestamps preserve send order via
-    the event queue's sequence tie-break);
+    the event queue's delivery-index tie-break);
   - **local-broadcast atomicity** (when the scheduler declares it) —
     all recipients of one broadcast receive it at the same instant, the
     timing analogue of "received identically by each of its neighbors".
 
 Determinism contract: the core activates nodes in repr-sorted order,
-drains the event queue in ``(time, seq)`` order, and hands schedulers
-their recipients in canonical order — so a run is a pure function of
-(graph, protocols, channel, scheduler), independent of
+drains the event queue in ``(time, delivery index)`` order, and hands
+schedulers their recipients in canonical order — so a run is a pure
+function of (graph, protocols, channel, scheduler), independent of
 ``PYTHONHASHSEED`` and of any executor's process layout.
 """
 
@@ -50,7 +50,7 @@ from ..trace import (
     Delivery,
     Transmission,
 )
-from .events import DeliveryEvent, SendEvent
+from .events import SendEvent
 
 
 class SchedulingError(RuntimeError):
@@ -118,7 +118,8 @@ class Scheduler(ABC):
             self.metrics.observe("sched.delay", d)
             when = send.time + d
             # FIFO per directed link: never undercut the link's latest
-            # assigned delivery (ties keep send order via event seq).
+            # assigned delivery (ties keep send order via the delivery
+            # index).
             when = max(when, self._link_clock.get((send.sender, recipient), 0))
             times[recipient] = when
         if self.atomic_broadcast and send.is_broadcast and times:
@@ -145,11 +146,11 @@ class EventDrivenNetwork(NetworkEngine):
     protocol, adversary and runner works unchanged.  Each tick of
     virtual time activates every node once (in sorted order) with the
     inbox of everything delivered up to that tick; sends are
-    timestamped by the scheduler and enqueued as
-    :class:`DeliveryEvent`\\ s.  Under the lockstep scheduler this is
-    provably the synchronous simulator — byte-identical traces — while
-    asynchronous schedulers stretch and reorder deliveries within the
-    FIFO/atomicity envelope.
+    timestamped by the scheduler, and each delivery is enqueued as
+    ``(time, index into trace.deliveries)``.  Under the lockstep
+    scheduler this is provably the synchronous simulator —
+    byte-identical traces — while asynchronous schedulers stretch and
+    reorder deliveries within the FIFO/atomicity envelope.
     """
 
     def __init__(
@@ -165,10 +166,12 @@ class EventDrivenNetwork(NetworkEngine):
         scheduler.bind(graph, self.channel)
         scheduler.metrics = self.metrics
         # round_no doubles as the virtual tick of the latest activation.
-        self._events: List[Tuple[int, int, DeliveryEvent]] = []
+        #: Pending deliveries as ``(time, index into trace.deliveries)``:
+        #: indices grow with every enqueue, so equal times pop in the
+        #: order the deliveries were scheduled.
+        self._events: List[Tuple[int, int]] = []
         self._arrived: Dict[Hashable, Inbox] = {v: [] for v in self._order}
         self._send_seq = 0
-        self._event_seq = 0
 
     # ------------------------------------------------------------------
     def step(self) -> None:
@@ -176,14 +179,16 @@ class EventDrivenNetwork(NetworkEngine):
         self.round_no += 1
         now = self.round_no
         # Drain every delivery due by `now` into the recipients' inboxes
-        # in (time, seq) order — the arrival order protocols observe.
-        # The last event drained per recipient is that activation's
+        # in (time, index) order — the arrival order protocols observe.
+        # The last delivery drained per recipient is that activation's
         # primary happened-before cause.
         cause_now: Dict[Hashable, int] = {}
-        while self._events and self._events[0][0] <= now:
-            _, _, event = heapq.heappop(self._events)
-            self._arrived[event.recipient].append((event.sender, event.message))
-            cause_now[event.recipient] = event.index
+        events, deliveries = self._events, self.trace.deliveries
+        while events and events[0][0] <= now:
+            _, index = heapq.heappop(events)
+            d = deliveries[index]
+            self._arrived[d.recipient].append((d.sender, d.message))
+            cause_now[d.recipient] = index
         inboxes, self._arrived = self._arrived, {v: [] for v in self._order}
         delivered = sum(len(inboxes[v]) for v in self._order)
         sent_before = len(self.trace.transmissions)
@@ -278,23 +283,7 @@ class EventDrivenNetwork(NetworkEngine):
                     delivered_at=when,
                 )
             )
-            heapq.heappush(
-                self._events,
-                (
-                    when,
-                    self._event_seq,
-                    DeliveryEvent(
-                        time=when,
-                        seq=self._event_seq,
-                        sender=node,
-                        recipient=recipient,
-                        message=message,
-                        sent_at=now,
-                        index=delivery_index,
-                    ),
-                ),
-            )
-            self._event_seq += 1
+            heapq.heappush(self._events, (when, delivery_index))
 
     @property
     def in_flight(self) -> int:

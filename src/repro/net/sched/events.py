@@ -1,14 +1,12 @@
 """Event types of the event-driven simulation core.
 
-Two events exist in the model:
-
-* a :class:`SendEvent` — a transmission leaving a node at a virtual
-  time, with its realized recipient set already resolved by the channel
-  model.  Schedulers consume these to assign delivery timestamps;
-* a :class:`DeliveryEvent` — one (message, recipient) pair landing at a
-  virtual time.  The core keeps these in a priority queue ordered by
-  ``(time, seq)``; the global sequence number makes the order total and
-  preserves FIFO among same-instant deliveries.
+A :class:`SendEvent` is a transmission leaving a node at a virtual
+time, with its realized recipient set already resolved by the channel
+model.  Schedulers consume these to assign delivery timestamps.  The
+resulting deliveries need no event type of their own: the core appends
+each to the run's trace and queues it as ``(time, index into
+trace.deliveries)``, so the index makes the order total and preserves
+FIFO among same-instant deliveries.
 
 Virtual time is integral.  Activations happen at ticks 1, 2, 3, …; a
 message sent at tick ``t`` may be delivered no earlier than ``t + 1``
@@ -44,21 +42,3 @@ class SendEvent:
     @property
     def is_broadcast(self) -> bool:
         return self.target is None
-
-
-@dataclass(frozen=True, slots=True)
-class DeliveryEvent:
-    """One pending (message, recipient) delivery at virtual ``time``.
-
-    ``index`` is the position of the matching
-    :class:`~repro.net.trace.Delivery` record in the run's trace, so the
-    engine can stamp each activation's happened-before cause (the last
-    event drained into that inbox) without any content-based join."""
-
-    time: int
-    seq: int
-    sender: Hashable
-    recipient: Hashable
-    message: object
-    sent_at: int
-    index: int = -1

@@ -178,14 +178,33 @@ class FlightRecord:
 
     @classmethod
     def loads(cls, text: str) -> "FlightRecord":
-        rows = [json.loads(line) for line in text.splitlines() if line.strip()]
+        """Parse NDJSON; malformed input raises :class:`FlightError`
+        naming the offending line by its 1-based number."""
+        numbers: List[int] = []
+        rows: List[dict] = []
+        for number, line in enumerate(text.splitlines(), 1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FlightError(
+                    f"line {number} is not valid JSON ({exc.msg})"
+                ) from None
+            if not isinstance(row, dict):
+                raise FlightError(f"line {number} is not a JSON object")
+            numbers.append(number)
+            rows.append(row)
         if len(rows) < 2:
             raise FlightError("flight file needs at least header and outcome")
         header, outcome = rows[0], rows[-1]
         if header.get("type") != "header":
-            raise FlightError("first line is not a flight header")
+            raise FlightError(f"line {numbers[0]} is not a flight header")
         if outcome.get("type") != "outcome":
-            raise FlightError("last line is not a flight outcome")
+            raise FlightError(
+                f"line {numbers[-1]} is not a flight outcome "
+                "(the recording is incomplete)"
+            )
         version = header.get("version")
         if version != FLIGHT_VERSION:
             raise FlightError(
@@ -193,9 +212,11 @@ class FlightRecord:
                 f"(this reader speaks {FLIGHT_VERSION})"
             )
         events = rows[1:-1]
-        for event in events:
+        for number, event in zip(numbers[1:], events):
             if event.get("type") not in _RANK:
-                raise FlightError(f"unknown event type {event.get('type')!r}")
+                raise FlightError(
+                    f"line {number}: unknown event type {event.get('type')!r}"
+                )
         return cls(header=header, events=events, outcome=outcome)
 
     @classmethod
@@ -211,33 +232,54 @@ def flight_from_trace(trace: object, header: dict, outcome: dict) -> FlightRecor
     ``decisions`` lists with the :mod:`repro.net.trace` field names);
     ``header``/``outcome`` are pre-built by the caller (the runner owns
     the run's configuration — this layer owns only the event stream).
+
+    Each message is ``repr``-ed once per transmission: a delivery that
+    carries its send's very object reuses the send's string, and only a
+    delivery whose message is some other object is encoded on its own.
+    Node labels are encoded once per node.
     """
+    codes: Dict[object, object] = {}
+
+    def enc(label: object) -> object:
+        if label not in codes:
+            codes[label] = encode_label(label)
+        return codes[label]
+
     events: List[dict] = []
-    for i, t in enumerate(trace.transmissions):
+    sends = trace.transmissions
+    send_msgs: List[str] = []
+    for i, t in enumerate(sends):
         sent_at = t.sent_at if t.sent_at is not None else t.round_no
+        msg = repr(t.message)
+        send_msgs.append(msg)
         events.append(
             {
                 "type": "send",
                 "i": i,
                 "t": sent_at,
-                "node": encode_label(t.sender),
-                "target": None if t.target is None else encode_label(t.target),
-                "to": [encode_label(r) for r in t.recipients],
-                "msg": repr(t.message),
+                "node": enc(t.sender),
+                "target": None if t.target is None else enc(t.target),
+                "to": [enc(r) for r in t.recipients],
+                "msg": msg,
                 "cause": {"kind": t.cause_kind, "i": t.cause_index},
             }
         )
     for i, d in enumerate(trace.deliveries):
+        k = d.send_index
+        if 0 <= k < len(sends) and d.message is sends[k].message:
+            msg = send_msgs[k]
+        else:
+            msg = repr(d.message)
         events.append(
             {
                 "type": "deliver",
                 "i": i,
                 "t": d.delivered_at,
                 "sent": d.sent_at,
-                "send": d.send_index,
-                "from": encode_label(d.sender),
-                "to": encode_label(d.recipient),
-                "msg": repr(d.message),
+                "send": k,
+                "from": enc(d.sender),
+                "to": enc(d.recipient),
+                "msg": msg,
             }
         )
     for i, dec in enumerate(trace.decisions):
@@ -246,7 +288,7 @@ def flight_from_trace(trace: object, header: dict, outcome: dict) -> FlightRecor
                 "type": "decide",
                 "i": i,
                 "t": dec.decided_at,
-                "node": encode_label(dec.node),
+                "node": enc(dec.node),
                 "value": dec.value,
                 "cause": {"kind": dec.cause_kind, "i": dec.cause_index},
             }

@@ -14,6 +14,14 @@ from repro.graphs import (
 )
 
 
+def pytest_configure(config):
+    # Registration only: slow tests still run unless deselected with
+    # ``-m "not slow"``.
+    config.addinivalue_line(
+        "markers", "slow: full enumerations that take seconds, not milliseconds"
+    )
+
+
 @pytest.fixture
 def c4() -> Graph:
     """The 4-cycle: the smallest 2f-connected graph for f = 1."""

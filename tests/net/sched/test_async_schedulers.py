@@ -97,6 +97,30 @@ class TestSeededAsync:
         with pytest.raises(ValueError):
             SeededAsyncScheduler(seed=0, max_delay=0)
 
+    def test_same_tick_arrivals_keep_their_recorded_order(self):
+        """Eight deliveries from three send ticks land on node 2 at tick
+        4.  The event queue drains equal instants in scheduling order:
+        the inbox and each send's primary cause are pinned literally."""
+        g = complete_graph(5)
+        net = EventDrivenNetwork(
+            g, {v: Echo(v) for v in g.nodes},
+            SeededAsyncScheduler(seed=1, max_delay=3),
+        )
+        net.run(8)
+        assert net.protocols[2].heard[3] == [
+            (0, (0, 1)), (3, (3, 1)), (4, (4, 1)),
+            (1, (1, 2)), (3, (3, 2)), (4, (4, 2)),
+            (1, (1, 3)), (4, (4, 3)),
+        ]
+        # The last delivery drained into that inbox is the cause of
+        # node 2's tick-4 send, and it is exactly what the trace holds.
+        last = net.trace.deliveries[58]
+        assert (last.recipient, last.delivered_at, last.sender) == (2, 4, 4)
+        assert [t.cause_index for t in net.trace.transmissions] == [
+            None, None, None, None, None, 12, 17, 5, 6, 7,
+            None, 37, None, 19, 23, 24, 57, 58, 42, 55,
+        ]
+
 
 class TestAdversarial:
     def test_broadcast_atomicity(self):

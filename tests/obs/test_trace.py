@@ -25,6 +25,8 @@ Three layers of contract:
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.analysis import consensus_sweep, replay_flight
@@ -37,8 +39,9 @@ from repro.consensus import (
     async_factory,
     run_consensus,
 )
+from repro.consensus import runner
 from repro.consensus.baselines import DolevEIGFactory, EIGFactory
-from repro.graphs import complete_graph, wheel_graph
+from repro.graphs import complete_graph, cycle_graph, wheel_graph
 from repro.net import standard_adversaries
 from repro.net import trace as net_trace
 from repro.net.sched import SchedulerSpec
@@ -297,3 +300,101 @@ class TestSweepCapture:
         inputs = {v: i % 2 for i, v in enumerate(nodes)}
         result = run_consensus(w5, algorithm2_factory(w5, 1), inputs, f=1)
         assert result.flight is None
+
+
+def count_flight_builds(monkeypatch, tmp_path):
+    """Wrap the runner's ``flight_from_trace`` with a call counter.
+
+    The count lives in a file so forked sweep workers add to it too;
+    returns a zero-argument reader of the current count."""
+    ledger = tmp_path / "flight-builds"
+    ledger.write_bytes(b"")
+    real = runner.flight_from_trace
+
+    def counting(*args, **kwargs):
+        with open(ledger, "ab") as handle:
+            handle.write(b".")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "flight_from_trace", counting)
+    return lambda: len(ledger.read_bytes())
+
+
+class TestLazyFlight:
+    """The event stream is serialized only when ``result.flight`` is
+    read, so a sweep keeping only anomalies builds only those."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_anomaly_capture_builds_only_kept_flights(
+        self, monkeypatch, tmp_path, workers
+    ):
+        if workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the counting patch reaches workers only by fork")
+        builds = count_flight_builds(monkeypatch, tmp_path)
+        report = TestSweepCapture()._sweep(workers)
+        kept = [r for r in report.records if r.outcome != OUTCOME_DECIDED]
+        assert kept, "corpus must contain at least one anomaly"
+        assert builds() == len(kept) == len(report.flights)
+
+    def test_all_decided_sweep_builds_nothing(self, monkeypatch, tmp_path):
+        builds = count_flight_builds(monkeypatch, tmp_path)
+        c5 = cycle_graph(5)
+        report = consensus_sweep(
+            c5, algorithm1_factory(c5, 1), f=1,
+            patterns=["alternating"], seed=7, capture="anomalies",
+        )
+        assert report.records
+        assert all(r.outcome == OUTCOME_DECIDED for r in report.records)
+        assert builds() == 0
+        assert report.flights == {}
+
+    def test_lazy_flight_equals_eager_and_is_cached(
+        self, monkeypatch, tmp_path
+    ):
+        builds = count_flight_builds(monkeypatch, tmp_path)
+        w5 = wheel_graph(5)
+        inputs = {v: i % 2 for i, v in enumerate(sorted(w5.nodes, key=repr))}
+        result = run_consensus(
+            w5, algorithm2_factory(w5, 1), inputs, f=1, faulty=[0],
+            adversary=adversary("tamper-forward"),
+            scheduler=SchedulerSpec("seeded-async", seed=7, max_delay=3),
+            flight=True,
+        )
+        assert builds() == 0
+        flight = result.flight
+        assert builds() == 1
+        assert result.flight is flight
+        assert builds() == 1
+        eager = obs_trace.flight_from_trace(
+            result.trace, flight.header, flight.outcome
+        )
+        assert flight == eager
+        assert "flight" not in repr(result)
+
+
+class TestMessageEncoding:
+    def _trace(self):
+        sent = ("bundle", (1, 2))
+        trace = net_trace.Trace()
+        trace.record(net_trace.Transmission(
+            round_no=1, sender=0, message=sent, target=None,
+            recipients=(1, 2), sent_at=1, cause_kind=net_trace.CAUSE_INPUT,
+        ))
+        trace.record_delivery(net_trace.Delivery(
+            send_index=0, sender=0, recipient=1, message=sent,
+            sent_at=1, delivered_at=2,
+        ))
+        trace.record_delivery(net_trace.Delivery(
+            send_index=0, sender=0, recipient=2, message=("forged", 9),
+            sent_at=1, delivered_at=2,
+        ))
+        return trace
+
+    def test_delivery_of_another_object_is_encoded_on_its_own(self):
+        record = obs_trace.flight_from_trace(
+            self._trace(), {"type": "header"}, {"type": "outcome"}
+        )
+        send, = record.sends
+        same, other = record.delivers
+        assert send["msg"] == same["msg"] == repr(("bundle", (1, 2)))
+        assert other["msg"] == repr(("forged", 9))

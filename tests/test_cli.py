@@ -323,6 +323,14 @@ class TestRandomGraphSpecs:
         with pytest.raises(SystemExit, match=message):
             parse_graph(spec)
 
+    @pytest.mark.parametrize("spec", ["cycle:x", "wheel:x"])
+    def test_non_integer_size_exits_cleanly(self, spec):
+        with pytest.raises(
+            SystemExit,
+            match=f"graph spec {spec!r}: N must be an integer, got 'x'",
+        ):
+            main(["check", "--graph", spec, "--f", "1"])
+
     def test_gnp_spec(self):
         from repro.graphs import gnp_supercritical_graph
 
@@ -489,6 +497,32 @@ class TestTraceCommand:
         # Every captured blob is immediately analyzable and attributed.
         assert main(["trace", "blame", str(blobs[0])]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("action", ["summary", "replay"])
+    @pytest.mark.parametrize("damage,fragment", [
+        ("truncate-last", "is not valid JSON"),
+        ("garble-middle", "line 3 is not valid JSON"),
+        ("drop-outcome", "is not a flight outcome"),
+    ])
+    def test_malformed_flight_exits_2_with_one_line(
+        self, tmp_path, capsys, action, damage, fragment
+    ):
+        lines = self._record(tmp_path, capsys).read_text().splitlines()
+        if damage == "truncate-last":
+            lines[-1] = lines[-1][: len(lines[-1]) // 2]
+            fragment = f"line {len(lines)} {fragment}"
+        elif damage == "garble-middle":
+            lines[2] = "{not json"
+        else:
+            lines.pop()
+        broken = tmp_path / "broken.ndjson"
+        broken.write_text("\n".join(lines) + "\n")
+        assert main(["trace", action, str(broken)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"trace {action}: {broken}: ")
+        assert fragment in captured.err
 
     def test_profile_trace_records_metered_run(self, tmp_path, capsys):
         path = tmp_path / "prof.ndjson"
