@@ -80,6 +80,20 @@ def _spec_float(spec: str, token: str, what: str) -> float:
         ) from None
 
 
+def _fault_bound(token: str) -> int:
+    """argparse type of every ``--f``: a non-negative integer, so a bad
+    bound exits 2 with a usage line instead of a traceback or a report."""
+    try:
+        value = int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {token!r}"
+        ) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def parse_graph(spec: str) -> graphs.Graph:
     """Parse a ``family:args`` graph spec into a Graph (or Digraph).
 
@@ -510,7 +524,7 @@ def _profile_flood_receipt(args: argparse.Namespace) -> int:
     """``profile --flood-receipt``: one analytic fault-free flood plus
     reliable receipt at a single receiver.
 
-    No simulator: the prefix-sharing :class:`~repro.consensus.path_engine
+    No simulator: the backward-search :class:`~repro.consensus.path_engine
     .PathFloodEngine` materializes every delivery at the receiver
     directly, then Definition C.1 is evaluated for every origin over the
     per-origin delivery slices.  This is the harness that exercises the
@@ -921,13 +935,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="evaluate feasibility conditions")
     p.add_argument("--graph", required=True)
-    p.add_argument("--f", type=int, required=True)
+    p.add_argument("--f", type=_fault_bound, required=True)
     p.add_argument("--t", type=int, default=None)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("run", help="run a consensus algorithm")
     p.add_argument("--graph", required=True)
-    p.add_argument("--f", type=int, required=True)
+    p.add_argument("--f", type=_fault_bound, required=True)
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--algorithm", default="1",
                    choices=["1", "2", "3", "async"])
@@ -975,7 +989,7 @@ def build_parser() -> argparse.ArgumentParser:
              "and emit a JSON report",
     )
     p.add_argument("--graph", required=True)
-    p.add_argument("--f", type=int, required=True)
+    p.add_argument("--f", type=_fault_bound, required=True)
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--algorithm", default="1",
                    choices=["1", "2", "3", "async"])
@@ -1037,7 +1051,7 @@ def build_parser() -> argparse.ArgumentParser:
              "closed-form cost model; optionally emit BENCH_<name>.json",
     )
     p.add_argument("--graph", required=True)
-    p.add_argument("--f", type=int, required=True)
+    p.add_argument("--f", type=_fault_bound, required=True)
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--algorithm", default="2",
                    choices=["1", "2", "3", "async"])
@@ -1050,7 +1064,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="",
                    help="write the BENCH record JSON to this path")
     p.add_argument("--flood-receipt", action="store_true",
-                   help="profile one analytic flood (prefix-sharing "
+                   help="profile one analytic flood (backward-search "
                         "path engine) plus reliable receipt at a single "
                         "receiver instead of a simulated run — scales "
                         "to graphs far beyond the simulator (e.g. "
@@ -1097,7 +1111,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run a covering-network violation demo")
     p.add_argument("--kind", default="degree",
                    choices=["degree", "connectivity"])
-    p.add_argument("--f", type=int, default=1)
+    p.add_argument("--f", type=_fault_bound, default=1)
     p.set_defaults(fn=cmd_demo_impossibility)
     return parser
 

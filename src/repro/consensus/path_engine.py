@@ -3,9 +3,9 @@
 For the class of per-message node behaviors (honest forwarding, value
 flips, drops — everything the standard adversary battery does within a
 single flood), the value delivered along a simple path is a *pure
-function of the path*: walk the path from the origin, applying each
-node's behavior to the (value, prefix) it would have accepted.  This
-engine computes all deliveries directly, which
+function of the path*: start from the origin's flooded value and apply
+each relay's rule to the value it accepted.  This engine computes all
+deliveries directly, which
 
 * cross-validates the round simulator (the property tests assert the
   two engines agree delivery-for-delivery), and
@@ -15,24 +15,25 @@ engine computes all deliveries directly, which
 The correspondence holds because, under local broadcast with rules
 (i)–(iv), each ``(sender, Π)`` slot carries exactly one message and the
 sender's transmission for that slot is the same toward every neighbor —
-so a node's effect on a flood factors through ``(origin value, prefix)``.
-Equivocating behaviors (hybrid model) are exactly the ones that break
-this factorization, and are intentionally out of scope here.
+so a node's effect on a flood factors through ``(node, accepted
+value)``, and a rule is a function of the value alone.  Equivocating
+behaviors (hybrid model) are exactly the ones that break this
+factorization, and are intentionally out of scope here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..graphs import Graph, all_simple_paths
+from ..graphs import Graph
 from ..obs import NULL_METRICS
 
 PathTuple = Tuple[Hashable, ...]
 
-ForwardRule = Callable[[int, PathTuple], Optional[int]]
-"""Maps (accepted value, prefix ending at this node) to the forwarded
-value, or ``None`` to drop the message on this path."""
+ForwardRule = Callable[[int], Optional[int]]
+"""Maps an accepted value to the forwarded value, or ``None`` to drop
+the message."""
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ class NodeBehavior:
 
     ``initial`` is the value the node floods (``None`` = stays silent,
     triggering the neighbors' default substitution).  ``forward`` maps
-    each accepted (value, prefix) to what the node relays on that slot.
+    each accepted value to what the node relays.
     """
 
     initial: Optional[int]
@@ -49,27 +50,27 @@ class NodeBehavior:
 
     @classmethod
     def honest(cls, value: int) -> "NodeBehavior":
-        return cls(initial=value, forward=lambda v, prefix: v)
+        return cls(initial=value, forward=lambda v: v)
 
     @classmethod
     def silent(cls) -> "NodeBehavior":
         """No initiation and no forwarding: severs all paths through it."""
-        return cls(initial=None, forward=lambda v, prefix: None)
+        return cls(initial=None, forward=lambda v: None)
 
     @classmethod
     def lying_init(cls, value: int) -> "NodeBehavior":
         """Floods the flipped value but forwards honestly."""
-        return cls(initial=1 - value, forward=lambda v, prefix: v)
+        return cls(initial=1 - value, forward=lambda v: v)
 
     @classmethod
     def tamper_forward(cls, value: int) -> "NodeBehavior":
         """Honest initiation, flips every forwarded value."""
-        return cls(initial=value, forward=lambda v, prefix: 1 - v)
+        return cls(initial=value, forward=lambda v: 1 - v)
 
     @classmethod
     def drop_forward(cls, value: int) -> "NodeBehavior":
         """Honest initiation, forwards nothing."""
-        return cls(initial=value, forward=lambda v, prefix: None)
+        return cls(initial=value, forward=lambda v: None)
 
 
 class PathFloodEngine:
@@ -102,118 +103,175 @@ class PathFloodEngine:
         value = self.behaviors[origin].initial
         return self.default if value is None else value
 
-    def value_along(self, path: PathTuple) -> Optional[int]:
-        """The value delivered along ``path`` (origin first, receiver
-        last), or ``None`` if some internal node dropped it.
+    def _tabulate(self, order: Sequence[Hashable]) -> Tuple[
+        List[int],
+        Dict[Hashable, int],
+        Dict[Hashable, Optional[Tuple[Optional[int], ...]]],
+    ]:
+        """The values a flood can carry, and every rule over them.
 
-        A silent origin is substituted by its *neighbor* — the first hop
-        — so the walk starts with the default value in that case, exactly
-        mirroring the simulator's substitution rule.
+        ``values`` starts with the effective initial values and is closed
+        under the rules; ``start[v]`` is the index of ``v``'s effective
+        initial value.  ``tables[v][i]`` is the index in ``values`` of
+        what ``v`` relays on accepting ``values[i]`` (``None`` = dropped);
+        ``tables[v]`` is ``None`` when ``v``'s rule is the identity.
+
+        A simple path has at most ``n - 2`` relays, so a value first
+        produced by the ``(n - 2)``-th relay is never relayed again: its
+        entries are left ``None`` and no rule is called on it, which
+        keeps the table finite even for a rule like ``v + 1``.
         """
-        if len(path) == 1:
-            return self.effective_initial(path[0])
-        value: Optional[int] = self.effective_initial(path[0])
-        for idx in range(1, len(path) - 1):
-            node = path[idx]
-            prefix = path[: idx + 1]
-            assert value is not None
-            value = self.behaviors[node].forward(value, prefix)
-            if value is None:
-                return None
-        return value
+        relays = self.graph.n - 2
+        rules = [self.behaviors[v].forward for v in order]
+        rows: List[List[Optional[int]]] = [[] for _ in order]
+        values: List[int] = []
+        depth: List[int] = []
+        slot: Dict[int, int] = {}
+        start: Dict[Hashable, int] = {}
+        for v in order:
+            value = self.effective_initial(v)
+            if value not in slot:
+                slot[value] = len(values)
+                values.append(value)
+                depth.append(0)
+            start[v] = slot[value]
+        # ``values`` grows while it is scanned, breadth first by depth.
+        for i, value in enumerate(values):
+            if depth[i] >= relays:
+                for row in rows:
+                    row.append(None)
+                continue
+            for rule, row in zip(rules, rows):
+                relayed = rule(value)
+                if relayed is None:
+                    row.append(None)
+                    continue
+                if relayed not in slot:
+                    slot[relayed] = len(values)
+                    values.append(relayed)
+                    depth.append(depth[i] + 1)
+                row.append(slot[relayed])
+        identity = list(range(len(values)))
+        tables = {
+            v: None if row == identity else tuple(row)
+            for v, row in zip(order, rows)
+        }
+        return values, start, tables
 
     def deliveries_at(self, receiver: Hashable) -> Dict[PathTuple, int]:
         """All (path → value) deliveries ending at ``receiver``,
         including the trivial own path.
 
-        Runs a prefix-sharing DFS: the value along a path is a pure
-        function of its prefix, so it is threaded through the traversal
-        and each prefix's forwarding work is done once for *all* simple
-        paths extending it — instead of re-walking every enumerated path
-        from its origin (:meth:`naive_deliveries_at`, kept as the test
-        oracle).  A prefix whose next hop drops the message prunes the
-        whole subtree (counted under ``path_engine.prefixes_pruned``).
-        The traversal mirrors :func:`~repro.graphs.all_simple_paths`
-        exactly, so the delivered dict is equal — same keys, same values,
-        same insertion order.
+        Searches simple paths *backward* from the receiver over
+        in-neighbors, so every node the search visits is one path
+        ``(y, …, receiver)`` that reaches the receiver: no dead-end
+        prefix is ever built.  Each suffix carries its composed effect
+        (which delivered value, if any, each carried value turns into
+        after the suffix's relays), tabulated over the finite set of
+        values the flood can carry (:meth:`_tabulate`); honest relays
+        are the identity and pass their suffix's effect on uncopied.  A
+        suffix whose effect drops every value is cut, with the whole
+        subtree behind it (counted under ``path_engine.prefixes_pruned``
+        — since the search runs backward these are suffixes, and a
+        silent or drop-forward node's suffixes are all counted).
 
-        Metric notes: ``paths_delivered`` and ``path_length`` keep their
-        meanings; ``paths_evaluated`` now counts completed walks only
-        (dropped paths are never materialized — the old per-path
-        ``paths_dropped`` counter is subsumed by ``prefixes_pruned``).
+        The delivered dict is then put in the insertion order of
+        enumerating :func:`~repro.graphs.all_simple_paths` origin by
+        origin in ``repr`` order — lexicographic by ``repr`` rank — by
+        one sort of packed-int keys: each path's ranks fill fixed-width
+        fields from the top (prepending a node is a right shift plus an
+        OR), the field below them holds the delivered value's index, and
+        the path's index in ``paths`` fills the low bits.  No path is a
+        prefix of another (all end at the receiver), so zero padding
+        never ties.
+
+        Metric notes: ``paths_evaluated`` and ``paths_delivered`` both
+        count deliveries, and ``path_length`` is their length histogram.
         """
+        graph = self.graph
+        n = graph.n
+        order = sorted(graph.nodes, key=repr)
+        values, start, tables = self._tabulate(order)
+        # Key fields, most significant first: one rank per path position
+        # (zero past the path's end), then the delivered value's slot.
+        width = max(1, (n - 1).bit_length(), (len(values) - 1).bit_length())
+        head = {v: rank << width * n for rank, v in enumerate(order)}
+        # Per in-neighbor, everything the search reads about it.
+        preds = {
+            v: tuple(
+                (y, head[y], start[y], tables[y])
+                for y in graph.sorted_in_neighbors(v)
+            )
+            for v in order
+        }
+
+        paths: List[PathTuple] = []
+        keys: List[int] = []
+        lengths = [0] * (n + 1)
+        on_path = {receiver}
+        pruned = 0
+
+        def search(suffix: PathTuple, effect: Tuple[Optional[int], ...], key: int) -> None:
+            nonlocal pruned
+            size = len(suffix) + 1
+            for y, y_head, y_start, table in preds[suffix[0]]:
+                if y in on_path:
+                    continue
+                path = (y,) + suffix
+                out_slot = effect[y_start]
+                if out_slot is None:
+                    path_key = key >> width | y_head
+                else:
+                    path_key = key >> width | y_head | out_slot
+                    keys.append(path_key)
+                    paths.append(path)
+                    lengths[size] += 1
+                if size == n:
+                    continue
+                if table is not None:
+                    relayed = tuple(
+                        None if j is None else effect[j] for j in table
+                    )
+                    if relayed.count(None) == len(relayed):
+                        pruned += 1
+                        continue
+                else:
+                    relayed = effect
+                on_path.add(y)
+                search(path, relayed, path_key)
+                on_path.remove(y)
+
+        try:
+            search((receiver,), tuple(range(len(values))), head[receiver])
+        finally:
+            # ``search`` calls itself through its own closure cell, a
+            # cycle that would keep the lists alive until the cyclic
+            # collector runs; emptying the cell frees them by refcount.
+            del search
+        shift = len(keys).bit_length()
+        for i, key in enumerate(keys):
+            keys[i] = key << shift | i
+        keys.sort()
+        mask = (1 << shift) - 1
+        slot_mask = (1 << width) - 1
         out: Dict[PathTuple, int] = {
             (receiver,): self.effective_initial(receiver)
         }
-        graph = self.graph
-        behaviors = self.behaviors
-        n = graph.n
-        delivered = 0
-        pruned = 0
-        lengths: Dict[int, int] = {}
-        # Hoisted per-node state: the adjacency is read once per node,
-        # and the growing prefix is threaded through the recursion as a
-        # tuple — each prefix is materialized exactly once and shared by
-        # the forward rule, the recursive call, and (via one final
-        # concat) every delivery key it produces.
-        nbrs = {v: graph.sorted_neighbors(v) for v in graph.nodes}  # repro: allow[REPRO001] lookup table; only keyed access, order never reaches a trace
-        on_stack: set = set()
-        tail = (receiver,)
+        for key in keys:
+            out[paths[key & mask]] = values[key >> shift & slot_mask]
+        del keys
 
-        def dfs(value: int, prefix: PathTuple) -> None:
-            nonlocal delivered, pruned
-            depth_full = len(prefix) + 1 >= n
-            for nxt in nbrs[prefix[-1]]:
-                if nxt == receiver:
-                    path = prefix + tail
-                    out[path] = value
-                    delivered += 1
-                    lengths[len(path)] = lengths.get(len(path), 0) + 1
-                    continue
-                if nxt in on_stack or depth_full:
-                    continue
-                child = prefix + (nxt,)
-                forwarded = behaviors[nxt].forward(value, child)
-                if forwarded is None:
-                    pruned += 1
-                    continue
-                on_stack.add(nxt)
-                dfs(forwarded, child)
-                on_stack.remove(nxt)
-
-        try:
-            for origin in sorted(graph.nodes - {receiver}, key=repr):
-                on_stack = {origin}
-                dfs(self.effective_initial(origin), (origin,))
-        finally:
-            # ``dfs`` calls itself through its own closure cell, a cycle
-            # that would keep ``out`` alive until the cyclic collector
-            # runs; emptying the cell frees it by reference counting.
-            del dfs
         metrics = self.metrics
-        if delivered:
-            metrics.inc("path_engine.paths_evaluated", delivered)
-            metrics.inc("path_engine.paths_delivered", delivered)
-            for length in sorted(lengths):
-                metrics.observe("path_engine.path_length", length, lengths[length])
+        count = len(paths)
+        if count:
+            metrics.inc("path_engine.paths_evaluated", count)
+            metrics.inc("path_engine.paths_delivered", count)
+            for length in range(n + 1):
+                if lengths[length]:
+                    metrics.observe("path_engine.path_length", length, lengths[length])
         if pruned:
             metrics.inc("path_engine.prefixes_pruned", pruned)
         metrics.gauge_max("path_engine.path_set.max", len(out))
-        return out
-
-    def naive_deliveries_at(self, receiver: Hashable) -> Dict[PathTuple, int]:
-        """Reference implementation of :meth:`deliveries_at`: enumerate
-        every simple path and re-walk it with :meth:`value_along`.
-        Metrics-free; the equivalence tests assert the prefix-sharing
-        DFS matches it delivery-for-delivery (order included)."""
-        out: Dict[PathTuple, int] = {
-            (receiver,): self.effective_initial(receiver)
-        }
-        for origin in sorted(self.graph.nodes - {receiver}, key=repr):
-            for path in all_simple_paths(self.graph, origin, receiver):
-                value = self.value_along(path)
-                if value is not None:
-                    out[path] = value
         return out
 
     def all_deliveries(self) -> Dict[Hashable, Dict[PathTuple, int]]:

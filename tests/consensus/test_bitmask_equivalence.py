@@ -1,23 +1,26 @@
 """Property tests: the bitmask fast paths decide exactly like the
 label-space implementations they replaced.
 
-Three oracles are kept in this file or in the shipped tree:
+Three oracles are kept in this file, beside it, or in the shipped tree:
 
 * ``LegacyFlood`` below is the pre-refactor :class:`FloodInstance`
   acceptance logic (hash-and-walk ``is_path``, label-space rule-(ii)
   slots) — hypothesis feeds both implementations identical adversarial
   message streams and the delivered dicts, per-origin sub-indexes and
   metric snapshots must match byte for byte;
-* :meth:`PathFloodEngine.naive_deliveries_at` is the retained
-  enumerate-and-rewalk reference for the prefix-sharing DFS;
+* ``path_walk_oracle.naive_deliveries_at`` (beside this file) is the
+  enumerate-and-rewalk reference for :class:`PathFloodEngine`'s
+  backward search;
 * :func:`has_disjoint_path_packing` is the frozenset twin of the mask
   packing, and a fresh :func:`reliable_payload` call is the oracle for
   :class:`ReceiptTracker`'s incremental verdicts.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from path_walk_oracle import naive_deliveries_at
 from repro.consensus import (
     FloodInstance,
     NodeBehavior,
@@ -32,7 +35,9 @@ from repro.graphs import (
     has_disjoint_path_packing,
     is_path,
     max_disjoint_path_packing,
+    oneway_ring,
     paper_figure_1a,
+    random_digraph,
     wheel_graph,
 )
 from repro.net import (
@@ -241,49 +246,110 @@ class TestFloodEquivalence:
             assert flood.path_mask(path) == index.mask_of(path)
 
 
+def drop_zero(value):
+    """Value-only rule that drops one value and relays the other."""
+    return NodeBehavior(initial=value, forward=lambda v: None if v == 0 else v)
+
+
+def plus_two(value):
+    """Value-only rule whose outputs leave the initial set (and never
+    close on a finite set), so the tabulated table needs composition
+    over values no node floods."""
+    return NodeBehavior(initial=value, forward=lambda v: v + 2)
+
+
 BEHAVIOR_MAKERS = [
     NodeBehavior.honest,
     NodeBehavior.lying_init,
     NodeBehavior.tamper_forward,
     NodeBehavior.drop_forward,
     lambda value: NodeBehavior.silent(),
+    drop_zero,
+    plus_two,
 ]
+
+#: The engine search expands in-neighbors, so true digraphs join the
+#: undirected battery here.
+ENGINE_BATTERY = BATTERY + [
+    ("oneway:6", oneway_ring(6)),
+    ("oneway:7:2", oneway_ring(7, 2)),
+    ("random_digraph:6:0.5:11", random_digraph(6, 0.5, 11)),
+    ("random_digraph:7:0.4:3", random_digraph(7, 0.4, 3)),
+]
+
+
+def assert_matches_naive_walk(graph, behaviors):
+    engine = PathFloodEngine(graph, behaviors)
+    for receiver in sorted(graph.nodes, key=repr):
+        fast = engine.deliveries_at(receiver)
+        naive = naive_deliveries_at(engine, receiver)
+        assert list(fast.items()) == list(naive.items())
 
 
 class TestEngineEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(
-        st.sampled_from(BATTERY),
+        st.sampled_from(ENGINE_BATTERY),
         st.integers(0, 10**6),
     )
-    def test_prefix_dfs_matches_naive_walk(self, battery, seed):
-        """The prefix-sharing DFS delivers exactly what enumerating all
+    def test_backward_search_matches_naive_walk(self, battery, seed):
+        """The backward search delivers exactly what enumerating all
         simple paths and re-walking each one delivers — same keys, same
         values, same insertion order — under every behavior mix."""
         name, graph = battery
         nodes = sorted(graph.nodes, key=repr)
+        base = len(BEHAVIOR_MAKERS)
         behaviors = {}
         for i, v in enumerate(nodes):
-            maker = BEHAVIOR_MAKERS[(seed // (5**i)) % len(BEHAVIOR_MAKERS)]
+            maker = BEHAVIOR_MAKERS[(seed // (base**i)) % base]
             behaviors[v] = maker(i % 2)
-        engine = PathFloodEngine(graph, behaviors)
-        for receiver in nodes:
-            fast = engine.deliveries_at(receiver)
-            naive = engine.naive_deliveries_at(receiver)
-            assert fast == naive
-            assert list(fast) == list(naive)
+        assert_matches_naive_walk(graph, behaviors)
 
-    def test_dfs_metrics_track_deliveries_and_prunes(self):
+    @pytest.mark.parametrize("maker", [drop_zero, plus_two])
+    @pytest.mark.parametrize("name,graph", ENGINE_BATTERY)
+    def test_value_only_rules_match_naive_walk(self, name, graph, maker):
+        """Every node but one runs the rule and that one tampers, so
+        relayed values pass through chains of composed, non-identity
+        tables — with ``plus_two``, up to the last relay a simple path
+        can have."""
+        nodes = sorted(graph.nodes, key=repr)
+        behaviors = {v: maker(i % 2) for i, v in enumerate(nodes)}
+        behaviors[nodes[0]] = NodeBehavior.tamper_forward(0)
+        assert_matches_naive_walk(graph, behaviors)
+
+    def test_metrics_count_deliveries_and_silent_suffixes(self):
+        """``prefixes_pruned`` counts suffixes cut because every value is
+        dropped: on C5 toward receiver 0, a silent node 2 is reached
+        over the suffixes (1, 0) and (3, 4, 0), and both are cut there —
+        the search never looks past node 2.  Its own initiation (the
+        default) is still delivered along both."""
         graph = cycle_graph(5)
         behaviors = {v: NodeBehavior.honest(v % 2) for v in graph.nodes}
-        behaviors[2] = NodeBehavior.drop_forward(0)
+        behaviors[2] = NodeBehavior.silent()
         metrics = MetricsRegistry()
         engine = PathFloodEngine(graph, behaviors, metrics=metrics)
         out = engine.deliveries_at(0)
-        counters = metrics.snapshot()["counters"]
+        snapshot = metrics.snapshot()
+        counters = snapshot["counters"]
+        assert counters["path_engine.prefixes_pruned"] == 2
+        assert out[(2, 1, 0)] == out[(2, 3, 4, 0)] == 1
+        assert (3, 2, 1, 0) not in out and (1, 2, 3, 4, 0) not in out
+        assert counters["path_engine.paths_evaluated"] == len(out) - 1
         assert counters["path_engine.paths_delivered"] == len(out) - 1
-        assert counters["path_engine.prefixes_pruned"] > 0
-        assert metrics.snapshot()["gauges"]["path_engine.path_set.max"] == len(out)
+        lengths = snapshot["histograms"]["path_engine.path_length"]
+        assert lengths["count"] == len(out) - 1
+        assert snapshot["gauges"]["path_engine.path_set.max"] == len(out)
+
+    def test_honest_flood_prunes_nothing(self):
+        metrics = MetricsRegistry()
+        graph = wheel_graph(6)
+        engine = PathFloodEngine(
+            graph,
+            {v: NodeBehavior.honest(v % 2) for v in graph.nodes},
+            metrics=metrics,
+        )
+        engine.deliveries_at(1)
+        assert "path_engine.prefixes_pruned" not in metrics.snapshot()["counters"]
 
 
 def drive_flood(graph, me, inputs):

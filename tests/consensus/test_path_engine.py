@@ -103,30 +103,32 @@ class TestEngineBasics:
     def test_fault_free_path_value(self, c5):
         behaviors = {v: NodeBehavior.honest(v % 2) for v in c5.nodes}
         engine = PathFloodEngine(c5, behaviors)
-        assert engine.value_along((0, 1, 2)) == 0
-        assert engine.value_along((1, 2)) == 1
-        assert engine.value_along((3,)) == 1
+        assert engine.deliveries_at(2)[(0, 1, 2)] == 0
+        assert engine.deliveries_at(2)[(1, 2)] == 1
+        assert engine.deliveries_at(3)[(3,)] == 1
 
     def test_tamper_flips_along_path(self, c5):
         behaviors = {v: NodeBehavior.honest(0) for v in c5.nodes}
         behaviors[1] = NodeBehavior.tamper_forward(0)
         engine = PathFloodEngine(c5, behaviors)
-        assert engine.value_along((0, 1, 2)) == 1  # flipped at node 1
-        assert engine.value_along((0, 4, 3)) == 0  # untouched path
+        assert engine.deliveries_at(2)[(0, 1, 2)] == 1  # flipped at node 1
+        assert engine.deliveries_at(3)[(0, 4, 3)] == 0  # untouched path
 
     def test_drop_kills_path(self, c5):
         behaviors = {v: NodeBehavior.honest(0) for v in c5.nodes}
         behaviors[1] = NodeBehavior.drop_forward(0)
         engine = PathFloodEngine(c5, behaviors)
-        assert engine.value_along((0, 1, 2)) is None
+        deliveries = engine.deliveries_at(2)
+        assert (0, 1, 2) not in deliveries
+        assert deliveries[(1, 2)] == 0  # its own initiation still arrives
 
     def test_silent_origin_substituted(self, c5):
         behaviors = {v: NodeBehavior.honest(0) for v in c5.nodes}
         behaviors[0] = NodeBehavior.silent()
         engine = PathFloodEngine(c5, behaviors)
         assert engine.effective_initial(0) == 1
-        assert engine.value_along((0, 1)) == 1
-        assert engine.value_along((0, 1, 2)) == 1
+        assert engine.deliveries_at(1)[(0, 1)] == 1
+        assert engine.deliveries_at(2)[(0, 1, 2)] == 1
 
     def test_missing_behavior_rejected(self, c5):
         with pytest.raises(ValueError):

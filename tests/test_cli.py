@@ -77,6 +77,34 @@ class TestCommands:
         assert code == 0
 
 
+class TestFaultBoundOption:
+    """Every ``--f`` rejects a negative bound at parse time (exit 2)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--graph", "cycle:5"],
+        ["run", "--graph", "cycle:5"],
+        ["sweep", "--graph", "cycle:5"],
+        ["profile", "--graph", "wheel:5", "--flood-receipt"],
+        ["demo-impossibility", "--kind", "degree"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_f_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--f", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --f: must be non-negative, got -1" in captured.err
+        assert captured.out == ""
+
+    def test_non_integer_f_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--graph", "cycle:5", "--f", "one"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'one'" in capsys.readouterr().err
+
+    def test_zero_f_accepted(self, capsys):
+        assert main(["check", "--graph", "cycle:5", "--f", "0"]) == 0
+
+
 class TestSweepCommand:
     def test_sweep_json_to_stdout(self, capsys):
         code = main([
