@@ -221,6 +221,7 @@ def latency_rows():
             faulty=[2],
             adversary=TamperForwardAdversary(),
             scheduler=spec,
+            flight=True,  # the mean latency reads every delivery record
         )
         deliveries = result.trace.deliveries
         mean = sum(d.latency for d in deliveries) / max(len(deliveries), 1)

@@ -47,6 +47,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NoReturn
 
 from . import consensus, graphs
 from .analysis import requirement_table
@@ -92,6 +93,45 @@ def _fault_bound(token: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
+
+
+def _usage_error(args: argparse.Namespace, message: str) -> NoReturn:
+    """Reject a command line whose check needs more than one option (or
+    the parsed graph): one argparse-style line on stderr, exit 2."""
+    print(f"python -m repro {args.command}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _check_workers(args: argparse.Namespace) -> None:
+    workers = getattr(args, "workers", 1)
+    if workers < 1:
+        _usage_error(args, f"argument --workers: must be >= 1, got {workers}")
+
+
+def _parse_faulty(args: argparse.Namespace, nodes: list) -> list:
+    """``--faulty``: comma-separated indices into the repr-sorted nodes,
+    at most ``--f`` distinct ones."""
+    faulty = []
+    for token in args.faulty.split(","):
+        try:
+            index = int(token)
+        except ValueError:
+            _usage_error(
+                args, f"argument --faulty: invalid node index {token!r}"
+            )
+        if not 0 <= index < len(nodes):
+            _usage_error(
+                args,
+                f"argument --faulty: node index {index} out of range "
+                f"0..{len(nodes) - 1}",
+            )
+        faulty.append(nodes[index])
+    distinct = len(set(faulty))
+    if distinct > args.f:
+        _usage_error(
+            args, f"argument --faulty: {distinct} faulty nodes exceed f = {args.f}"
+        )
+    return faulty
 
 
 def parse_graph(spec: str) -> graphs.Graph:
@@ -357,14 +397,13 @@ def emit_metrics(args: argparse.Namespace, registry, metrics, timings) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     graph = parse_graph(args.graph)
-    factory = build_factory(args, graph)
     nodes = sorted(graph.nodes, key=repr)
+    faulty = _parse_faulty(args, nodes) if args.faulty else []
+    factory = build_factory(args, graph)
     inputs = {v: i % 2 for i, v in enumerate(nodes)}
-    faulty = []
     adversary = None
     channel = local_broadcast_model()
-    if args.faulty:
-        faulty = [nodes[int(i)] for i in args.faulty.split(",")]
+    if faulty:
         adversary = find_adversary(args.adversary)
     if args.algorithm == "3" and args.t:
         # Same canonical (repr-sorted) prefix rule as sweep's
@@ -1118,6 +1157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _check_workers(args)
     return args.fn(args)
 
 

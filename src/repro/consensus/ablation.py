@@ -124,25 +124,24 @@ class ReInitAdversary(Adversary):
         n = spec.graph.n
         delay = self.delay if self.delay is not None else n - 1
 
-        class _ReInit(_WrapperProtocol):
-            def transform(self, outbox, ctx):
-                result = list(outbox)
-                within = (ctx.round_no - 1) % n + 1
-                phase_idx = (ctx.round_no - 1) // n
-                if within == delay:
-                    result.append(
-                        (
-                            FloodMessage(
-                                ("exact", phase_idx),
-                                ValuePayload(1 - spec.input_value),
-                                (),
-                            ),
-                            None,
-                        )
+        def transform(outbox, ctx):
+            result = list(outbox)
+            within = (ctx.round_no - 1) % n + 1
+            phase_idx = (ctx.round_no - 1) // n
+            if within == delay:
+                result.append(
+                    (
+                        FloodMessage(
+                            ("exact", phase_idx),
+                            ValuePayload(1 - spec.input_value),
+                            (),
+                        ),
+                        None,
                     )
-                return result
+                )
+            return result
 
-        return _ReInit(spec.honest())
+        return _WrapperProtocol(spec.honest(), transform)
 
 
 def reliable_value_with_threshold(

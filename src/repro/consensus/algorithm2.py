@@ -25,6 +25,7 @@ Everything is expressed through :class:`~repro.consensus.flooding
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from ..graphs import Graph
@@ -43,6 +44,22 @@ def majority(values: List[int]) -> int:
     ones = sum(values)
     zeros = len(values) - ones
     return 1 if ones > zeros else 0
+
+
+def _valid_bundle(graph: Graph, payload, full_path) -> bool:
+    """Phase-2 validator: a well-formed report bundle from ``full_path[0]``
+    whose every subject is a neighbor of the reporter."""
+    if not isinstance(payload, ReportBundle):
+        return False
+    if payload.reporter != full_path[0]:
+        return False
+    subjects = [s for s, _ in payload.entries]
+    if len(set(subjects)) != len(subjects):
+        return False
+    return all(
+        s in graph.nodes and payload.reporter in graph.neighbors(s)
+        for s in subjects
+    )
 
 
 class Algorithm2Protocol(Protocol):
@@ -144,27 +161,18 @@ class Algorithm2Protocol(Protocol):
             self.me,
             phase=self.PHASE2,
             default_payload=None,
-            validator=self._valid_bundle,
+            validator=partial(_valid_bundle, self.graph),
         )
         self._flood2.initiate(ctx, bundle)
 
-    def _valid_value(self, payload, full_path) -> bool:
+    # Validators are static (or bound to the graph only): a flood that
+    # held a bound method would hold its protocol in a reference cycle.
+    @staticmethod
+    def _valid_value(payload, full_path) -> bool:
         return isinstance(payload, ValuePayload)
 
-    def _valid_bundle(self, payload, full_path) -> bool:
-        if not isinstance(payload, ReportBundle):
-            return False
-        if payload.reporter != full_path[0]:
-            return False
-        subjects = [s for s, _ in payload.entries]
-        if len(set(subjects)) != len(subjects):
-            return False
-        return all(
-            s in self.graph.nodes and payload.reporter in self.graph.neighbors(s)
-            for s in subjects
-        )
-
-    def _valid_decision(self, payload, full_path) -> bool:
+    @staticmethod
+    def _valid_decision(payload, full_path) -> bool:
         return isinstance(payload, DecisionPayload) and payload.value in (0, 1)
 
     def _conclude_phase2(self) -> None:

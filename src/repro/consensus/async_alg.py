@@ -243,10 +243,14 @@ class AsyncConsensusProtocol(Protocol):
     # ------------------------------------------------------------------
     # flood plumbing
     # ------------------------------------------------------------------
-    def _valid_value(self, payload, full_path) -> bool:
+    # Static validators: a flood holding a bound method would hold its
+    # protocol in a reference cycle.
+    @staticmethod
+    def _valid_value(payload, full_path) -> bool:
         return isinstance(payload, ValuePayload)
 
-    def _valid_decision(self, payload, full_path) -> bool:
+    @staticmethod
+    def _valid_decision(payload, full_path) -> bool:
         return isinstance(payload, DecisionPayload) and payload.value in (0, 1)
 
     def _vote_instance(self, round_no: int) -> FloodInstance:

@@ -157,27 +157,26 @@ class EIGEquivocatingAdversary(Adversary):
     name = "eig-equivocate"
 
     def build(self, spec: FaultSpec) -> Protocol:
-        class _Split(_WrapperProtocol):
-            def transform(self, outbox, ctx):
-                result = []
-                for message, target in outbox:
-                    if (
-                        isinstance(message, DirectMessage)
-                        and target is None
-                        and isinstance(message.payload, tuple)
+        def transform(outbox, ctx):
+            result = []
+            for message, target in outbox:
+                if (
+                    isinstance(message, DirectMessage)
+                    and target is None
+                    and isinstance(message.payload, tuple)
+                ):
+                    for i, nbr in enumerate(
+                        sorted(ctx.graph.neighbors(ctx.node), key=repr)
                     ):
-                        for i, nbr in enumerate(
-                            sorted(ctx.graph.neighbors(ctx.node), key=repr)
-                        ):
-                            split = tuple(
-                                (label, i % 2) for label, _v in message.payload
-                            )
-                            result.append((DirectMessage(message.tag, split), nbr))
-                    else:
-                        result.append((message, target))
-                return result
+                        split = tuple(
+                            (label, i % 2) for label, _v in message.payload
+                        )
+                        result.append((DirectMessage(message.tag, split), nbr))
+                else:
+                    result.append((message, target))
+            return result
 
-        return _Split(spec.honest())
+        return _WrapperProtocol(spec.honest(), transform)
 
 
 class DolevEIGProtocol(Protocol):

@@ -192,6 +192,12 @@ def run_consensus(
     JSON-ready dict stored verbatim in the flight header (provenance —
     e.g. the sweep task index that produced the recording); it must be
     canonical itself, since replay byte-compares headers.
+
+    Only a flight run records per-message traffic: otherwise
+    ``ConsensusResult.trace`` is counts-only (rounds, transmission and
+    delivery counts, ``max_latency`` and decisions), and reading its
+    ``transmissions``/``deliveries`` raises
+    :class:`~repro.net.trace.TraceLevelError`.
     """
     faulty_set = frozenset(faulty)
     unknown = faulty_set - graph.nodes
@@ -285,11 +291,16 @@ def run_consensus(
     else:
         registry = None
 
+    # Only a flight reads per-message records; every other run keeps
+    # the trace's counts alone.
     if scheduler is None:
-        net = SynchronousNetwork(graph, protocols, channel, metrics=registry)
+        net = SynchronousNetwork(
+            graph, protocols, channel, metrics=registry, record_messages=flight
+        )
     else:
         net = EventDrivenNetwork(
-            graph, protocols, scheduler.build(graph), channel, metrics=registry
+            graph, protocols, scheduler.build(graph), channel,
+            metrics=registry, record_messages=flight,
         )
     stalled = False
     timer = WallTimings()

@@ -164,25 +164,34 @@ def has_disjoint_path_packing(
             if items[i] & items[j]:
                 conflict[i] |= 1 << j
                 conflict[j] |= 1 << i
-    order = sorted(range(m), key=lambda i: bin(conflict[i]).count("1"))
-    full = (1 << m) - 1
+    order = sorted(range(m), key=lambda i: conflict[i].bit_count())
+    return _packing_search(order, conflict, k, 0, 0, (1 << m) - 1)
 
-    def search(start: int, chosen: int, alive: int) -> bool:
-        if chosen >= k:
+
+def _packing_search(
+    order: Sequence[int], conflict: Sequence[int], k: int,
+    start: int, chosen: int, alive: int,
+) -> bool:
+    """The exact packing DFS shared by both packing deciders: can
+    ``k - chosen`` more pairwise non-conflicting candidates be taken
+    from ``alive``, trying them in ``order`` from position ``start``?
+
+    Module-level rather than a recursive closure, which would hold
+    itself in a reference cycle and leave garbage on every call.
+    """
+    if chosen >= k:
+        return True
+    for idx in range(start, len(order)):
+        i = order[idx]
+        if not (alive >> i) & 1:
+            continue
+        remaining_after = alive & ~conflict[i] & ~(1 << i)
+        # prune: even taking everything alive past idx can't reach k
+        if chosen + 1 + remaining_after.bit_count() < k:
+            continue
+        if _packing_search(order, conflict, k, idx + 1, chosen + 1, remaining_after):
             return True
-        for idx in range(start, m):
-            i = order[idx]
-            if not (alive >> i) & 1:
-                continue
-            remaining_after = alive & ~conflict[i] & ~(1 << i)
-            # prune: even taking everything alive past idx can't reach k
-            if chosen + 1 + bin(remaining_after).count("1") < k:
-                continue
-            if search(idx + 1, chosen + 1, remaining_after):
-                return True
-        return False
-
-    return search(0, 0, full)
+    return False
 
 
 def has_disjoint_mask_packing(masks: Sequence[int], k: int) -> bool:
@@ -225,23 +234,7 @@ def has_disjoint_mask_packing(masks: Sequence[int], k: int) -> bool:
                 conflict[i] |= 1 << j
                 conflict[j] |= 1 << i
     order = sorted(range(m), key=lambda i: conflict[i].bit_count())
-    full = (1 << m) - 1
-
-    def search(start: int, chosen: int, alive: int) -> bool:
-        if chosen >= k:
-            return True
-        for idx in range(start, m):
-            i = order[idx]
-            if not (alive >> i) & 1:
-                continue
-            remaining_after = alive & ~conflict[i] & ~(1 << i)
-            if chosen + 1 + remaining_after.bit_count() < k:
-                continue
-            if search(idx + 1, chosen + 1, remaining_after):
-                return True
-        return False
-
-    return search(0, 0, full)
+    return _packing_search(order, conflict, k, 0, 0, (1 << m) - 1)
 
 
 def max_disjoint_path_packing(

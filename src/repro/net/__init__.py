@@ -59,7 +59,7 @@ from .sched import (
     parse_scheduler,
 )
 from .simulator import SimulationError, SynchronousNetwork
-from .trace import Delivery, Trace, Transmission
+from .trace import Delivery, Trace, TraceLevelError, Transmission
 
 __all__ = [
     "Adversary",
@@ -97,6 +97,7 @@ __all__ = [
     "SynchronousNetwork",
     "TamperForwardAdversary",
     "Trace",
+    "TraceLevelError",
     "Transmission",
     "ValuePayload",
     "WrongInputAdversary",

@@ -78,13 +78,30 @@ class _WrapperProtocol(Protocol):
     """Runs an inner (honest) protocol and post-processes its outbox.
 
     The inner protocol sees the true inbox; only what leaves the node is
-    altered.  Subclasses override :meth:`transform`, yielding
-    ``(message, target)`` pairs (``target=None`` for broadcast), which are
-    re-sent through the real context so channel enforcement applies.
+    altered.  Subclasses override :meth:`transform` — or pass a
+    ``transform(outbox, ctx)`` function — yielding ``(message, target)``
+    pairs (``target=None`` for broadcast), which are re-sent through the
+    real context so channel enforcement applies.
+
+    Behaviors pass a function rather than define a class per
+    :meth:`Adversary.build`: a class object is a reference cycle, so a
+    class per faulty node per run would leave garbage for the cyclic
+    collector on every run.
     """
 
-    def __init__(self, inner: Protocol):
+    def __init__(
+        self,
+        inner: Protocol,
+        transform: Optional[
+            Callable[
+                [List[Tuple[object, Optional[Hashable]]], Context],
+                List[Tuple[object, Optional[Hashable]]],
+            ]
+        ] = None,
+    ):
         self.inner = inner
+        if transform is not None:
+            self.transform = transform
 
     def on_round(self, ctx: Context) -> None:
         shadow = Context(
@@ -150,13 +167,12 @@ class CrashAdversary(Adversary):
     def build(self, spec: FaultSpec) -> Protocol:
         crash_round = self.crash_round
 
-        class _Crash(_WrapperProtocol):
-            def transform(self, outbox, ctx):
-                if ctx.round_no >= crash_round:
-                    return []
-                return outbox
+        def transform(outbox, ctx):
+            if ctx.round_no >= crash_round:
+                return []
+            return outbox
 
-        return _Crash(spec.honest())
+        return _WrapperProtocol(spec.honest(), transform)
 
 
 class WrongInputAdversary(Adversary):
@@ -193,26 +209,25 @@ class TamperForwardAdversary(Adversary):
     def build(self, spec: FaultSpec) -> Protocol:
         selector = self.selector or (lambda m, s: len(m.path) > 0)
 
-        class _Tamper(_WrapperProtocol):
-            def transform(self, outbox, ctx):
-                result = []
-                for message, target in outbox:
-                    if (
-                        isinstance(message, FloodMessage)
-                        and isinstance(message.payload, ValuePayload)
-                        and selector(message, spec)
-                    ):
-                        flipped = FloodMessage(
-                            message.phase,
-                            ValuePayload(1 - message.payload.value),
-                            message.path,
-                        )
-                        result.append((flipped, target))
-                    else:
-                        result.append((message, target))
-                return result
+        def transform(outbox, ctx):
+            result = []
+            for message, target in outbox:
+                if (
+                    isinstance(message, FloodMessage)
+                    and isinstance(message.payload, ValuePayload)
+                    and selector(message, spec)
+                ):
+                    flipped = FloodMessage(
+                        message.phase,
+                        ValuePayload(1 - message.payload.value),
+                        message.path,
+                    )
+                    result.append((flipped, target))
+                else:
+                    result.append((message, target))
+            return result
 
-        return _Tamper(spec.honest())
+        return _WrapperProtocol(spec.honest(), transform)
 
 
 class LyingInitAdversary(Adversary):
@@ -226,26 +241,25 @@ class LyingInitAdversary(Adversary):
     name = "lying-init"
 
     def build(self, spec: FaultSpec) -> Protocol:
-        class _Lie(_WrapperProtocol):
-            def transform(self, outbox, ctx):
-                result = []
-                for message, target in outbox:
-                    if (
-                        isinstance(message, FloodMessage)
-                        and isinstance(message.payload, ValuePayload)
-                        and len(message.path) == 0
-                    ):
-                        flipped = FloodMessage(
-                            message.phase,
-                            ValuePayload(1 - message.payload.value),
-                            message.path,
-                        )
-                        result.append((flipped, target))
-                    else:
-                        result.append((message, target))
-                return result
+        def transform(outbox, ctx):
+            result = []
+            for message, target in outbox:
+                if (
+                    isinstance(message, FloodMessage)
+                    and isinstance(message.payload, ValuePayload)
+                    and len(message.path) == 0
+                ):
+                    flipped = FloodMessage(
+                        message.phase,
+                        ValuePayload(1 - message.payload.value),
+                        message.path,
+                    )
+                    result.append((flipped, target))
+                else:
+                    result.append((message, target))
+            return result
 
-        return _Lie(spec.honest())
+        return _WrapperProtocol(spec.honest(), transform)
 
 
 class DropForwardAdversary(Adversary):
@@ -255,15 +269,14 @@ class DropForwardAdversary(Adversary):
     name = "drop-forward"
 
     def build(self, spec: FaultSpec) -> Protocol:
-        class _Drop(_WrapperProtocol):
-            def transform(self, outbox, ctx):
-                return [
-                    (m, t)
-                    for m, t in outbox
-                    if not (isinstance(m, FloodMessage) and len(m.path) > 0)
-                ]
+        def transform(outbox, ctx):
+            return [
+                (m, t)
+                for m, t in outbox
+                if not (isinstance(m, FloodMessage) and len(m.path) > 0)
+            ]
 
-        return _Drop(spec.honest())
+        return _WrapperProtocol(spec.honest(), transform)
 
 
 class EquivocatingAdversary(Adversary):
@@ -283,30 +296,29 @@ class EquivocatingAdversary(Adversary):
     def build(self, spec: FaultSpec) -> Protocol:
         custom_split = self.split
 
-        class _Equivocate(_WrapperProtocol):
-            def transform(self, outbox, ctx):
-                neighbors = sorted(ctx.graph.neighbors(ctx.node), key=repr)
-                result = []
-                for message, target in outbox:
-                    if (
-                        target is None
-                        and isinstance(message, FloodMessage)
-                        and isinstance(message.payload, ValuePayload)
-                    ):
-                        for i, nbr in enumerate(neighbors):
-                            # Default: alternate by neighbor rank, which
-                            # guarantees a genuine split whenever the node
-                            # has at least two neighbors.
-                            value = custom_split(nbr) if custom_split else i % 2
-                            variant = FloodMessage(
-                                message.phase, ValuePayload(value), message.path
-                            )
-                            result.append((variant, nbr))
-                    else:
-                        result.append((message, target))
-                return result
+        def transform(outbox, ctx):
+            neighbors = sorted(ctx.graph.neighbors(ctx.node), key=repr)
+            result = []
+            for message, target in outbox:
+                if (
+                    target is None
+                    and isinstance(message, FloodMessage)
+                    and isinstance(message.payload, ValuePayload)
+                ):
+                    for i, nbr in enumerate(neighbors):
+                        # Default: alternate by neighbor rank, which
+                        # guarantees a genuine split whenever the node
+                        # has at least two neighbors.
+                        value = custom_split(nbr) if custom_split else i % 2
+                        variant = FloodMessage(
+                            message.phase, ValuePayload(value), message.path
+                        )
+                        result.append((variant, nbr))
+                else:
+                    result.append((message, target))
+            return result
 
-        return _Equivocate(spec.honest())
+        return _WrapperProtocol(spec.honest(), transform)
 
 
 class RandomAdversary(Adversary):
@@ -331,53 +343,51 @@ class RandomAdversary(Adversary):
         rng = random.Random((self.seed, repr(spec.node)).__repr__())
         p_flip, p_drop, p_fab = self.p_flip, self.p_drop, self.p_fabricate
 
-        class _Chaos(_WrapperProtocol):
-            def transform(self, outbox, ctx):
-                result = []
-                phase = None
-                for message, target in outbox:
-                    if isinstance(message, FloodMessage) and isinstance(
-                        message.payload, ValuePayload
-                    ):
-                        phase = message.phase
-                        roll = rng.random()
-                        if roll < p_drop:
-                            continue
-                        if roll < p_drop + p_flip:
-                            message = FloodMessage(
-                                message.phase,
-                                ValuePayload(1 - message.payload.value),
-                                message.path,
-                            )
-                    result.append((message, target))
-                if phase is not None and rng.random() < p_fab:
-                    fake = self._fabricate(ctx, phase)
-                    if fake is not None:
-                        result.append((fake, None))
-                return result
+        def fabricate(ctx: Context, phase) -> Optional[FloodMessage]:
+            # A lie about a short path that really exists in G and ends
+            # just before this node, so receivers' rule (i) accepts it.
+            me = ctx.node
+            nbrs = sorted(ctx.graph.neighbors(me), key=repr)
+            if not nbrs:
+                return None
+            first = rng.choice(nbrs)
+            second_choices = [
+                w
+                for w in sorted(ctx.graph.neighbors(first), key=repr)
+                if w != me
+            ]
+            path: Tuple[Hashable, ...]
+            if second_choices and rng.random() < 0.5:
+                path = (rng.choice(second_choices), first)
+            else:
+                path = (first,)
+            return FloodMessage(phase, ValuePayload(rng.randint(0, 1)), path)
 
-            @staticmethod
-            def _fabricate(ctx: Context, phase) -> Optional[FloodMessage]:
-                # A lie about a short path that really exists in G and ends
-                # just before this node, so receivers' rule (i) accepts it.
-                me = ctx.node
-                nbrs = sorted(ctx.graph.neighbors(me), key=repr)
-                if not nbrs:
-                    return None
-                first = rng.choice(nbrs)
-                second_choices = [
-                    w
-                    for w in sorted(ctx.graph.neighbors(first), key=repr)
-                    if w != me
-                ]
-                path: Tuple[Hashable, ...]
-                if second_choices and rng.random() < 0.5:
-                    path = (rng.choice(second_choices), first)
-                else:
-                    path = (first,)
-                return FloodMessage(phase, ValuePayload(rng.randint(0, 1)), path)
+        def transform(outbox, ctx):
+            result = []
+            phase = None
+            for message, target in outbox:
+                if isinstance(message, FloodMessage) and isinstance(
+                    message.payload, ValuePayload
+                ):
+                    phase = message.phase
+                    roll = rng.random()
+                    if roll < p_drop:
+                        continue
+                    if roll < p_drop + p_flip:
+                        message = FloodMessage(
+                            message.phase,
+                            ValuePayload(1 - message.payload.value),
+                            message.path,
+                        )
+                result.append((message, target))
+            if phase is not None and rng.random() < p_fab:
+                fake = fabricate(ctx, phase)
+                if fake is not None:
+                    result.append((fake, None))
+            return result
 
-        return _Chaos(spec.honest())
+        return _WrapperProtocol(spec.honest(), transform)
 
 
 class ReplayAdversary(Adversary):
@@ -413,25 +423,26 @@ class ReplayAdversary(Adversary):
             schedules[node] = per_round
         return cls(schedules)
 
+    class _Replay(Protocol):
+        def __init__(self, schedule):
+            self.schedule = schedule
+
+        def on_round(self, ctx: Context) -> None:
+            for message, target in self.schedule.get(ctx.round_no, []):
+                if target is None:
+                    ctx.broadcast(message)
+                else:
+                    ctx.send(target, message)
+
+        def output(self) -> Optional[int]:
+            return None
+
+        @property
+        def finished(self) -> bool:
+            return True
+
     def build(self, spec: FaultSpec) -> Protocol:
-        schedule = self.schedules.get(spec.node, {})
-
-        class _Replay(Protocol):
-            def on_round(self, ctx: Context) -> None:
-                for message, target in schedule.get(ctx.round_no, []):
-                    if target is None:
-                        ctx.broadcast(message)
-                    else:
-                        ctx.send(target, message)
-
-            def output(self) -> Optional[int]:
-                return None
-
-            @property
-            def finished(self) -> bool:
-                return True
-
-        return _Replay()
+        return self._Replay(self.schedules.get(spec.node, {}))
 
 
 class SplitReplayAdversary(Adversary):
@@ -463,25 +474,29 @@ class SplitReplayAdversary(Adversary):
     ):
         self.group_schedules = group_schedules
 
+    class _SplitReplay(Protocol):
+        def __init__(self, groups, neighbors):
+            self.groups = groups
+            self.neighbors = neighbors
+
+        def on_round(self, ctx: Context) -> None:
+            for targets, schedule in self.groups:
+                for message, _target in schedule.get(ctx.round_no, []):
+                    for nbr in sorted(targets & self.neighbors, key=repr):
+                        ctx.send(nbr, message)
+
+        def output(self) -> Optional[int]:
+            return None
+
+        @property
+        def finished(self) -> bool:
+            return True
+
     def build(self, spec: FaultSpec) -> Protocol:
-        groups = self.group_schedules.get(spec.node, [])
-        neighbors = spec.graph.neighbors(spec.node)
-
-        class _SplitReplay(Protocol):
-            def on_round(self, ctx: Context) -> None:
-                for targets, schedule in groups:
-                    for message, _target in schedule.get(ctx.round_no, []):
-                        for nbr in sorted(targets & neighbors, key=repr):
-                            ctx.send(nbr, message)
-
-            def output(self) -> Optional[int]:
-                return None
-
-            @property
-            def finished(self) -> bool:
-                return True
-
-        return _SplitReplay()
+        return self._SplitReplay(
+            self.group_schedules.get(spec.node, []),
+            spec.graph.neighbors(spec.node),
+        )
 
 
 class CompositeAdversary(Adversary):

@@ -39,42 +39,41 @@ class LyingReporterAdversary(Adversary):
     def build(self, spec: FaultSpec) -> Protocol:
         from ..consensus.reliable import ReportBundle
 
-        class _LyingReporter(_WrapperProtocol):
-            def transform(self, outbox, ctx):
-                result = []
-                for message, target in outbox:
-                    if (
-                        isinstance(message, FloodMessage)
-                        and isinstance(message.payload, ReportBundle)
-                        and len(message.path) == 0
-                        and message.payload.reporter == ctx.node
-                    ):
-                        forged_entries = []
-                        for subject, transcript in message.payload.entries:
-                            forged = tuple(
-                                (
-                                    round_no + 1,
-                                    FloodMessage(
-                                        m.phase,
-                                        ValuePayload(1 - m.payload.value),
-                                        m.path,
-                                    )
-                                    if isinstance(m, FloodMessage)
-                                    and isinstance(m.payload, ValuePayload)
-                                    else m,
+        def transform(outbox, ctx):
+            result = []
+            for message, target in outbox:
+                if (
+                    isinstance(message, FloodMessage)
+                    and isinstance(message.payload, ReportBundle)
+                    and len(message.path) == 0
+                    and message.payload.reporter == ctx.node
+                ):
+                    forged_entries = []
+                    for subject, transcript in message.payload.entries:
+                        forged = tuple(
+                            (
+                                round_no + 1,
+                                FloodMessage(
+                                    m.phase,
+                                    ValuePayload(1 - m.payload.value),
+                                    m.path,
                                 )
-                                for round_no, m in transcript
+                                if isinstance(m, FloodMessage)
+                                and isinstance(m.payload, ValuePayload)
+                                else m,
                             )
-                            forged_entries.append((subject, forged))
-                        bundle = ReportBundle(ctx.node, tuple(forged_entries))
-                        result.append(
-                            (FloodMessage(message.phase, bundle, ()), target)
+                            for round_no, m in transcript
                         )
-                    else:
-                        result.append((message, target))
-                return result
+                        forged_entries.append((subject, forged))
+                    bundle = ReportBundle(ctx.node, tuple(forged_entries))
+                    result.append(
+                        (FloodMessage(message.phase, bundle, ()), target)
+                    )
+                else:
+                    result.append((message, target))
+            return result
 
-        return _LyingReporter(spec.honest())
+        return _WrapperProtocol(spec.honest(), transform)
 
 
 class SilentReporterAdversary(Adversary):
@@ -86,18 +85,17 @@ class SilentReporterAdversary(Adversary):
     def build(self, spec: FaultSpec) -> Protocol:
         from ..consensus.reliable import ReportBundle
 
-        class _SilentReporter(_WrapperProtocol):
-            def transform(self, outbox, ctx):
-                return [
-                    (m, t)
-                    for m, t in outbox
-                    if not (
-                        isinstance(m, FloodMessage)
-                        and isinstance(m.payload, ReportBundle)
-                    )
-                ]
+        def transform(outbox, ctx):
+            return [
+                (m, t)
+                for m, t in outbox
+                if not (
+                    isinstance(m, FloodMessage)
+                    and isinstance(m.payload, ReportBundle)
+                )
+            ]
 
-        return _SilentReporter(spec.honest())
+        return _WrapperProtocol(spec.honest(), transform)
 
 
 class DecisionForgeAdversary(Adversary):
@@ -115,51 +113,50 @@ class DecisionForgeAdversary(Adversary):
     def build(self, spec: FaultSpec) -> Protocol:
         forged_value = self.value
 
-        class _Forge(_WrapperProtocol):
-            def transform(self, outbox, ctx):
-                result = []
-                forged_any = False
-                for message, target in outbox:
-                    if isinstance(message, FloodMessage) and isinstance(
-                        message.payload, DecisionPayload
-                    ):
-                        value = (
-                            forged_value
-                            if forged_value is not None
-                            else 1 - message.payload.value
-                        )
-                        result.append(
-                            (
-                                FloodMessage(
-                                    message.phase,
-                                    DecisionPayload(value),
-                                    message.path,
-                                ),
-                                target,
-                            )
-                        )
-                        forged_any = forged_any or len(message.path) == 0
-                    else:
-                        result.append((message, target))
-                if not forged_any and ctx.round_no == 2 * ctx.graph.n + 1:
-                    # The honest inner protocol may be type A or B-silent;
-                    # forge a decision out of thin air at phase-3 start.
-                    from ..consensus.algorithm2 import Algorithm2Protocol
-
-                    value = forged_value if forged_value is not None else 0
+        def transform(outbox, ctx):
+            result = []
+            forged_any = False
+            for message, target in outbox:
+                if isinstance(message, FloodMessage) and isinstance(
+                    message.payload, DecisionPayload
+                ):
+                    value = (
+                        forged_value
+                        if forged_value is not None
+                        else 1 - message.payload.value
+                    )
                     result.append(
                         (
                             FloodMessage(
-                                Algorithm2Protocol.PHASE3,
+                                message.phase,
                                 DecisionPayload(value),
-                                (),
+                                message.path,
                             ),
-                            None,
+                            target,
                         )
                     )
-                return result
+                    forged_any = forged_any or len(message.path) == 0
+                else:
+                    result.append((message, target))
+            if not forged_any and ctx.round_no == 2 * ctx.graph.n + 1:
+                # The honest inner protocol may be type A or B-silent;
+                # forge a decision out of thin air at phase-3 start.
+                from ..consensus.algorithm2 import Algorithm2Protocol
 
-        return _Forge(spec.honest())
+                value = forged_value if forged_value is not None else 0
+                result.append(
+                    (
+                        FloodMessage(
+                            Algorithm2Protocol.PHASE3,
+                            DecisionPayload(value),
+                            (),
+                        ),
+                        None,
+                    )
+                )
+            return result
+
+        return _WrapperProtocol(spec.honest(), transform)
 
 
 def algorithm2_attack_battery() -> list[Adversary]:

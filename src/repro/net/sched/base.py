@@ -146,11 +146,17 @@ class EventDrivenNetwork(NetworkEngine):
     protocol, adversary and runner works unchanged.  Each tick of
     virtual time activates every node once (in sorted order) with the
     inbox of everything delivered up to that tick; sends are
-    timestamped by the scheduler, and each delivery is enqueued as
-    ``(time, index into trace.deliveries)``.  Under the lockstep
+    timestamped by the scheduler, and each delivery is enqueued under
+    ``(time, delivery index)``.  Under the lockstep
     scheduler this is provably the synchronous simulator —
     byte-identical traces — while asynchronous schedulers stretch and
     reorder deliveries within the FIFO/atomicity envelope.
+
+    ``record_messages`` picks the trace level exactly as on
+    :class:`~repro.net.simulator.SynchronousNetwork`: the queue carries
+    each delivery's own fields, so a counts-only run builds no
+    :class:`~repro.net.trace.Transmission`/:class:`~repro.net.trace.Delivery`
+    records and still delivers, orders and stamps causes identically.
     """
 
     def __init__(
@@ -160,16 +166,18 @@ class EventDrivenNetwork(NetworkEngine):
         scheduler: Scheduler,
         channel: Optional[ChannelModel] = None,
         metrics: Optional[MetricsRegistry] = None,
+        record_messages: bool = True,
     ):
-        super().__init__(graph, protocols, channel, metrics)
+        super().__init__(graph, protocols, channel, metrics, record_messages)
         self.scheduler = scheduler
         scheduler.bind(graph, self.channel)
         scheduler.metrics = self.metrics
         # round_no doubles as the virtual tick of the latest activation.
-        #: Pending deliveries as ``(time, index into trace.deliveries)``:
-        #: indices grow with every enqueue, so equal times pop in the
-        #: order the deliveries were scheduled.
-        self._events: List[Tuple[int, int]] = []
+        #: Pending deliveries as ``(time, delivery index, recipient,
+        #: sender, message)``: indices grow with every enqueue, so equal
+        #: times pop in the order the deliveries were scheduled (and the
+        #: comparison never reaches the payload fields).
+        self._events: List[Tuple[int, int, Hashable, Hashable, object]] = []
         self._arrived: Dict[Hashable, Inbox] = {v: [] for v in self._order}
         self._send_seq = 0
 
@@ -178,21 +186,21 @@ class EventDrivenNetwork(NetworkEngine):
         """Advance virtual time one tick and activate every node."""
         self.round_no += 1
         now = self.round_no
+        trace = self.trace
         # Drain every delivery due by `now` into the recipients' inboxes
         # in (time, index) order — the arrival order protocols observe.
         # The last delivery drained per recipient is that activation's
         # primary happened-before cause.
         cause_now: Dict[Hashable, int] = {}
-        events, deliveries = self._events, self.trace.deliveries
+        events, arrived = self._events, self._arrived
         while events and events[0][0] <= now:
-            _, index = heapq.heappop(events)
-            d = deliveries[index]
-            self._arrived[d.recipient].append((d.sender, d.message))
-            cause_now[d.recipient] = index
-        inboxes, self._arrived = self._arrived, {v: [] for v in self._order}
+            _, index, recipient, sender, message = heapq.heappop(events)
+            arrived[recipient].append((sender, message))
+            cause_now[recipient] = index
+        inboxes, self._arrived = arrived, {v: [] for v in self._order}
         delivered = sum(len(inboxes[v]) for v in self._order)
-        sent_before = len(self.trace.transmissions)
-        decisions = self.trace.decisions
+        sent_before = trace.transmission_count
+        decisions = trace.decisions
         undecided = self._undecided
         outboxes: list[tuple[Hashable, Context]] = []
         for node in self._order:
@@ -227,9 +235,9 @@ class EventDrivenNetwork(NetworkEngine):
                     node, out.message, out.target, recipients, now,
                     ctx.cause_kind, ctx.cause_index,
                 )
-        if self.trace.rounds < self.round_no:
-            self.trace.rounds = self.round_no
-        self._observe_tick(delivered, len(self.trace.transmissions) - sent_before)
+        if trace.rounds < self.round_no:
+            trace.rounds = self.round_no
+        self._observe_tick(delivered, trace.transmission_count - sent_before)
 
     def _dispatch(
         self,
@@ -252,19 +260,26 @@ class EventDrivenNetwork(NetworkEngine):
         )
         self._send_seq += 1
         times = self.scheduler.schedule(send)
-        send_index = len(self.trace.transmissions)
-        self.trace.record(
-            Transmission(
-                round_no=now,
-                sender=node,
-                message=message,
-                target=target,
-                recipients=recipients,
-                sent_at=now,
-                cause_kind=cause_kind,
-                cause_index=cause_index,
+        trace = self.trace
+        send_index = trace.transmission_count
+        delivery_index = trace.delivery_count
+        trace.transmission_count = send_index + 1
+        trace.delivery_count = delivery_index + len(recipients)
+        deliveries = None
+        if self.record_messages:
+            deliveries = trace.deliveries
+            trace.transmissions.append(
+                Transmission(
+                    round_no=now,
+                    sender=node,
+                    message=message,
+                    target=target,
+                    recipients=recipients,
+                    sent_at=now,
+                    cause_kind=cause_kind,
+                    cause_index=cause_index,
+                )
             )
-        )
         for recipient in recipients:
             when = times[recipient]
             if when <= now:
@@ -272,18 +287,23 @@ class EventDrivenNetwork(NetworkEngine):
                     f"{self.scheduler.name}: delivery at {when} not after "
                     f"send at {now} ({node!r} -> {recipient!r})"
                 )
-            delivery_index = len(self.trace.deliveries)
-            self.trace.record_delivery(
-                Delivery(
-                    send_index=send_index,
-                    sender=node,
-                    recipient=recipient,
-                    message=message,
-                    sent_at=now,
-                    delivered_at=when,
+            if when - now > trace.max_latency:
+                trace.max_latency = when - now
+            if deliveries is not None:
+                deliveries.append(
+                    Delivery(
+                        send_index=send_index,
+                        sender=node,
+                        recipient=recipient,
+                        message=message,
+                        sent_at=now,
+                        delivered_at=when,
+                    )
                 )
+            heapq.heappush(
+                self._events, (when, delivery_index, recipient, node, message)
             )
-            heapq.heappush(self._events, (when, delivery_index))
+            delivery_index += 1
 
     @property
     def in_flight(self) -> int:

@@ -3,10 +3,11 @@
 A :class:`SendEvent` is a transmission leaving a node at a virtual
 time, with its realized recipient set already resolved by the channel
 model.  Schedulers consume these to assign delivery timestamps.  The
-resulting deliveries need no event type of their own: the core appends
-each to the run's trace and queues it as ``(time, index into
-trace.deliveries)``, so the index makes the order total and preserves
-FIFO among same-instant deliveries.
+resulting deliveries need no event type of their own: the core queues
+each as ``(time, delivery index, recipient, sender, message)`` — the
+index is the delivery's position in the run's delivery sequence,
+recorded in the trace or not — so the index makes the order total and
+preserves FIFO among same-instant deliveries.
 
 Virtual time is integral.  Activations happen at ticks 1, 2, 3, …; a
 message sent at tick ``t`` may be delivered no earlier than ``t + 1``

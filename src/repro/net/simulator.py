@@ -25,6 +25,12 @@ on :class:`~repro.net.sched.EventDrivenNetwork` under the lockstep
 scheduler produces a byte-identical trace (property-tested), while the
 seeded and adversarial schedulers explore the asynchronous timings of
 the follow-up paper (arXiv:1909.02865).
+
+Trace levels: an engine built with ``record_messages=True`` (the
+default) logs every send and every per-recipient delivery as records;
+with ``record_messages=False`` it keeps counts only and builds no
+per-message objects.  Protocols see identical inboxes and cause stamps
+at both levels, so runs are identical.
 """
 
 from __future__ import annotations
@@ -61,6 +67,9 @@ class NetworkEngine:
     here so the two engines cannot drift apart (their trace equivalence
     under lockstep timing is a tested contract).  Subclasses implement
     :meth:`step`.
+
+    ``record_messages`` picks the trace level (see
+    :class:`~repro.net.trace.Trace`) once, at construction.
     """
 
     def __init__(
@@ -69,6 +78,7 @@ class NetworkEngine:
         protocols: Mapping[Hashable, Protocol],
         channel: Optional[ChannelModel] = None,
         metrics: Optional[MetricsRegistry] = None,
+        record_messages: bool = True,
     ):
         missing = graph.nodes - set(protocols)
         if missing:
@@ -79,7 +89,8 @@ class NetworkEngine:
         self.graph = graph
         self.protocols: Dict[Hashable, Protocol] = dict(protocols)
         self.channel = channel if channel is not None else local_broadcast_model()
-        self.trace = Trace()
+        self.record_messages = record_messages
+        self.trace = Trace(record_messages)
         self.round_no = 0
         self._order = sorted(graph.nodes, key=repr)
         self.metrics = metrics if metrics is not None else NULL_METRICS
@@ -202,8 +213,9 @@ class SynchronousNetwork(NetworkEngine):
         protocols: Mapping[Hashable, Protocol],
         channel: Optional[ChannelModel] = None,
         metrics: Optional[MetricsRegistry] = None,
+        record_messages: bool = True,
     ):
-        super().__init__(graph, protocols, channel, metrics)
+        super().__init__(graph, protocols, channel, metrics, record_messages)
         self._pending: Dict[Hashable, Inbox] = {v: [] for v in self._order}
         # Messages queued into ``_pending`` by the previous step — next
         # step's delivery count, carried instead of re-summed per round.
@@ -213,7 +225,7 @@ class SynchronousNetwork(NetworkEngine):
         # across rounds (the :class:`Context` contract), so the lists
         # are free for reuse once their round has run.
         self._spare: Dict[Hashable, Inbox] = {v: [] for v in self._order}
-        # Per-recipient index (into trace.deliveries) of the last
+        # Per-recipient position (in the delivery sequence) of the last
         # delivery landing in next round's inbox — the primary
         # happened-before cause of whatever that activation emits.
         self._cause: Dict[Hashable, int] = {}
@@ -234,9 +246,10 @@ class SynchronousNetwork(NetworkEngine):
         """Execute one synchronous round.
 
         The loop bodies run once per message; everything reached per
-        message is a hoisted local and records are appended to the trace
-        lists directly (``Trace.record``'s rounds bookkeeping is
-        subsumed by the unconditional update at the end of the step).
+        message is a hoisted local.  A recording engine appends its
+        records to the trace lists directly; a counts-only one only
+        fills the inboxes.  Either way the trace's counters are bumped
+        once per round, at the end of the step.
         """
         self.round_no += 1
         round_no = self.round_no
@@ -251,10 +264,6 @@ class SynchronousNetwork(NetworkEngine):
         protocols = self.protocols
         observe_delay = metrics.hist_cell("sched.delay")
         trace = self.trace
-        transmissions = trace.transmissions
-        deliveries = trace.deliveries
-        sent_before = len(transmissions)
-        next_round = round_no + 1
         cause_now = self._cause
         self._cause = cause_next = {}
         undecided = self._undecided
@@ -283,7 +292,16 @@ class SynchronousNetwork(NetworkEngine):
                     decisions.append(Decision(node, value, round_no, ck, ci))
             outboxes.append((node, outbox, ck, ci))
         sorted_neighbors = graph.sorted_neighbors
-        queued = 0
+        record = self.record_messages
+        if record:
+            transmissions = trace.transmissions
+            deliveries = trace.deliveries
+            next_round = round_no + 1
+        # Running positions in the (possibly unrecorded) send and
+        # delivery sequences: a delivery's cause index is its position,
+        # so causes read the same at both trace levels.
+        send_index = trace.transmission_count
+        delivery_index = first_delivery = trace.delivery_count
         for node, outbox, ck, ci in outboxes:
             if not outbox:
                 continue
@@ -298,25 +316,35 @@ class SynchronousNetwork(NetworkEngine):
                     if target is None
                     else self._resolve_recipients(node, target)
                 )
-                send_index = len(transmissions)
-                transmissions.append(
-                    Transmission(
-                        round_no, node, message, target, recipients, round_no,
-                        ck, ci,
-                    )
-                )
-                for r in recipients:
-                    # Synchronous delivery: into next round's inbox, so
-                    # the virtual delivery timestamp is sent_at + 1 —
-                    # exactly what the lockstep scheduler reproduces.
-                    cause_next[r] = len(deliveries)
-                    deliveries.append(
-                        Delivery(
-                            send_index, node, r, message, round_no, next_round
+                entry = (node, message)
+                if record:
+                    transmissions.append(
+                        Transmission(
+                            round_no, node, message, target, recipients,
+                            round_no, ck, ci,
                         )
                     )
-                    pending[r].append((node, message))
-                queued += len(recipients)
+                    for r in recipients:
+                        # Synchronous delivery: into next round's inbox,
+                        # so the virtual delivery timestamp is
+                        # sent_at + 1 — exactly what the lockstep
+                        # scheduler reproduces.
+                        cause_next[r] = delivery_index
+                        delivery_index += 1
+                        deliveries.append(
+                            Delivery(
+                                send_index, node, r, message, round_no,
+                                next_round,
+                            )
+                        )
+                        pending[r].append(entry)
+                else:
+                    for r in recipients:
+                        cause_next[r] = delivery_index
+                        delivery_index += 1
+                        pending[r].append(entry)
+                send_index += 1
+        queued = delivery_index - first_delivery
         # The synchronous engine *is* the unit-delay scheduler, so it
         # reports the same delay distribution the lockstep scheduler
         # would — keeping full metric snapshots engine-equal.  Every
@@ -325,6 +353,11 @@ class SynchronousNetwork(NetworkEngine):
         # empty bucket).
         observe_delay(1, queued)
         self._pending_count = queued
+        sent = send_index - trace.transmission_count
+        trace.transmission_count = send_index
+        trace.delivery_count = delivery_index
+        if queued:
+            trace.max_latency = 1
         if trace.rounds < round_no:
             trace.rounds = round_no
-        self._observe_tick(delivered, len(transmissions) - sent_before)
+        self._observe_tick(delivered, sent)

@@ -15,6 +15,10 @@ The trace is the simulator's ground truth.  It drives:
   number, so synchronous and lockstep event-driven traces are directly
   comparable;
 * debugging: a faithful log of who said what, when, to whom.
+
+A trace has two levels, chosen when the engine is built: *recorded*
+(per-message :class:`Transmission`/:class:`Delivery` logs plus the
+accounting) or *counts-only* (the accounting alone); see :class:`Trace`.
 """
 
 from __future__ import annotations
@@ -112,28 +116,90 @@ class Decision:
     cause_index: Optional[int] = None
 
 
+class TraceLevelError(RuntimeError):
+    """Per-message data was read from a counts-only trace."""
+
+
+_UNRECORDED = (
+    "this trace kept counts only, so it has no {}; run with flight=True "
+    "(or build the engine with record_messages=True) to record messages"
+)
+
+
 @dataclass(slots=True)
 class Trace:
     """An append-only log of transmissions plus run metadata.
 
-    ``deliveries`` is the per-recipient view of the same traffic with
-    virtual delivery timestamps; both simulators append a
-    :class:`Delivery` per recipient at send time (in recipient order),
-    so the two logs always line up.
+    A trace keeps one of two levels, fixed when the engine is built:
+
+    * **recorded** (``record_messages=True``, the default) — the
+      per-message :class:`Transmission`/:class:`Delivery` logs.
+      ``deliveries`` is the per-recipient view of the same traffic with
+      virtual delivery timestamps; both engines append a
+      :class:`Delivery` per recipient at send time (in recipient
+      order), so the two logs always line up;
+    * **counts-only** — no per-message records at all.  Reading
+      ``transmissions``/``deliveries`` (or any query built on them)
+      raises :class:`TraceLevelError` instead of answering from an
+      empty log.  ``run_consensus`` records only ``flight=True`` runs.
+
+    At both levels the engines maintain ``rounds``,
+    ``transmission_count``, ``delivery_count``, ``max_latency`` and
+    ``decisions``, all O(1) to read.  Delivery cause indices
+    (``Context.cause_index``, ``Decision.cause_index``) are positions in
+    the delivery sequence whether or not it is recorded, so decisions
+    are identical at either level.
     """
 
-    transmissions: List[Transmission] = field(default_factory=list)
-    deliveries: List[Delivery] = field(default_factory=list)
+    record_messages: bool = True
     rounds: int = 0
     decisions: List[Decision] = field(default_factory=list)
+    #: Number of send events (a broadcast counts once).
+    transmission_count: int = 0
+    #: Number of (message, recipient) deliveries, in flight ones included.
+    delivery_count: int = 0
+    #: The largest virtual in-flight time over all deliveries (0 for an
+    #: empty trace — and always 1 under lockstep timing).
+    max_latency: int = 0
+    _transmissions: Optional[List[Transmission]] = field(
+        default=None, init=False
+    )
+    _deliveries: Optional[List[Delivery]] = field(default=None, init=False)
+
+    def __post_init__(self) -> None:
+        if self.record_messages:
+            self._transmissions = []
+            self._deliveries = []
+
+    @property
+    def transmissions(self) -> List[Transmission]:
+        """Every send event, in send order (recorded traces only)."""
+        if self._transmissions is None:
+            raise TraceLevelError(_UNRECORDED.format("transmissions"))
+        return self._transmissions
+
+    @property
+    def deliveries(self) -> List[Delivery]:
+        """Every per-recipient delivery, in send order (recorded traces only)."""
+        if self._deliveries is None:
+            raise TraceLevelError(_UNRECORDED.format("deliveries"))
+        return self._deliveries
 
     def record(self, t: Transmission) -> None:
-        self.transmissions.append(t)
+        """Count one send (and its deliveries); log it when recording."""
+        if self._transmissions is not None:
+            self._transmissions.append(t)
+        self.transmission_count += 1
+        self.delivery_count += len(t.recipients)
         if t.round_no > self.rounds:
             self.rounds = t.round_no
 
     def record_delivery(self, d: Delivery) -> None:
-        self.deliveries.append(d)
+        """Log one delivery's timing; its count came with :meth:`record`."""
+        if self._deliveries is not None:
+            self._deliveries.append(d)
+        if d.latency > self.max_latency:
+            self.max_latency = d.latency
 
     def record_decision(self, d: Decision) -> None:
         self.decisions.append(d)
@@ -165,18 +231,8 @@ class Trace:
         ]
 
     # ------------------------------------------------------------------
-    # Accounting
+    # Per-message queries (recorded traces only)
     # ------------------------------------------------------------------
-    @property
-    def transmission_count(self) -> int:
-        """Number of send events (a broadcast counts once)."""
-        return len(self.transmissions)
-
-    @property
-    def delivery_count(self) -> int:
-        """Number of (message, recipient) deliveries."""
-        return sum(len(t.recipients) for t in self.transmissions)
-
     def sent_by(self, node: Hashable) -> list[Transmission]:
         """All transmissions made by ``node``, in order."""
         return [t for t in self.transmissions if t.sender == node]
@@ -201,12 +257,6 @@ class Trace:
             for d in self.deliveries
             if d.sender == sender and d.recipient == recipient
         ]
-
-    @property
-    def max_latency(self) -> int:
-        """The largest virtual in-flight time over all deliveries
-        (0 for an empty trace — and always 1 under lockstep timing)."""
-        return max((d.latency for d in self.deliveries), default=0)
 
     def replay_schedule(self, node: Hashable) -> dict[int, list[Transmission]]:
         """``node``'s transmissions grouped by round — the exact shape a

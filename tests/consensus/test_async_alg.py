@@ -76,6 +76,7 @@ def run_case(case, scheduler):
         f=1,
         channel=channel_builder(graph),
         scheduler=scheduler,
+        flight=True,
     ), inputs
 
 
@@ -190,7 +191,7 @@ class TestQuorumMechanics:
         g = wheel_graph(5)
         inputs = {v: v % 2 for v in g.nodes}
         res = run_consensus(g, async_factory(g, 1), inputs, f=1,
-                            scheduler=SEEDED)
+                            scheduler=SEEDED, flight=True)
         assert res.consensus
         initiations = [
             t for t in res.trace.transmissions
@@ -240,9 +241,9 @@ class TestUnboundedScheduler:
         g = wheel_graph(5)
         inputs = {v: v % 2 for v in g.nodes}
         bounded = run_consensus(g, async_factory(g, 1), inputs, f=1,
-                                scheduler=SEEDED)
+                                scheduler=SEEDED, flight=True)
         unbounded = run_consensus(g, async_factory(g, 1), inputs, f=1,
-                                  scheduler=UNBOUNDED)
+                                  scheduler=UNBOUNDED, flight=True)
         assert unbounded.trace.deliveries == bounded.trace.deliveries
         assert verdict(unbounded) == verdict(bounded)
 

@@ -90,7 +90,7 @@ CASES = [
 ]
 
 
-def run_case(case, factory_wrap, scheduler, with_fault=True):
+def run_case(case, factory_wrap, scheduler, with_fault=True, flight=False):
     _, graph_builder, factory_builder, channel_builder, faulty = case
     graph = graph_builder()
     inputs = {v: i % 2 for i, v in enumerate(sorted(graph.nodes, key=repr))}
@@ -103,6 +103,7 @@ def run_case(case, factory_wrap, scheduler, with_fault=True):
         adversary=TamperForwardAdversary() if with_fault else None,
         channel=channel_builder(graph),
         scheduler=scheduler,
+        flight=flight,
     )
 
 
@@ -138,9 +139,10 @@ class TestDegenerateLockstep:
         """Alpha with window=1 is a strict pass-through: even the wire
         traffic matches the bare lockstep run transmission-for-
         transmission (no extra messages, no reordering)."""
-        bare = run_case(case, lambda f: f, LOCKSTEP)
+        bare = run_case(case, lambda f: f, LOCKSTEP, flight=True)
         wrapped = run_case(
-            case, lambda f: SynchronizedFactory(f, window=1), LOCKSTEP
+            case, lambda f: SynchronizedFactory(f, window=1), LOCKSTEP,
+            flight=True,
         )
         assert wrapped.trace.transmissions == bare.trace.transmissions
         assert wrapped.trace.deliveries == bare.trace.deliveries
@@ -316,6 +318,7 @@ class TestAckMode:
             inputs,
             f=1,
             scheduler=SEEDED,
+            flight=True,
         )
         # Reconstruct per-link arrival order; markers partition payloads.
         per_link = {}

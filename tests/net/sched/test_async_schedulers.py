@@ -288,6 +288,7 @@ class TestRunnerIntegration:
                 faulty=[2],
                 adversary=TamperForwardAdversary(),
                 scheduler=spec,
+                flight=True,
             )
 
         a, b = once(), once()

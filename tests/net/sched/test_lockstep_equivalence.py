@@ -85,7 +85,8 @@ CASES = [
 
 
 def run_pair(case, with_fault, metered=False):
-    """The same execution on both engines; returns (sync, lockstep)."""
+    """The same execution on both engines, with recorded traces;
+    returns (sync, lockstep)."""
     _, graph_builder, factory_builder, channel_builder, faulty, adversary = case
     results = []
     for scheduler in (None, LOCKSTEP):
@@ -102,6 +103,7 @@ def run_pair(case, with_fault, metered=False):
                 channel=channel_builder(graph),
                 scheduler=scheduler,
                 metrics=metered,
+                flight=True,
             )
         )
     return results

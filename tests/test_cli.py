@@ -105,6 +105,56 @@ class TestFaultBoundOption:
         assert main(["check", "--graph", "cycle:5", "--f", "0"]) == 0
 
 
+class TestUsageErrors:
+    """Bad ``--faulty``/``--workers`` values exit 2 with one stderr line
+    before anything runs — never a traceback."""
+
+    def assert_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert message in captured.err
+
+    def test_faulty_index_out_of_range(self, capsys):
+        self.assert_usage_error(
+            ["run", "--graph", "cycle:5", "--f", "1", "--faulty", "99"],
+            "argument --faulty: node index 99 out of range 0..4", capsys,
+        )
+
+    def test_faulty_index_not_an_integer(self, capsys):
+        self.assert_usage_error(
+            ["run", "--graph", "cycle:5", "--f", "1", "--faulty", "x"],
+            "argument --faulty: invalid node index 'x'", capsys,
+        )
+
+    def test_more_faulty_nodes_than_f(self, capsys):
+        self.assert_usage_error(
+            ["run", "--graph", "cycle:5", "--f", "1", "--faulty", "0,1"],
+            "argument --faulty: 2 faulty nodes exceed f = 1", capsys,
+        )
+
+    def test_sweep_zero_workers(self, capsys):
+        self.assert_usage_error(
+            ["sweep", "--graph", "cycle:5", "--f", "1", "--workers", "0"],
+            "argument --workers: must be >= 1, got 0", capsys,
+        )
+
+    def test_sweep_negative_workers(self, capsys):
+        self.assert_usage_error(
+            ["sweep", "--graph", "cycle:5", "--f", "1", "--workers", "-3"],
+            "argument --workers: must be >= 1, got -3", capsys,
+        )
+
+    def test_profile_zero_workers(self, capsys):
+        self.assert_usage_error(
+            ["profile", "--graph", "wheel:5", "--f", "1", "--workers", "0"],
+            "argument --workers: must be >= 1, got 0", capsys,
+        )
+
+
 class TestSweepCommand:
     def test_sweep_json_to_stdout(self, capsys):
         code = main([
