@@ -4,9 +4,10 @@ Three claims from the scheduling subsystem, printed as tables and
 asserted in shape (wall-clock claims stay unasserted — determinism and
 outcome claims hold on any hardware):
 
-* the event-driven core under the lockstep scheduler reproduces the
-  synchronous engine record-for-record inside a sweep, at a bounded
-  constant-factor overhead (printed, not asserted);
+* the engine's default synchronous timing and the lockstep scheduler
+  agree record-for-record inside a sweep, and forcing lockstep through
+  per-recipient scheduling costs a bounded constant factor over the
+  unit-delay path (printed, not asserted);
 * the timing axis is a genuine scenario unlock: seeded per-link delays
   break Algorithm 2's fixed-phase synchrony assumption on C4 (some runs
   lose consensus) while Algorithm 1 on C5 rides out the same jitter —
@@ -39,7 +40,6 @@ from repro.net import (
     LockstepScheduler,
     Protocol,
     SchedulerSpec,
-    SynchronousNetwork,
     TamperForwardAdversary,
 )
 
@@ -102,7 +102,7 @@ def test_timing_axis_unlocks_asynchrony_failures(benchmark):
         rows,
     )
     for subject, _, _ in SUBJECTS:
-        # Lockstep on the event core == the synchronous engine.
+        # The lockstep scheduler == the default synchronous timing.
         assert stripped(reports[(subject, "lockstep")]) == stripped(
             reports[(subject, "sync")]
         )
@@ -144,8 +144,16 @@ def test_async_reports_are_seed_deterministic(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# 2. Event-core overhead vs the synchronous engine
+# 2. Scheduled lockstep vs the engine's unit-delay path
 # ---------------------------------------------------------------------------
+
+
+class ScheduledLockstep(LockstepScheduler):
+    """Lockstep timing through ``schedule``: an overridden ``delay``
+    keeps the engine off its unit-delay path."""
+
+    def delay(self, send, recipient):
+        return 1
 
 
 class Flood(Protocol):
@@ -168,21 +176,21 @@ def overhead_rows():
     graph = cycle_graph(8)
     rounds = 6
     start = time.perf_counter()
-    sync = SynchronousNetwork(graph, {v: Flood(v) for v in graph.nodes})
-    sync.run(rounds)
+    unit = EventDrivenNetwork(graph, {v: Flood(v) for v in graph.nodes})
+    unit.run(rounds)
     mid = time.perf_counter()
     event = EventDrivenNetwork(
-        graph, {v: Flood(v) for v in graph.nodes}, LockstepScheduler()
+        graph, {v: Flood(v) for v in graph.nodes}, ScheduledLockstep()
     )
     event.run(rounds)
     end = time.perf_counter()
     identical = (
-        sync.trace.transmissions == event.trace.transmissions
-        and sync.trace.deliveries == event.trace.deliveries
+        unit.trace.transmissions == event.trace.transmissions
+        and unit.trace.deliveries == event.trace.deliveries
     )
     return [(
-        sync.trace.transmission_count,
-        sync.trace.delivery_count,
+        unit.trace.transmission_count,
+        unit.trace.delivery_count,
         f"{mid - start:.3f}s",
         f"{end - mid:.3f}s",
         f"{(end - mid) / max(mid - start, 1e-9):.2f}x",
@@ -193,8 +201,8 @@ def overhead_rows():
 def test_event_core_overhead_bounded(benchmark):
     rows = benchmark.pedantic(overhead_rows, rounds=1, iterations=1)
     print_table(
-        "broadcast-heavy C8 run: SynchronousNetwork vs event core (lockstep)",
-        ["transmissions", "deliveries", "sync", "event core", "overhead",
+        "broadcast-heavy C8 run: unit-delay path vs scheduled lockstep",
+        ["transmissions", "deliveries", "unit delay", "scheduled", "overhead",
          "identical trace"],
         rows,
     )

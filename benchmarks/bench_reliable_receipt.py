@@ -10,8 +10,8 @@ from _tables import print_table
 from repro.consensus import algorithm2_factory
 from repro.graphs import cycle_graph, paper_figure_1a
 from repro.net import (
+    EventDrivenNetwork,
     FaultSpec,
-    SynchronousNetwork,
     local_broadcast_model,
     standard_adversaries,
 )
@@ -30,7 +30,7 @@ def run_instrumented(graph, f, faulty_node, adversary):
             protos[v] = adversary.build(spec)
         else:
             protos[v] = fac(v, v % 2)
-    net = SynchronousNetwork(graph, protos, ch)
+    net = EventDrivenNetwork(graph, protos, channel=ch)
     net.run(3 * graph.n)
     return protos
 

@@ -37,7 +37,7 @@ from repro.graphs import (
     is_k_connected,
     oneway_ring,
 )
-from repro.net import FaultSpec, SynchronousNetwork, TamperForwardAdversary
+from repro.net import EventDrivenNetwork, FaultSpec, TamperForwardAdversary
 from repro.net.channels import local_broadcast_model
 
 
@@ -68,7 +68,7 @@ def main() -> None:
             protocols[v] = adversary.build(spec)
         else:
             protocols[v] = factory(v, inputs[v])
-    net = SynchronousNetwork(mesh, protocols, channel)
+    net = EventDrivenNetwork(mesh, protocols, channel=channel)
     net.run(3 * n)
 
     print(f"\n=== After {net.round_no} rounds (= 3n) ===")

@@ -18,11 +18,12 @@ Graph specs: ``cycle:N``, ``complete:N``, ``path:N``, ``wheel:N``,
 Directed specs (true digraphs — every command accepts them):
 ``random_digraph:N:P[:SEED]`` and ``oneway:N[:K]``.
 
-Schedulers (``run``/``sweep`` ``--scheduler``): ``sync`` (the default
-synchronous simulator), ``lockstep`` (event-driven core, trace-identical
-to ``sync``), ``seeded-async`` (seeded random per-link delays),
-``adversarial`` (worst-case cut-straddling timing).  ``sweep`` accepts a
-comma-separated list to multiply the work-list by a timing axis.
+Schedulers (``run``/``sweep`` ``--scheduler``): ``sync`` (the default:
+the paper's synchronous rounds), ``lockstep`` (the same unit-delay
+timing, named as a scheduler), ``seeded-async`` (seeded random
+per-link delays), ``adversarial`` (worst-case cut-straddling timing).
+``sweep`` accepts a comma-separated list to multiply the work-list by a
+timing axis.
 
 ``--synchronizer alpha|ack`` wraps the chosen algorithm in the
 α-synchronizer (:mod:`repro.consensus.synchronizer`), which recovers
@@ -205,66 +206,66 @@ def _build_graph(spec: str) -> graphs.Graph:
     raise SystemExit(f"unknown graph spec {spec!r}")
 
 
-def parse_scheduler_axis(
-    spec: str, seed: int, max_delay: int, unbounded: bool = False, window: int = 0
-):
-    """Parse a comma-separated ``--scheduler`` list into a sweep axis.
+def parse_scheduler_axis(args: argparse.Namespace) -> list:
+    """Parse ``--scheduler`` (a comma-separated list) into a timing axis.
 
-    Malformed lists fail loudly: an empty token (``sync,`` / ``,,sync``)
-    would silently duplicate the synchronous fast path, and a repeated
-    kind would silently double a slice of the work-list — both would
-    skew every aggregate the report prints, so both are errors.
+    Malformed lists are usage errors: an empty token (``sync,`` /
+    ``,,sync``) would silently duplicate the default synchronous entry,
+    and a repeated kind would silently double a slice of the work-list —
+    both would skew every aggregate the report prints.  So are a
+    ``--max-delay`` below 1, ``run`` with more than one scheduler, and
+    ``--declare-unbounded`` with a fixed-round algorithm: the runner
+    cannot budget a round-scheduled protocol with no declared delay
+    bound, and only the native asynchronous algorithm runs in that
+    regime.
 
-    ``unbounded`` (``--declare-unbounded``) strips the delay-bound
-    declaration from every asynchronous entry; ``window``
-    (``--target-window``) arms the adversarial scheduler's synchronizer-
-    boundary targeting.  Both decorate whichever entries they apply to.
+    ``--declare-unbounded`` strips the delay-bound declaration from
+    every asynchronous entry; ``--target-window`` arms the adversarial
+    scheduler's synchronizer-boundary targeting.  Both decorate
+    whichever entries they apply to.
     """
+    spec = args.scheduler
     axis = []
     seen = set()
     for token in spec.split(","):
         name = token.strip()
         if not name:
-            raise SystemExit(
+            _usage_error(
+                args,
                 f"empty scheduler token in {spec!r}; "
-                "use a comma-separated list like 'sync,seeded-async'"
+                "use a comma-separated list like 'sync,seeded-async'",
             )
         if name not in ("sync", *SCHEDULER_KINDS):
             choices = ["sync", *SCHEDULER_KINDS]
-            raise SystemExit(f"unknown scheduler {name!r}; choose from {choices}")
+            _usage_error(args, f"unknown scheduler {name!r}; choose from {choices}")
         if name in seen:
-            raise SystemExit(
+            _usage_error(
+                args,
                 f"duplicate scheduler {name!r} in {spec!r}; "
-                "each axis entry may appear once"
+                "each axis entry may appear once",
             )
         seen.add(name)
         try:
             axis.append(
                 parse_scheduler(
-                    name, seed=seed, max_delay=max_delay,
-                    unbounded=unbounded, window=window,
+                    name, seed=args.seed, max_delay=args.max_delay,
+                    unbounded=args.declare_unbounded, window=args.target_window,
                 )
             )
         except ValueError as exc:  # e.g. --max-delay 0
-            raise SystemExit(str(exc))
-    return axis
-
-
-def require_bounded_axis(algorithm: str, axis) -> None:
-    """Fail fast on ``--declare-unbounded`` with a fixed-round algorithm.
-
-    The runner cannot budget a round-scheduled protocol with no declared
-    delay bound (it would raise mid-run); only the native asynchronous
-    algorithm runs in that regime.
-    """
-    if algorithm != "async" and any(
-        spec is not None and not spec.bounded for spec in axis
+            _usage_error(args, str(exc))
+    if args.command == "run" and len(axis) != 1:
+        _usage_error(args, "run takes exactly one --scheduler")
+    if args.algorithm != "async" and any(
+        entry is not None and not entry.bounded for entry in axis
     ):
-        raise SystemExit(
+        _usage_error(
+            args,
             "--declare-unbounded strips the delay bound the fixed-round "
             "algorithms' budgets need; use --algorithm async (or drop "
-            "the flag)"
+            "the flag)",
         )
+    return axis
 
 
 def apply_synchronizer(factory, mode: str, axis, f: int = 0):
@@ -278,7 +279,7 @@ def apply_synchronizer(factory, mode: str, axis, f: int = 0):
     """
     if mode == "none":
         return factory
-    # An unbounded axis entry never reaches this point: require_bounded_axis
+    # An unbounded axis entry never reaches this point: parse_scheduler_axis
     # rejects every fixed-round algorithm on such an axis first, and the
     # async algorithm refuses synchronizers in build_factory.
     window = max(
@@ -412,13 +413,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         from .analysis import HybridEquivocatorPolicy
 
         channel = HybridEquivocatorPolicy(args.t)(tuple(faulty))
-    axis = parse_scheduler_axis(
-        args.scheduler, args.seed, args.max_delay,
-        unbounded=args.declare_unbounded, window=args.target_window,
-    )
-    if len(axis) != 1:
-        raise SystemExit("run takes exactly one --scheduler")
-    require_bounded_axis(args.algorithm, axis)
+    axis = parse_scheduler_axis(args)
     factory = apply_synchronizer(factory, args.synchronizer, axis, f=args.f)
     registry = build_metrics(args)
     result = consensus.run_consensus(
@@ -474,11 +469,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise SystemExit(
                 f"unknown input patterns {unknown}; choose from {known}"
             )
-    schedulers = parse_scheduler_axis(
-        args.scheduler, args.seed, args.max_delay,
-        unbounded=args.declare_unbounded, window=args.target_window,
-    )
-    require_bounded_axis(args.algorithm, schedulers)
+    schedulers = parse_scheduler_axis(args)
     factory = apply_synchronizer(factory, args.synchronizer, schedulers, f=args.f)
     metered = args.metrics is not None or bool(args.events)
     report = consensus_sweep(

@@ -50,10 +50,11 @@ from ..net.sched import SchedulerSpec
 from ..graphs import Graph
 from ..obs import Stopwatch, merge_snapshots
 
-#: A scheduler-axis entry: ``None`` is the synchronous fast path.
+#: A scheduler-axis entry: ``None`` is the engine's default synchronous
+#: (lockstep) timing.
 SchedulerAxisEntry = Optional[SchedulerSpec]
 
-#: Record label for the ``None`` (SynchronousNetwork) axis entry.
+#: Record label for the ``None`` (default synchronous timing) axis entry.
 _SYNC_NAME = "sync"
 
 
@@ -456,7 +457,7 @@ def consensus_sweep(
     to the serial one.
 
     ``schedulers`` is the timing axis: each entry is ``None`` (the
-    synchronous fast path) or a :class:`~repro.net.sched.SchedulerSpec`;
+    default synchronous timing) or a :class:`~repro.net.sched.SchedulerSpec`;
     every ``(faulty, adversary, pattern)`` scenario runs once per entry.
     Defaults to ``(None,)`` — existing sweeps are unchanged.
 

@@ -410,10 +410,6 @@ class FloodInstance:
         """Visited-set bitmask of a delivered full path (me included)."""
         return self._masks[path]
 
-    def paths_with(self) -> Dict[PathTuple, Payload]:
-        """Every delivered (path, payload) pair (copy)."""
-        return dict(self.delivered)
-
 
 def flood_rounds(graph: Graph) -> int:
     """Rounds a flood needs: paths have at most n nodes (rule (iii)), so

@@ -17,8 +17,7 @@ from ..graphs import Graph
 from ..net.adversary import Adversary, FaultSpec, HonestFactory
 from ..net.channels import ChannelModel, local_broadcast_model
 from ..net.node import Protocol
-from ..net.sched import EventDrivenNetwork, SchedulerSpec
-from ..net.simulator import SimulationError, SynchronousNetwork
+from ..net.sched import EventDrivenNetwork, SchedulerSpec, SimulationError
 from ..net.trace import Trace
 from ..obs import (
     FlightRecord,
@@ -171,12 +170,13 @@ def run_consensus(
     protocol in this library precomputes its round count — the paper's
     algorithms are all fixed-round).
 
-    ``scheduler`` selects the timing model: ``None`` runs the classic
-    synchronous simulator; a :class:`~repro.net.sched.SchedulerSpec`
-    runs the event-driven core with a fresh scheduler built for this
-    run.  The lockstep spec is trace-equivalent to ``None``; the
-    asynchronous specs deliberately stress the fixed-round protocols
-    outside their synchrony assumption.
+    ``scheduler`` selects the timing model: ``None`` is the paper's
+    synchronous model, run under the engine's default lockstep
+    scheduler (recorded as ``"scheduler": null`` in flight headers and
+    as ``sync`` in sweeps); a :class:`~repro.net.sched.SchedulerSpec`
+    builds a fresh scheduler for this run.  The lockstep spec runs
+    identically to ``None``; the asynchronous specs deliberately stress
+    the fixed-round protocols outside their synchrony assumption.
 
     ``metrics`` meters the run: ``True`` builds a fresh
     :class:`~repro.obs.MetricsRegistry`; passing a registry (e.g. one
@@ -266,7 +266,7 @@ def run_consensus(
                 protocols[v], "budget_in_ticks", False
             ):
                 # The protocol's own budget counts synchronous *rounds*;
-                # the event core counts virtual *ticks*.  Under delays up
+                # the engine counts virtual *ticks*.  Under delays up
                 # to d, round r's messages need not land before tick r·d,
                 # so capping ticks at the round budget would abort
                 # slow-but-correct runs and report clock exhaustion as a
@@ -293,15 +293,10 @@ def run_consensus(
 
     # Only a flight reads per-message records; every other run keeps
     # the trace's counts alone.
-    if scheduler is None:
-        net = SynchronousNetwork(
-            graph, protocols, channel, metrics=registry, record_messages=flight
-        )
-    else:
-        net = EventDrivenNetwork(
-            graph, protocols, scheduler.build(graph), channel,
-            metrics=registry, record_messages=flight,
-        )
+    net = EventDrivenNetwork(
+        graph, protocols, None if scheduler is None else scheduler.build(graph),
+        channel, metrics=registry, record_messages=flight,
+    )
     stalled = False
     timer = WallTimings()
     with timer.time("run"):

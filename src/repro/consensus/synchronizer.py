@@ -173,9 +173,9 @@ class AlphaSynchronizer(Protocol):
 
     @staticmethod
     def _canonical(buffer: Inbox) -> Inbox:
-        """Arrival order → the synchronous engine's inbox order.
+        """Arrival order → the synchronous (lockstep) inbox order.
 
-        The synchronous simulator fills inboxes sender-by-sender in
+        Under lockstep timing the engine fills inboxes sender-by-sender in
         repr-sorted node order, FIFO within a sender.  A stable sort on
         the sender key reproduces exactly that (per-sender FIFO is
         preserved from arrival order), which is what makes a wrapped

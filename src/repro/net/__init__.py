@@ -1,15 +1,15 @@
-"""Network substrate: simulators, schedulers, channels, adversaries.
+"""Network substrate: the simulation engine, schedulers, channels, adversaries.
 
 This subpackage implements the system model of Section 3 — synchronous
 rounds over FIFO links on an undirected graph — with the three channel
 models the paper studies (local broadcast, point-to-point, hybrid) and a
 library of Byzantine behaviors used across every experiment.
 
-Message *timing* is a pluggable axis: :mod:`repro.net.sched` provides an
-event-driven core (:class:`EventDrivenNetwork`) whose lockstep scheduler
-reproduces :class:`SynchronousNetwork` byte-for-byte, plus seeded-random
-and adversarial timing models for asynchronous experiments
-(arXiv:1909.02865).
+Message *timing* is a pluggable axis of the one engine in
+:mod:`repro.net.sched`: :class:`EventDrivenNetwork` runs the synchronous
+model under its default :class:`LockstepScheduler` (unit delay, atomic
+broadcast), and under seeded-random and adversarial timing models for
+asynchronous experiments (arXiv:1909.02865).
 """
 
 from .adversary2 import (
@@ -56,9 +56,9 @@ from .sched import (
     SchedulerSpec,
     SchedulingError,
     SeededAsyncScheduler,
+    SimulationError,
     parse_scheduler,
 )
-from .simulator import SimulationError, SynchronousNetwork
 from .trace import Delivery, Trace, TraceLevelError, Transmission
 
 __all__ = [
@@ -94,7 +94,6 @@ __all__ = [
     "SilentAdversary",
     "SilentReporterAdversary",
     "SimulationError",
-    "SynchronousNetwork",
     "TamperForwardAdversary",
     "Trace",
     "TraceLevelError",

@@ -44,10 +44,10 @@ class Context:
     point-to-point power.  Protocols must not keep references across
     rounds; all cross-round state belongs in the protocol object.
 
-    ``now`` is the virtual timestamp of this activation.  Under the
-    synchronous simulator (and the lockstep scheduler) it equals
-    ``round_no``; asynchronous schedulers may eventually decouple the
-    two, so timing-aware protocols should read ``virtual_now``.
+    ``now`` is the virtual timestamp of this activation.  The engine
+    sets it equal to ``round_no``; timing-aware protocols should still
+    read ``virtual_now``, which falls back to ``round_no`` for contexts
+    built without one.
 
     ``metrics`` is the run's observability registry (a shared no-op
     unless the engine was built with one), so protocols instrument
@@ -100,10 +100,6 @@ class Context:
         if target not in self.graph.neighbors(self.node):
             raise ValueError(f"{target!r} is not a neighbor of {self.node!r}")
         self.outbox.append(Outgoing(message, target=target))
-
-    def from_sender(self, sender: Hashable) -> list[object]:
-        """This round's messages from one neighbor, in FIFO order."""
-        return [m for s, m in self.inbox if s == sender]
 
 
 class Protocol(ABC):

@@ -1,14 +1,14 @@
-"""Event-driven scheduling subsystem: pluggable message timing.
+"""The simulation engine and its pluggable message timing.
 
-The synchronous simulator fixes *when* messages arrive (next round);
-this subpackage makes timing a pluggable policy on an event-driven
-core, extending the reproduction toward the authors' asynchronous
-follow-up paper (arXiv:1909.02865):
+The paper's synchronous model fixes *when* messages arrive (next
+round); this subpackage makes timing a pluggable policy of the one
+simulation engine, extending the reproduction toward the authors'
+asynchronous follow-up paper (arXiv:1909.02865):
 
-* :class:`EventDrivenNetwork` — the core: protocols unchanged, every
-  delivery an event with a virtual timestamp from a :class:`Scheduler`;
-* :class:`LockstepScheduler` — unit delays; provably trace-equivalent
-  to :class:`~repro.net.simulator.SynchronousNetwork`;
+* :class:`EventDrivenNetwork` — the engine: per-node protocols on
+  virtual time, every delivery timed by a :class:`Scheduler`;
+* :class:`LockstepScheduler` — unit delays and atomic broadcast: the
+  synchronous model of Section 3, and the engine's default;
 * :class:`SeededAsyncScheduler` — reproducible random per-link delays
   behind an explicit seed;
 * :class:`AdversarialScheduler` — a worst-case timing adversary that
@@ -19,7 +19,12 @@ follow-up paper (arXiv:1909.02865):
 """
 
 from .adversarial import AdversarialScheduler
-from .base import EventDrivenNetwork, Scheduler, SchedulingError
+from .base import (
+    EventDrivenNetwork,
+    Scheduler,
+    SchedulingError,
+    SimulationError,
+)
 from .events import SendEvent
 from .lockstep import LockstepScheduler
 from .seeded import SeededAsyncScheduler
@@ -35,5 +40,6 @@ __all__ = [
     "SchedulingError",
     "SeededAsyncScheduler",
     "SendEvent",
+    "SimulationError",
     "parse_scheduler",
 ]

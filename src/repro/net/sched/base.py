@@ -1,15 +1,20 @@
-"""The pluggable :class:`Scheduler` API and the event-driven core.
+"""The pluggable :class:`Scheduler` API and the simulation engine.
 
-The paper's synchronous model (Section 3) is one point in a space of
+The paper's system model (Section 3) is a synchronous network over an
+undirected graph of FIFO links where, under local broadcast, "a message
+sent by any node is received identically and correctly by each of its
+neighbors" in the next round.  That model is one point in a space of
 timing assumptions; the authors' follow-up work ("Asynchronous Byzantine
 Consensus on Undirected Graphs under Local Broadcast Model",
 arXiv:1909.02865) shows the local-broadcast story survives asynchrony.
-This module makes message *timing* a first-class, pluggable axis:
+This module makes message *timing* a pluggable axis of one engine:
 
-* :class:`EventDrivenNetwork` runs the same per-node
-  :class:`~repro.net.node.Protocol` state machines as
-  :class:`~repro.net.simulator.SynchronousNetwork`, but every delivery
-  is an event with a virtual timestamp drawn from a :class:`Scheduler`;
+* :class:`EventDrivenNetwork` runs the per-node
+  :class:`~repro.net.node.Protocol` state machines on virtual time:
+  every tick activates each node once with the messages delivered at
+  that tick, and every delivery's tick comes from a :class:`Scheduler`.
+  Its default, :class:`~repro.net.sched.LockstepScheduler` (unit delay,
+  atomic broadcast), *is* the synchronous model of Section 3;
 * a :class:`Scheduler` assigns each (transmission, recipient) pair a
   delivery instant.  Subclasses only choose *delays*; the base class
   enforces the physics every timing model shares:
@@ -19,38 +24,42 @@ This module makes message *timing* a first-class, pluggable axis:
   - **FIFO per link** — deliveries over one directed link never
     overtake each other (late-assigned timestamps are clamped up to the
     link's high-water mark; equal timestamps preserve send order via
-    the event queue's delivery-index tie-break);
+    the delivery index);
   - **local-broadcast atomicity** (when the scheduler declares it) —
     all recipients of one broadcast receive it at the same instant, the
     timing analogue of "received identically by each of its neighbors".
 
-Determinism contract: the core activates nodes in repr-sorted order,
-drains the event queue in ``(time, delivery index)`` order, and hands
+Determinism contract: the engine activates nodes in repr-sorted order,
+drains each tick's deliveries in delivery-index order, and hands
 schedulers their recipients in canonical order — so a run is a pure
 function of (graph, protocols, channel, scheduler), independent of
-``PYTHONHASHSEED`` and of any executor's process layout.
+``PYTHONHASHSEED`` and of any executor's process layout.  Any randomness
+lives inside protocols, adversaries and schedulers behind explicit seeds.
 """
 
 from __future__ import annotations
 
-import heapq
 from abc import ABC, abstractmethod
-from typing import Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Mapping, Optional, Tuple
 
 from ...graphs import Graph
 from ...obs import NULL_METRICS, MetricsRegistry
-from ..channels import ChannelModel
-from ..node import Context, Inbox, Protocol
-from ..simulator import NetworkEngine
+from ..channels import ChannelModel, local_broadcast_model
+from ..node import Context, Protocol
 from ..trace import (
     CAUSE_DELIVERY,
     CAUSE_INPUT,
     CAUSE_TIMER,
     Decision,
     Delivery,
+    Trace,
     Transmission,
 )
 from .events import SendEvent
+
+
+class SimulationError(RuntimeError):
+    """Raised when a run cannot proceed (missing protocols, bad config)."""
 
 
 class SchedulingError(RuntimeError):
@@ -137,24 +146,29 @@ class Scheduler(ABC):
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-class EventDrivenNetwork(NetworkEngine):
-    """Run per-node protocols on an event queue with scheduled timing.
+class EventDrivenNetwork:
+    """Run per-node protocols on virtual time with scheduled delivery.
 
-    Shares :class:`~repro.net.simulator.NetworkEngine`'s public surface
-    (``step``/``run``/``run_until_decided``/``outputs``/``trace``) with
-    :class:`~repro.net.simulator.SynchronousNetwork`, so every existing
-    protocol, adversary and runner works unchanged.  Each tick of
-    virtual time activates every node once (in sorted order) with the
-    inbox of everything delivered up to that tick; sends are
-    timestamped by the scheduler, and each delivery is enqueued under
-    ``(time, delivery index)``.  Under the lockstep
-    scheduler this is provably the synchronous simulator —
-    byte-identical traces — while asynchronous schedulers stretch and
-    reorder deliveries within the FIFO/atomicity envelope.
+    Each tick activates every node once, in sorted order, with the inbox
+    of everything delivered at that tick; the sends it queues reach their
+    recipients at the ticks ``scheduler`` assigns.  The default
+    scheduler, a fresh :class:`~repro.net.sched.LockstepScheduler`, is
+    the synchronous network of Section 3: a message sent in round ``r``
+    lands in every recipient's round ``r + 1`` inbox.  Asynchronous
+    schedulers stretch and reorder deliveries within the FIFO/atomicity
+    envelope.
 
-    ``record_messages`` picks the trace level exactly as on
-    :class:`~repro.net.simulator.SynchronousNetwork`: the queue carries
-    each delivery's own fields, so a counts-only run builds no
+    Pending deliveries wait in per-tick buckets: the inboxes of that tick,
+    already filled with ``(sender, message)`` entries, and the index of
+    the last delivery filed per recipient — the primary happened-before
+    cause of its activation.  Deliveries are filed in delivery-index
+    order, every delivery lands strictly after its send, and each step
+    advances exactly one tick, so a bucket is handed over whole at its
+    own tick with every inbox in delivery-index order.
+
+    ``record_messages`` picks the trace level (see
+    :class:`~repro.net.trace.Trace`) once, at construction: a
+    counts-only run builds no
     :class:`~repro.net.trace.Transmission`/:class:`~repro.net.trace.Delivery`
     records and still delivers, orders and stamps causes identically.
     """
@@ -163,149 +177,275 @@ class EventDrivenNetwork(NetworkEngine):
         self,
         graph: Graph,
         protocols: Mapping[Hashable, Protocol],
-        scheduler: Scheduler,
+        scheduler: Optional[Scheduler] = None,
         channel: Optional[ChannelModel] = None,
         metrics: Optional[MetricsRegistry] = None,
         record_messages: bool = True,
     ):
-        super().__init__(graph, protocols, channel, metrics, record_messages)
+        from .lockstep import LockstepScheduler  # lockstep imports this module
+
+        missing = graph.nodes - set(protocols)
+        if missing:
+            raise SimulationError(f"no protocol for nodes {sorted(missing, key=repr)}")
+        extra = set(protocols) - graph.nodes
+        if extra:
+            raise SimulationError(f"protocols for unknown nodes {sorted(extra, key=repr)}")
+        self.graph = graph
+        self.protocols: Dict[Hashable, Protocol] = dict(protocols)
+        self.channel = channel if channel is not None else local_broadcast_model()
+        self.record_messages = record_messages
+        self.trace = Trace(record_messages)
+        # round_no doubles as the virtual tick of the latest activation.
+        self.round_no = 0
+        self._order = sorted(graph.nodes, key=repr)
+        self.metrics = metrics if metrics is not None else NULL_METRICS
+        if scheduler is None:
+            scheduler = LockstepScheduler()
         self.scheduler = scheduler
         scheduler.bind(graph, self.channel)
         scheduler.metrics = self.metrics
-        # round_no doubles as the virtual tick of the latest activation.
-        #: Pending deliveries as ``(time, delivery index, recipient,
-        #: sender, message)``: indices grow with every enqueue, so equal
-        #: times pop in the order the deliveries were scheduled (and the
-        #: comparison never reaches the payload fields).
-        self._events: List[Tuple[int, int, Hashable, Hashable, object]] = []
-        self._arrived: Dict[Hashable, Inbox] = {v: [] for v in self._order}
-        self._send_seq = 0
+        # Unit delay needs no per-recipient scheduling: every delivery
+        # lands at the next tick, which no FIFO clamp can move.  An
+        # overridden ``delay`` keeps the checked path of ``schedule``.
+        self._unit_delay = type(scheduler).delay is LockstepScheduler.delay
+        #: Pending deliveries by delivery tick: that tick's inboxes, and
+        #: the index of the last delivery filed per recipient.
+        self._buckets: Dict[
+            int, Tuple[Dict[Hashable, list], Dict[Hashable, int]]
+        ] = {}
+        self._in_flight = 0
+        # Per-tick metric cells, rendered once per engine (cells create
+        # no keys until first fired, so binding is snapshot-neutral).
+        m = self.metrics
+        self._c_ticks = m.counter_cell("net.ticks")
+        self._c_deliveries = m.counter_cell("net.deliveries")
+        self._c_transmissions = m.counter_cell("net.transmissions")
+        self._c_quiescent = m.counter_cell("net.quiescent_ticks")
+        self._h_deliveries_per_tick = m.hist_cell("net.deliveries_per_tick")
+        self._h_delay = m.hist_cell("sched.delay")
+        self._g_in_flight = m.gauge_cell("net.in_flight.max")
+        # Decision instants are part of the trace (the flight recorder's
+        # blame analysis anchors on them).  A protocol that is already
+        # decided at construction decided on its input alone, before any
+        # communication — virtual time 0.
+        self._undecided = set(self._order)
+        for node in self._order:
+            value = self.protocols[node].output()
+            if value is not None:
+                self._undecided.discard(node)
+                self.trace.record_decision(
+                    Decision(node, value, 0, CAUSE_INPUT, None)
+                )
+
+    @property
+    def in_flight(self) -> int:
+        """Deliveries scheduled but not yet drained (for quiescence checks)."""
+        return self._in_flight
 
     # ------------------------------------------------------------------
     def step(self) -> None:
-        """Advance virtual time one tick and activate every node."""
+        """Advance virtual time one tick and activate every node.
+
+        The loop bodies run once per node or message; everything they
+        reach is a hoisted local.  A recording engine appends its records
+        to the trace lists directly; either way the trace's counters are
+        bumped once per tick, at the end of the step.
+        """
         self.round_no += 1
         now = self.round_no
+        order = self._order
         trace = self.trace
-        # Drain every delivery due by `now` into the recipients' inboxes
-        # in (time, index) order — the arrival order protocols observe.
-        # The last delivery drained per recipient is that activation's
-        # primary happened-before cause.
-        cause_now: Dict[Hashable, int] = {}
-        events, arrived = self._events, self._arrived
-        while events and events[0][0] <= now:
-            _, index, recipient, sender, message = heapq.heappop(events)
-            arrived[recipient].append((sender, message))
-            cause_now[recipient] = index
-        inboxes, self._arrived = arrived, {v: [] for v in self._order}
-        delivered = sum(len(inboxes[v]) for v in self._order)
-        sent_before = trace.transmission_count
-        decisions = trace.decisions
+        graph, channel, metrics = self.graph, self.channel, self.metrics
+        protocols = self.protocols
+        arrived = self._buckets.pop(now, None)
+        inboxes, cause_now = arrived if arrived else self._bucket()
+        delivered = sum(map(len, inboxes.values()))
         undecided = self._undecided
-        outboxes: list[tuple[Hashable, Context]] = []
-        for node in self._order:
+        decisions = trace.decisions
+        outboxes: list[tuple[Hashable, list, str, Optional[int]]] = []
+        for node in order:
+            outbox: list = []
             ci = cause_now.get(node)
             ck = (
                 CAUSE_DELIVERY
                 if ci is not None
                 else (CAUSE_INPUT if now == 1 else CAUSE_TIMER)
             )
-            ctx = Context(
-                node=node,
-                graph=self.graph,
-                round_no=now,
-                channel=self.channel,
-                inbox=inboxes[node],
-                now=now,
-                metrics=self.metrics,
-                cause_kind=ck,
-                cause_index=ci,
+            # Positional construction: the record types are built once
+            # per node/message on this loop, where kwarg binding is
+            # measurable overhead.  Field order is part of their API.
+            protocols[node].on_round(
+                Context(
+                    node, graph, now, channel, inboxes[node], outbox, now,
+                    metrics, ck, ci,
+                )
             )
-            self.protocols[node].on_round(ctx)
             if node in undecided:
-                value = self.protocols[node].output()
+                value = protocols[node].output()
                 if value is not None:
                     undecided.discard(node)
                     decisions.append(Decision(node, value, now, ck, ci))
-            outboxes.append((node, ctx))
-        for node, ctx in outboxes:
-            for out in ctx.outbox:
-                recipients = self._resolve_recipients(node, out.target)
-                self._dispatch(
-                    node, out.message, out.target, recipients, now,
-                    ctx.cause_kind, ctx.cause_index,
+            if outbox:
+                outboxes.append((node, outbox, ck, ci))
+        record = self.record_messages
+        transmissions = trace.transmissions if record else None
+        deliveries = trace.deliveries if record else None
+        buckets = self._buckets
+        unit = self._unit_delay
+        if unit and outboxes:
+            later = now + 1
+            next_inboxes, next_cause = buckets[later] = self._bucket()
+        schedule = self.scheduler.schedule
+        sorted_neighbors = graph.sorted_neighbors
+        # Running positions in the (possibly unrecorded) send and
+        # delivery sequences: a delivery's cause index is its position,
+        # so causes read the same at both trace levels.
+        send_index = first_send = trace.transmission_count
+        delivery_index = first_delivery = trace.delivery_count
+        for node, outbox, ck, ci in outboxes:
+            nbrs = sorted_neighbors(node)
+            for out in outbox:
+                message, target = out.message, out.target
+                recipients = (
+                    nbrs
+                    if target is None
+                    else self._resolve_recipients(node, target)
                 )
-        if trace.rounds < self.round_no:
-            trace.rounds = self.round_no
-        self._observe_tick(delivered, trace.transmission_count - sent_before)
-
-    def _dispatch(
-        self,
-        node: Hashable,
-        message: object,
-        target: Optional[Hashable],
-        recipients: Tuple[Hashable, ...],
-        now: int,
-        cause_kind: Optional[str] = None,
-        cause_index: Optional[int] = None,
-    ) -> None:
-        """Timestamp one send via the scheduler and enqueue deliveries."""
-        send = SendEvent(
-            seq=self._send_seq,
-            time=now,
-            sender=node,
-            message=message,
-            target=target,
-            recipients=recipients,
-        )
-        self._send_seq += 1
-        times = self.scheduler.schedule(send)
-        trace = self.trace
-        send_index = trace.transmission_count
-        delivery_index = trace.delivery_count
-        trace.transmission_count = send_index + 1
-        trace.delivery_count = delivery_index + len(recipients)
-        deliveries = None
-        if self.record_messages:
-            deliveries = trace.deliveries
-            trace.transmissions.append(
-                Transmission(
-                    round_no=now,
-                    sender=node,
-                    message=message,
-                    target=target,
-                    recipients=recipients,
-                    sent_at=now,
-                    cause_kind=cause_kind,
-                    cause_index=cause_index,
-                )
-            )
-        for recipient in recipients:
-            when = times[recipient]
-            if when <= now:
-                raise SchedulingError(
-                    f"{self.scheduler.name}: delivery at {when} not after "
-                    f"send at {now} ({node!r} -> {recipient!r})"
-                )
-            if when - now > trace.max_latency:
-                trace.max_latency = when - now
-            if deliveries is not None:
-                deliveries.append(
-                    Delivery(
-                        send_index=send_index,
-                        sender=node,
-                        recipient=recipient,
-                        message=message,
-                        sent_at=now,
-                        delivered_at=when,
+                if record:
+                    transmissions.append(
+                        Transmission(
+                            now, node, message, target, recipients, now, ck, ci,
+                        )
                     )
-                )
-            heapq.heappush(
-                self._events, (when, delivery_index, recipient, node, message)
-            )
-            delivery_index += 1
+                entry = (node, message)
+                if unit:
+                    for r in recipients:
+                        next_inboxes[r].append(entry)
+                        next_cause[r] = delivery_index
+                        delivery_index += 1
+                    if record:
+                        deliveries.extend(
+                            [
+                                Delivery(send_index, node, r, message, now, later)
+                                for r in recipients
+                            ]
+                        )
+                else:
+                    times = schedule(
+                        SendEvent(now, node, message, target, recipients)
+                    )
+                    for r in recipients:
+                        when = times[r]
+                        if when <= now:
+                            raise SchedulingError(
+                                f"{self.scheduler.name}: delivery at {when} "
+                                f"not after send at {now} ({node!r} -> {r!r})"
+                            )
+                        if when - now > trace.max_latency:
+                            trace.max_latency = when - now
+                        if record:
+                            deliveries.append(
+                                Delivery(send_index, node, r, message, now, when)
+                            )
+                        pending = buckets.get(when)
+                        if pending is None:
+                            pending = buckets[when] = self._bucket()
+                        pending[0][r].append(entry)
+                        pending[1][r] = delivery_index
+                        delivery_index += 1
+                send_index += 1
+        queued = delivery_index - first_delivery
+        if unit and queued:
+            # Every delivery has delay exactly 1: one bulk observation
+            # per tick covers them all.
+            self._h_delay(1, queued)
+            trace.max_latency = max(trace.max_latency, 1)
+        self._in_flight += queued - delivered
+        trace.transmission_count = send_index
+        trace.delivery_count = delivery_index
+        if trace.rounds < now:
+            trace.rounds = now
+        self._observe_tick(delivered, send_index - first_send)
 
-    @property
-    def in_flight(self) -> int:
-        """Deliveries enqueued but not yet drained (for diagnostics)."""
-        return len(self._events)
+    def _bucket(self) -> Tuple[Dict[Hashable, list], Dict[Hashable, int]]:
+        """An empty tick: per-node inboxes and per-node primary causes."""
+        return {v: [] for v in self._order}, {}
+
+    def _observe_tick(self, delivered: int, sent: int) -> None:
+        """Per-tick network metrics, called at the end of :meth:`step`.
+
+        ``delivered`` counts messages handed to inboxes this tick,
+        ``sent`` the transmissions queued by it.
+        """
+        m = self.metrics
+        if not m.enabled:
+            return
+        in_flight = self._in_flight
+        self._c_ticks()
+        if delivered:
+            self._c_deliveries(delivered)
+        if sent:
+            self._c_transmissions(sent)
+        self._h_deliveries_per_tick(delivered)
+        self._g_in_flight(in_flight)
+        if delivered == 0 and sent == 0 and in_flight == 0:
+            self._c_quiescent()
+        if m.events is not None:
+            m.emit(
+                "tick",
+                tick=self.round_no,
+                deliveries=delivered,
+                sends=sent,
+                in_flight=in_flight,
+            )
+
+    def _resolve_recipients(
+        self, node: Hashable, target: Optional[Hashable]
+    ) -> tuple:
+        """The realized delivery set of one send, channel-enforced.
+
+        Defense in depth: :meth:`Context.send` already rejects unicasts
+        from broadcast-restricted nodes, but a protocol appending to the
+        outbox directly must not bypass the channel model either.
+        """
+        if target is None:
+            return self.graph.sorted_neighbors(node)
+        if not self.channel.may_unicast(node):
+            raise SimulationError(
+                f"node {node!r} attempted unicast under "
+                f"{self.channel.kind} channel"
+            )
+        return (target,)
+
+    # ------------------------------------------------------------------
+    def run(self, rounds: int) -> Trace:
+        """Run exactly ``rounds`` ticks (protocols may finish earlier)."""
+        for _ in range(rounds):
+            self.step()
+        return self.trace
+
+    def run_until_decided(self, max_rounds: int, honest: Optional[set] = None) -> Trace:
+        """Run until every (honest) protocol reports ``finished``.
+
+        Raises :class:`SimulationError` if ``max_rounds`` elapse first —
+        termination violations surface as errors, not hangs.
+        """
+        watch = set(honest) if honest is not None else set(self.protocols)
+        watched = [self.protocols[v] for v in sorted(watch, key=repr)]
+        for _ in range(max_rounds):
+            if all(p.finished for p in watched):
+                return self.trace
+            self.step()
+        if all(p.finished for p in watched):
+            return self.trace
+        undecided = sorted(
+            (v for v in watch if not self.protocols[v].finished), key=repr
+        )
+        raise SimulationError(
+            f"nodes {undecided} undecided after {max_rounds} rounds"
+        )
+
+    # ------------------------------------------------------------------
+    def outputs(self) -> Dict[Hashable, Optional[int]]:
+        """Each node's current output (``None`` while undecided)."""
+        return {v: self.protocols[v].output() for v in self._order}

@@ -1,18 +1,20 @@
-"""Event types of the event-driven simulation core.
+"""Event types of the simulation engine.
 
 A :class:`SendEvent` is a transmission leaving a node at a virtual
 time, with its realized recipient set already resolved by the channel
 model.  Schedulers consume these to assign delivery timestamps.  The
-resulting deliveries need no event type of their own: the core queues
-each as ``(time, delivery index, recipient, sender, message)`` — the
-index is the delivery's position in the run's delivery sequence,
-recorded in the trace or not — so the index makes the order total and
-preserves FIFO among same-instant deliveries.
+resulting deliveries need no event type of their own: the engine files
+each under its delivery tick as ``(delivery index, recipient, (sender,
+message))`` — the index is the delivery's position in the run's
+delivery sequence, recorded in the trace or not, and a tick's entries
+are drained in index order, which preserves FIFO among same-instant
+deliveries.
 
 Virtual time is integral.  Activations happen at ticks 1, 2, 3, …; a
 message sent at tick ``t`` may be delivered no earlier than ``t + 1``
 (no zero-latency links — the synchronous model's "next round" rule is
-the ``delay = 1`` special case).
+the ``delay = 1`` special case, which the engine runs without building
+a :class:`SendEvent` at all).
 """
 
 from __future__ import annotations
@@ -25,15 +27,12 @@ from typing import Hashable, Optional, Tuple
 class SendEvent:
     """One transmission as the scheduler sees it.
 
-    ``seq`` is the global send sequence number (total order over all
-    sends of a run); ``time`` the virtual send instant; ``target`` is
-    ``None`` for a local broadcast.  ``recipients`` is the realized
-    delivery set in canonical (repr-sorted neighbor) order — schedulers
-    must iterate it in this order so any randomness they consume is
-    replayable.
+    ``time`` is the virtual send instant; ``target`` is ``None`` for a
+    local broadcast.  ``recipients`` is the realized delivery set in
+    canonical (repr-sorted neighbor) order — schedulers must iterate it
+    in this order so any randomness they consume is replayable.
     """
 
-    seq: int
     time: int
     sender: Hashable
     message: object

@@ -1,13 +1,14 @@
-"""The lockstep scheduler: synchronous rounds as a timing policy.
+"""The lockstep scheduler: the paper's synchronous rounds.
 
-Every delivery takes exactly one tick, and broadcasts are atomic — the
-event-driven core then *is* the synchronous simulator of Section 3: a
+Every delivery takes exactly one tick, and broadcasts are atomic, so a
 message sent in round ``r`` lands in every recipient's round ``r + 1``
-inbox, in the same order :class:`~repro.net.simulator.SynchronousNetwork`
-produces.  The equivalence is property-tested trace-for-trace across all
-protocol factories (``tests/net/sched/test_lockstep_equivalence.py``),
-which is what licenses running every existing protocol unchanged on the
-new core.
+inbox — the synchronous model of Section 3.  It is the default
+scheduler of :class:`~repro.net.sched.EventDrivenNetwork`, which runs
+it without per-recipient scheduling: every delivery is filed straight
+under the next tick.  A subclass that overrides :meth:`delay` goes
+through :meth:`~repro.net.sched.Scheduler.schedule` and its checks
+instead; ``tests/net/sched/test_lockstep_equivalence.py`` holds the two
+paths trace-for-trace equal across all protocol factories.
 """
 
 from __future__ import annotations

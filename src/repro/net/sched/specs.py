@@ -5,8 +5,9 @@ that fans runs out — :func:`repro.analysis.sweep.consensus_sweep`
 tasks shipped to worker processes, or the CLI — carries a frozen
 :class:`SchedulerSpec` instead and builds a fresh scheduler per run
 with :meth:`SchedulerSpec.build`.  ``None`` in a scheduler axis means
-the classic :class:`~repro.net.simulator.SynchronousNetwork` fast path
-(reported as ``"sync"``; trace-equivalent to ``"lockstep"``).
+the engine's default timing — the lockstep scheduler, i.e. the paper's
+synchronous model — reported as ``"sync"``; it runs identically to
+``"lockstep"``.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def parse_scheduler(
     window: int = 0,
 ) -> "SchedulerSpec | None":
     """Parse a CLI scheduler token: a kind name, or ``sync`` for the
-    synchronous fast path (returned as ``None``).
+    engine's default synchronous timing (returned as ``None``).
 
     ``unbounded`` and ``window`` pass through to the spec (``window``
     only applies to the adversarial kind and is dropped for others, so

@@ -11,9 +11,8 @@ The trace is the simulator's ground truth.  It drives:
   events carry virtual timestamps: every :class:`Transmission` records
   the virtual time it was sent (``sent_at``) and every per-recipient
   :class:`Delivery` the virtual time it landed (``delivered_at``).
-  Under the synchronous simulator virtual time coincides with the round
-  number, so synchronous and lockstep event-driven traces are directly
-  comparable;
+  Under the default lockstep scheduler — the synchronous model —
+  virtual time coincides with the round number;
 * debugging: a faithful log of who said what, when, to whom.
 
 A trace has two levels, chosen when the engine is built: *recorded*
@@ -49,8 +48,7 @@ class Transmission:
     """One send event.  ``target is None`` means local broadcast;
     ``recipients`` is the realized delivery set (the sender's neighbors
     for a broadcast, the single target otherwise).  ``sent_at`` is the
-    virtual timestamp of the send — equal to ``round_no`` under the
-    synchronous simulator and the lockstep scheduler.
+    virtual timestamp of the send — equal to ``round_no``.
 
     ``cause_kind``/``cause_index`` are the happened-before parent link:
     ``cause_kind`` classifies what provoked the activation that emitted
@@ -59,7 +57,7 @@ class Transmission:
     position in ``Trace.deliveries`` of the *primary* cause — the last
     delivery that landed in the emitting activation's inbox.  The full
     parent set of a send is every delivery to its sender with
-    ``delivered_at == sent_at`` (both engines drain exactly those into
+    ``delivered_at == sent_at`` (the engine drains exactly those into
     the activation's inbox), so the trace is a happened-before DAG:
     delivery → its transmission via ``send_index``, transmission → the
     deliveries of its activation via timestamps, with ``cause_index``
@@ -135,7 +133,7 @@ class Trace:
     * **recorded** (``record_messages=True``, the default) — the
       per-message :class:`Transmission`/:class:`Delivery` logs.
       ``deliveries`` is the per-recipient view of the same traffic with
-      virtual delivery timestamps; both engines append a
+      virtual delivery timestamps; the engine appends a
       :class:`Delivery` per recipient at send time (in recipient
       order), so the two logs always line up;
     * **counts-only** — no per-message records at all.  Reading
@@ -143,7 +141,7 @@ class Trace:
       raises :class:`TraceLevelError` instead of answering from an
       empty log.  ``run_consensus`` records only ``flight=True`` runs.
 
-    At both levels the engines maintain ``rounds``,
+    At both levels the engine maintains ``rounds``,
     ``transmission_count``, ``delivery_count``, ``max_latency`` and
     ``decisions``, all O(1) to read.  Delivery cause indices
     (``Context.cause_index``, ``Decision.cause_index``) are positions in
@@ -205,41 +203,11 @@ class Trace:
         self.decisions.append(d)
 
     # ------------------------------------------------------------------
-    # Happened-before joins
-    # ------------------------------------------------------------------
-    def transmission_of(self, delivery: Delivery) -> Transmission:
-        """The send a delivery descends from (stable ``send_index`` join)."""
-        return self.transmissions[delivery.send_index]
-
-    def deliveries_of(self, send_index: int) -> list[Delivery]:
-        """Every per-recipient delivery of one transmission, in order."""
-        return [d for d in self.deliveries if d.send_index == send_index]
-
-    def causes_of(self, transmission: Transmission) -> list[Delivery]:
-        """The full happened-before parent set of one send: every
-        delivery that landed in the inbox of the activation that emitted
-        it (``recipient == sender`` and ``delivered_at == sent_at``).
-        The recorded ``cause_index`` is always the last element (the
-        primary cause) when this list is non-empty."""
-        if transmission.sent_at is None:
-            return []
-        return [
-            d
-            for d in self.deliveries
-            if d.recipient == transmission.sender
-            and d.delivered_at == transmission.sent_at
-        ]
-
-    # ------------------------------------------------------------------
     # Per-message queries (recorded traces only)
     # ------------------------------------------------------------------
     def sent_by(self, node: Hashable) -> list[Transmission]:
         """All transmissions made by ``node``, in order."""
         return [t for t in self.transmissions if t.sender == node]
-
-    def broadcasts_by(self, node: Hashable) -> list[Transmission]:
-        """Broadcast transmissions by ``node`` (excludes unicasts)."""
-        return [t for t in self.transmissions if t.sender == node and t.target is None]
 
     def received_by(self, node: Hashable) -> list[Transmission]:
         """All transmissions delivered to ``node``, in order."""

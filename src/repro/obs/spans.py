@@ -8,9 +8,9 @@ do not capture: how long each origin's flood took to certify, when a
 vote fired relative to the flood completing, how late the decide came.
 
 Because spans carry only virtual timestamps, they are part of the
-*content* of a run: two engines producing byte-identical traces must
-produce identical span lists (property-tested against the lockstep
-scheduler), and span data participates in the byte-identical-reports
+*content* of a run: two runs producing byte-identical traces must
+produce identical span lists (property-tested across the engine's
+unit-delay and scheduled lockstep paths), and span data participates in the byte-identical-reports
 invariant of the sweep engine.  Wall-clock durations never belong
 here — they live in :mod:`repro.obs.timings`, quarantined from all
 determinism comparisons.

@@ -55,11 +55,11 @@ class TestMeasuredAgainstPredicted:
         """In a fault-free Algorithm 1 run, each phase accepts exactly
         the predicted number of messages (all simple paths deliver)."""
         from repro.consensus import Algorithm1Protocol
-        from repro.net import SynchronousNetwork, local_broadcast_model
+        from repro.net import EventDrivenNetwork, local_broadcast_model
 
         g = cycle_graph(4)
         protos = {v: Algorithm1Protocol(g, v, 1, v % 2) for v in g.nodes}
-        net = SynchronousNetwork(g, protos, local_broadcast_model())
+        net = EventDrivenNetwork(g, protos, channel=local_broadcast_model())
         net.run(g.n)  # exactly one phase
         delivered = sum(len(p._flood.delivered) for p in protos.values())
         assert delivered == expected_flood_deliveries(g)

@@ -16,10 +16,10 @@ from repro.graphs import complete_graph, cycle_graph, paper_figure_1a, petersen_
 from repro.net import (
     CrashAdversary,
     DropForwardAdversary,
+    EventDrivenNetwork,
     LyingInitAdversary,
     RandomAdversary,
     SilentAdversary,
-    SynchronousNetwork,
     TamperForwardAdversary,
     WrongInputAdversary,
     local_broadcast_model,
@@ -181,7 +181,7 @@ class TestProofInvariants:
                 protos[v] = adversary.build(spec)
             else:
                 protos[v] = fac(v, inputs[v])
-        net = SynchronousNetwork(graph, protos, ch)
+        net = EventDrivenNetwork(graph, protos, channel=ch)
         net.run(next(iter(protos.values())).total_rounds if not faulty
                 else protos[sorted(set(graph.nodes) - set(faulty))[0]].total_rounds)
         return protos

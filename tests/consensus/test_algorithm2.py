@@ -16,11 +16,11 @@ from repro.consensus import (
 )
 from repro.graphs import complete_graph, cycle_graph, paper_figure_1b
 from repro.net import (
+    EventDrivenNetwork,
     FaultSpec,
     LyingInitAdversary,
     RandomAdversary,
     SilentAdversary,
-    SynchronousNetwork,
     TamperForwardAdversary,
     local_broadcast_model,
     standard_adversaries,
@@ -41,7 +41,7 @@ def run_instrumented(graph, f, inputs, faulty, adversary):
             protos[v] = adversary.build(spec)
         else:
             protos[v] = fac(v, inputs[v])
-    net = SynchronousNetwork(graph, protos, ch)
+    net = EventDrivenNetwork(graph, protos, channel=ch)
     net.run(3 * graph.n)
     return protos, net
 

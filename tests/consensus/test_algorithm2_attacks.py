@@ -55,7 +55,7 @@ class TestPhaseSpecificAttacks:
 
     def test_lying_reporter_cannot_frame_honest_nodes(self, c4):
         """Detection soundness against active report forgery."""
-        from repro.net import FaultSpec, SynchronousNetwork
+        from repro.net import EventDrivenNetwork, FaultSpec
         from repro.net.channels import local_broadcast_model
 
         fac = algorithm2_factory(c4, 1)
@@ -70,7 +70,7 @@ class TestPhaseSpecificAttacks:
                 protos[v] = LyingReporterAdversary().build(spec)
             else:
                 protos[v] = fac(v, 0)
-        net = SynchronousNetwork(c4, protos, ch)
+        net = EventDrivenNetwork(c4, protos, channel=ch)
         net.run(12)
         for v in {0, 2, 3}:
             assert protos[v].detected <= {1}

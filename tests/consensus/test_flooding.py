@@ -10,10 +10,10 @@ from repro.consensus.runner import run_consensus
 from repro.graphs import Graph, cycle_graph, is_path, paper_figure_1a
 from repro.net import (
     Context,
+    EventDrivenNetwork,
     FloodMessage,
     Protocol,
     SilentAdversary,
-    SynchronousNetwork,
     ValuePayload,
     local_broadcast_model,
 )
@@ -179,7 +179,7 @@ class TestEmergentProperties:
         }
         if faulty_protocols:
             protos.update(faulty_protocols)
-        net = SynchronousNetwork(graph, protos, local_broadcast_model())
+        net = EventDrivenNetwork(graph, protos, channel=local_broadcast_model())
         net.run(flood_rounds(graph))
         return protos
 

@@ -11,11 +11,11 @@ from repro.graphs import cycle_graph, paper_figure_1a, random_connected_graph
 from repro.net import (
     Context,
     DropForwardAdversary,
+    EventDrivenNetwork,
     FaultSpec,
     LyingInitAdversary,
     Protocol,
     SilentAdversary,
-    SynchronousNetwork,
     TamperForwardAdversary,
     ValuePayload,
     local_broadcast_model,
@@ -74,7 +74,7 @@ def simulate_flood(graph, values, fault_kind=None, faulty_node=None):
             protos[v] = ADVERSARY_MAKERS[fault_kind]().build(spec)
         else:
             protos[v] = factory(v, values[v])
-    net = SynchronousNetwork(graph, protos, ch)
+    net = EventDrivenNetwork(graph, protos, channel=ch)
     net.run(flood_rounds(graph))
     return {
         v: {

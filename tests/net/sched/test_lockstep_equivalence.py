@@ -1,11 +1,13 @@
-"""Lockstep-scheduler equivalence: the event-driven core *is* the
-synchronous simulator when every delay is one tick.
+"""Lockstep equivalence: the engine's unit-delay path *is* lockstep
+scheduling.
 
-The property that licenses running every existing protocol unchanged on
-the new core: for each protocol factory in the library, a run routed
-through :class:`EventDrivenNetwork` + :class:`LockstepScheduler` is
-byte-identical — transmissions, deliveries, outputs, decisions — to the
-same run on :class:`SynchronousNetwork`.
+Under :class:`LockstepScheduler` the engine files every delivery
+straight under the next tick, without asking the scheduler per
+recipient.  The property that licenses this shortcut: for each protocol
+factory in the library, a run on that path is byte-identical —
+transmissions, deliveries, outputs, decisions, cause stamps and metric
+snapshots — to the same run forced through :meth:`Scheduler.schedule`
+by a lockstep subclass whose overridden ``delay`` returns 1.
 """
 
 import pytest
@@ -24,13 +26,28 @@ from repro.net import (
     LockstepScheduler,
     Protocol,
     SchedulerSpec,
-    SynchronousNetwork,
     TamperForwardAdversary,
     hybrid_model,
     point_to_point_model,
 )
 
-LOCKSTEP = SchedulerSpec("lockstep")
+
+class ScheduledLockstep(LockstepScheduler):
+    """Lockstep timing through ``schedule``: an overridden ``delay``
+    keeps the engine off its unit-delay path."""
+
+    def delay(self, send, recipient):
+        return 1
+
+
+class ScheduledLockstepSpec(SchedulerSpec):
+    """A lockstep spec whose runs take the scheduled path."""
+
+    def build(self, graph):
+        return ScheduledLockstep()
+
+
+SCHEDULED = ScheduledLockstepSpec("lockstep")
 
 
 def case_id(case):
@@ -85,11 +102,11 @@ CASES = [
 
 
 def run_pair(case, with_fault, metered=False):
-    """The same execution on both engines, with recorded traces;
-    returns (sync, lockstep)."""
+    """The same execution on both paths, with recorded traces;
+    returns (unit-delay, scheduled)."""
     _, graph_builder, factory_builder, channel_builder, faulty, adversary = case
     results = []
-    for scheduler in (None, LOCKSTEP):
+    for scheduler in (None, SCHEDULED):
         graph = graph_builder()
         inputs = {v: i % 2 for i, v in enumerate(sorted(graph.nodes, key=repr))}
         results.append(
@@ -113,34 +130,36 @@ class TestTraceEquivalence:
     @pytest.mark.parametrize("case", CASES, ids=case_id)
     @pytest.mark.parametrize("with_fault", [False, True], ids=["honest", "faulty"])
     def test_byte_identical_traces_and_decisions(self, case, with_fault):
-        sync, lockstep = run_pair(case, with_fault)
-        assert lockstep.trace.transmissions == sync.trace.transmissions
-        assert lockstep.trace.deliveries == sync.trace.deliveries
-        assert repr(lockstep.trace) == repr(sync.trace)
-        assert lockstep.outputs == sync.outputs
-        assert lockstep.decision == sync.decision
-        assert lockstep.rounds == sync.rounds
-        assert (lockstep.consensus, lockstep.agreement, lockstep.validity) == (
-            sync.consensus,
-            sync.agreement,
-            sync.validity,
+        unit, scheduled = run_pair(case, with_fault)
+        assert scheduled.trace.transmissions == unit.trace.transmissions
+        assert scheduled.trace.deliveries == unit.trace.deliveries
+        assert scheduled.trace.decisions == unit.trace.decisions
+        assert repr(scheduled.trace) == repr(unit.trace)
+        assert scheduled.outputs == unit.outputs
+        assert scheduled.decision == unit.decision
+        assert scheduled.rounds == unit.rounds
+        assert (scheduled.consensus, scheduled.agreement, scheduled.validity) == (
+            unit.consensus,
+            unit.agreement,
+            unit.validity,
         )
 
     @pytest.mark.parametrize("case", CASES, ids=case_id)
     def test_lockstep_latency_is_always_one(self, case):
-        _, lockstep = run_pair(case, with_fault=True)
-        assert lockstep.trace.max_latency == 1
-        assert all(
-            d.delivered_at == d.sent_at + 1 for d in lockstep.trace.deliveries
-        )
+        for result in run_pair(case, with_fault=True):
+            assert result.trace.max_latency == 1
+            assert all(
+                d.delivered_at == d.sent_at + 1 for d in result.trace.deliveries
+            )
 
 
 class TestMetricEquivalence:
     """The observability layer preserves the equivalence: the canonical
     metric snapshot — counters, gauges, histograms, spans — is
-    byte-identical between the two engines, tick for tick.  (The sync
-    engine observes ``sched.delay = 1`` per delivery because it *is*
-    the unit-delay scheduler, so even the delay histograms line up.)
+    byte-identical between the two paths, tick for tick.  (The unit-delay
+    path observes ``sched.delay = 1`` in bulk once per tick, where
+    ``schedule`` observes it per delivery, so even the delay histograms
+    line up.)
     """
 
     @pytest.mark.parametrize("case", CASES, ids=case_id)
@@ -148,10 +167,10 @@ class TestMetricEquivalence:
         "with_fault", [False, True], ids=["honest", "faulty"]
     )
     def test_metric_snapshots_identical(self, case, with_fault):
-        sync, lockstep = run_pair(case, with_fault, metered=True)
-        assert sync.metrics is not None
-        assert sync.metrics["counters"]  # instrumentation actually fired
-        assert lockstep.metrics == sync.metrics
+        unit, scheduled = run_pair(case, with_fault, metered=True)
+        assert unit.metrics is not None
+        assert unit.metrics["counters"]  # instrumentation actually fired
+        assert scheduled.metrics == unit.metrics
 
     def test_async_spans_identical_across_engines(self):
         from repro.consensus import async_factory
@@ -160,7 +179,7 @@ class TestMetricEquivalence:
         graph = wheel_graph(5)
         inputs = {v: i % 2 for i, v in enumerate(sorted(graph.nodes))}
         results = []
-        for scheduler in (None, LOCKSTEP):
+        for scheduler in (None, SCHEDULED):
             results.append(
                 run_consensus(
                     graph,
@@ -171,14 +190,14 @@ class TestMetricEquivalence:
                     metrics=True,
                 )
             )
-        sync, lockstep = results
-        assert sync.consensus and lockstep.consensus
+        unit, scheduled = results
+        assert unit.consensus and scheduled.consensus
         # The per-origin flood→vote→decide spans are virtual-time
-        # content; both engines must anchor them to the same ticks.
-        names = {span["name"] for span in sync.metrics["spans"]}
+        # content; both paths must anchor them to the same ticks.
+        names = {span["name"] for span in unit.metrics["spans"]}
         assert {"async.flood", "async.vote", "async.decide"} <= names
-        assert lockstep.metrics["spans"] == sync.metrics["spans"]
-        assert lockstep.metrics == sync.metrics
+        assert scheduled.metrics["spans"] == unit.metrics["spans"]
+        assert scheduled.metrics == unit.metrics
 
 
 class TestRawNetworkEquivalence:
@@ -200,16 +219,38 @@ class TestRawNetworkEquivalence:
 
     def test_multi_message_fifo_equality(self):
         g = cycle_graph(5)
-        sync = SynchronousNetwork(g, {v: self.Chatty(v) for v in g.nodes})
-        sync.run(4)
+        unit = EventDrivenNetwork(g, {v: self.Chatty(v) for v in g.nodes})
+        unit.run(4)
         ev = EventDrivenNetwork(
-            g, {v: self.Chatty(v) for v in g.nodes}, LockstepScheduler()
+            g, {v: self.Chatty(v) for v in g.nodes}, ScheduledLockstep()
         )
         ev.run(4)
-        assert ev.trace.transmissions == sync.trace.transmissions
-        assert ev.trace.deliveries == sync.trace.deliveries
+        assert ev.trace.transmissions == unit.trace.transmissions
+        assert ev.trace.deliveries == unit.trace.deliveries
         for v in g.nodes:
-            assert ev.protocols[v].heard == sync.protocols[v].heard
+            assert ev.protocols[v].heard == unit.protocols[v].heard
+
+    def test_only_an_overridden_delay_is_scheduled(self):
+        """The unit-delay path never calls ``schedule``; an overridden
+        ``delay`` sends every transmission through it."""
+
+        def count_schedules(scheduler_class):
+            calls = []
+
+            class Counting(scheduler_class):
+                def schedule(self, send):
+                    calls.append(send)
+                    return super().schedule(send)
+
+            g = cycle_graph(5)
+            net = EventDrivenNetwork(
+                g, {v: self.Chatty(v) for v in g.nodes}, Counting()
+            )
+            net.run(4)
+            return len(calls), net.trace.transmission_count
+
+        assert count_schedules(LockstepScheduler) == (0, 25)
+        assert count_schedules(ScheduledLockstep) == (25, 25)
 
     def test_context_carries_virtual_now(self):
         g = cycle_graph(4)

@@ -8,13 +8,13 @@ from repro.net import (
     DropForwardAdversary,
     EquivocatingAdversary,
     EquivocationError,
+    EventDrivenNetwork,
     FaultSpec,
     FloodMessage,
     LyingInitAdversary,
     RandomAdversary,
     ReplayAdversary,
     SilentAdversary,
-    SynchronousNetwork,
     TamperForwardAdversary,
     Transmission,
     ValuePayload,
@@ -50,7 +50,9 @@ def run_with(graph, adversary, node, rounds, channel=None, input_value=1):
             )
         else:
             protos[v] = fac(v, 0)
-    net = SynchronousNetwork(graph, protos, channel or local_broadcast_model())
+    net = EventDrivenNetwork(
+        graph, protos, channel=channel or local_broadcast_model()
+    )
     net.run(rounds)
     return net
 

@@ -6,9 +6,9 @@ from repro.graphs import Graph, cycle_graph, star_graph
 from repro.net import (
     Context,
     EquivocationError,
+    EventDrivenNetwork,
     Protocol,
     SimulationError,
-    SynchronousNetwork,
     hybrid_model,
     local_broadcast_model,
     point_to_point_model,
@@ -67,7 +67,7 @@ class Decider(Protocol):
 
 
 def build(graph, protocols, channel=None):
-    return SynchronousNetwork(graph, protocols, channel)
+    return EventDrivenNetwork(graph, protocols, channel=channel)
 
 
 class TestDelivery:
@@ -177,9 +177,9 @@ class TestLifecycle:
     def test_protocol_coverage_validated(self):
         g = cycle_graph(3)
         with pytest.raises(SimulationError):
-            SynchronousNetwork(g, {0: Quiet()})
+            EventDrivenNetwork(g, {0: Quiet()})
         with pytest.raises(SimulationError):
-            SynchronousNetwork(g, {v: Quiet() for v in [0, 1, 2, 99]})
+            EventDrivenNetwork(g, {v: Quiet() for v in [0, 1, 2, 99]})
 
     def test_run_until_decided(self):
         g = Graph.from_edges([(0, 1)])

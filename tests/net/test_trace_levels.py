@@ -4,8 +4,9 @@
 other run keeps counts.  The contract is that nothing observable besides
 the per-message logs differs: outputs, rounds, transmission and delivery
 counts, the maximum latency, every decision (cause stamps included) and
-the metered snapshot are equal — on the synchronous engine and on the
-event engine under lockstep and seeded-async timing.  Reading the logs
+the metered snapshot are equal — under the default synchronous timing,
+the lockstep scheduler (both on the engine's unit-delay path and forced
+through ``schedule``) and seeded-async timing.  Reading the logs
 of a counts-only trace raises instead of answering from an empty list.
 """
 
@@ -26,7 +27,6 @@ from repro.graphs import cycle_graph, wheel_graph
 from repro.net import (
     Delivery,
     SchedulerSpec,
-    SynchronousNetwork,
     Trace,
     TraceLevelError,
     Transmission,
@@ -34,6 +34,14 @@ from repro.net import (
 )
 from repro.net.sched import EventDrivenNetwork, LockstepScheduler
 from repro.net.node import Protocol
+
+
+class ScheduledLockstep(LockstepScheduler):
+    """Lockstep timing through ``schedule``: an overridden ``delay``
+    keeps the engine off its unit-delay path."""
+
+    def delay(self, send, recipient):
+        return 1
 
 GRAPHS = {"C5": lambda: cycle_graph(5), "W6": lambda: wheel_graph(6)}
 FACTORIES = {
@@ -137,9 +145,9 @@ class Chatty(Protocol):
 class TestEngineLevels:
     def test_engines_record_by_default(self):
         g = cycle_graph(4)
-        sync = SynchronousNetwork(g, {v: Chatty(v) for v in g.nodes})
+        sync = EventDrivenNetwork(g, {v: Chatty(v) for v in g.nodes})
         ev = EventDrivenNetwork(
-            g, {v: Chatty(v) for v in g.nodes}, LockstepScheduler()
+            g, {v: Chatty(v) for v in g.nodes}, ScheduledLockstep()
         )
         for net in (sync, ev):
             net.run(3)
@@ -154,9 +162,9 @@ class TestEngineLevels:
         def build(record):
             protocols = {v: Chatty(v) for v in g.nodes}
             if engine == "sync":
-                return SynchronousNetwork(g, protocols, record_messages=record)
+                return EventDrivenNetwork(g, protocols, record_messages=record)
             return EventDrivenNetwork(
-                g, protocols, LockstepScheduler(), record_messages=record
+                g, protocols, ScheduledLockstep(), record_messages=record
             )
 
         full, counts = build(True), build(False)
@@ -170,7 +178,7 @@ class TestEngineLevels:
 
     def test_per_message_queries_raise_and_name_flight(self):
         g = cycle_graph(4)
-        net = SynchronousNetwork(
+        net = EventDrivenNetwork(
             g, {v: Chatty(v) for v in g.nodes}, record_messages=False
         )
         net.run(2)

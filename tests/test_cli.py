@@ -106,10 +106,11 @@ class TestFaultBoundOption:
 
 
 class TestUsageErrors:
-    """Bad ``--faulty``/``--workers`` values exit 2 with one stderr line
-    before anything runs — never a traceback."""
+    """Bad ``--faulty``/``--workers``/``--scheduler`` values exit 2 with
+    one stderr line before anything runs — never a traceback."""
 
-    def assert_usage_error(self, argv, message, capsys):
+    @staticmethod
+    def assert_usage_error(argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -152,6 +153,54 @@ class TestUsageErrors:
         self.assert_usage_error(
             ["profile", "--graph", "wheel:5", "--f", "1", "--workers", "0"],
             "argument --workers: must be >= 1, got 0", capsys,
+        )
+
+    # Scheduler-axis errors: malformed lists would silently duplicate (or
+    # empty) slices of the work-list, so they fail before anything runs.
+    def scheduler_args(self, command, scheduler, *extra):
+        return [command, "--graph", "cycle:4", "--f", "1",
+                "--scheduler", scheduler, *extra]
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("spec", ["sync,", ",,sync", ",", ""])
+    def test_empty_tokens_rejected(self, command, spec, capsys):
+        self.assert_usage_error(
+            self.scheduler_args(command, spec), "empty scheduler token", capsys
+        )
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("spec", ["sync,sync", "seeded-async,seeded-async",
+                                      "sync,seeded-async,sync"])
+    def test_duplicates_rejected(self, command, spec, capsys):
+        self.assert_usage_error(
+            self.scheduler_args(command, spec), "duplicate scheduler", capsys
+        )
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_unknown_scheduler_rejected(self, command, capsys):
+        self.assert_usage_error(
+            self.scheduler_args(command, "bogus"),
+            "unknown scheduler 'bogus'; choose from ['sync', 'lockstep', "
+            "'seeded-async', 'adversarial']",
+            capsys,
+        )
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("max_delay", ["0", "-2"])
+    def test_max_delay_below_one_rejected(self, command, max_delay, capsys):
+        self.assert_usage_error(
+            self.scheduler_args(
+                command, "seeded-async", "--max-delay", max_delay
+            ),
+            "max_delay must be >= 1",
+            capsys,
+        )
+
+    def test_run_takes_one_scheduler(self, capsys):
+        self.assert_usage_error(
+            self.scheduler_args("run", "sync,seeded-async"),
+            "run takes exactly one --scheduler",
+            capsys,
         )
 
 
@@ -199,24 +248,13 @@ class TestSweepCommand:
 
 
 class TestSchedulerAxisParsing:
-    """Malformed --scheduler lists fail loudly instead of silently
-    duplicating (or emptying) slices of the work-list."""
+    """A well-formed --scheduler list builds the sweep's timing axis
+    (malformed ones are usage errors, see :class:`TestUsageErrors`)."""
 
     def sweep_args(self, scheduler):
         return ["sweep", "--graph", "cycle:4", "--f", "1",
                 "--patterns", "all-one", "--fault-limit", "1",
                 "--scheduler", scheduler]
-
-    @pytest.mark.parametrize("spec", ["sync,", ",,sync", ",", ""])
-    def test_empty_tokens_rejected(self, spec):
-        with pytest.raises(SystemExit, match="empty scheduler token"):
-            main(self.sweep_args(spec))
-
-    @pytest.mark.parametrize("spec", ["sync,sync", "seeded-async,seeded-async",
-                                      "sync,seeded-async,sync"])
-    def test_duplicates_rejected(self, spec):
-        with pytest.raises(SystemExit, match="duplicate scheduler"):
-            main(self.sweep_args(spec))
 
     def test_valid_axis_still_parses(self, capsys):
         assert main(self.sweep_args("sync,seeded-async") + ["--exit-zero"]) == 0
@@ -344,31 +382,40 @@ class TestAsyncAlgorithm:
         }
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
-    def test_unbounded_axis_refuses_fixed_round_algorithms(self, command):
+    def test_unbounded_axis_refuses_fixed_round_algorithms(self, command, capsys):
         """A fixed-round algorithm cannot be budgeted with no declared
         bound — that must be a clean CLI error, not a mid-run traceback."""
-        with pytest.raises(SystemExit, match="algorithm async"):
-            main([
+        TestUsageErrors.assert_usage_error(
+            [
                 command, "--graph", "cycle:4", "--f", "1", "--algorithm", "2",
                 "--scheduler", "seeded-async", "--declare-unbounded",
-            ])
+            ],
+            "use --algorithm async",
+            capsys,
+        )
 
-    def test_unbounded_axis_refuses_a_synchronizer(self):
+    def test_unbounded_axis_refuses_a_synchronizer(self, capsys):
         # Caught by the same fixed-round guard, before any wrapping.
-        with pytest.raises(SystemExit, match="algorithm async"):
-            main([
+        TestUsageErrors.assert_usage_error(
+            [
                 "sweep", "--graph", "cycle:4", "--f", "1", "--algorithm", "2",
                 "--scheduler", "seeded-async", "--declare-unbounded",
                 "--synchronizer", "alpha",
-            ])
+            ],
+            "use --algorithm async",
+            capsys,
+        )
 
-    def test_target_window_above_max_delay_rejected(self):
-        with pytest.raises(SystemExit):
-            main([
+    def test_target_window_above_max_delay_rejected(self, capsys):
+        TestUsageErrors.assert_usage_error(
+            [
                 "run", "--graph", "wheel:5", "--f", "1",
                 "--algorithm", "async", "--scheduler", "adversarial",
                 "--max-delay", "3", "--target-window", "4",
-            ])
+            ],
+            "window must be in [1, max_delay]; got 4 with max_delay 3",
+            capsys,
+        )
 
     def test_run_fixed_ack_decides_marker_withholding(self, capsys):
         """The CLI wires --f into ack mode's marker quorum, so the
