@@ -62,13 +62,18 @@ from .net.channels import local_broadcast_model
 from .net.sched import SCHEDULER_KINDS, parse_scheduler
 
 
+class UsageError(ValueError):
+    """A malformed option value (graph spec, adversary, input pattern);
+    :func:`main` reports it through :func:`_usage_error`."""
+
+
 def _spec_int(spec: str, token: str, what: str) -> int:
     """Parse one integer field of a graph spec, failing loudly: the bare
     ``ValueError`` out of ``int()`` names neither the spec nor the field."""
     try:
         return int(token)
     except ValueError:
-        raise SystemExit(
+        raise UsageError(
             f"graph spec {spec!r}: {what} must be an integer, got {token!r}"
         ) from None
 
@@ -77,7 +82,7 @@ def _spec_float(spec: str, token: str, what: str) -> float:
     try:
         return float(token)
     except ValueError:
-        raise SystemExit(
+        raise UsageError(
             f"graph spec {spec!r}: {what} must be a number, got {token!r}"
         ) from None
 
@@ -139,12 +144,13 @@ def parse_graph(spec: str) -> graphs.Graph:
     """Parse a ``family:args`` graph spec into a Graph (or Digraph).
 
     A builder's :class:`~repro.graphs.GraphError` (``cycle:2``,
-    ``random_regular:5:3``) exits with the spec named, not a traceback.
+    ``random_regular:5:3``) becomes a :class:`UsageError` naming the
+    spec, as does any unknown or malformed spec.
     """
     try:
         return _build_graph(spec)
     except graphs.GraphError as exc:
-        raise SystemExit(f"graph spec {spec!r}: {exc}") from None
+        raise UsageError(f"graph spec {spec!r}: {exc}") from None
 
 
 def _build_graph(spec: str) -> graphs.Graph:
@@ -152,7 +158,7 @@ def _build_graph(spec: str) -> graphs.Graph:
     family = parts[0]
     if family == "random_digraph":
         if len(parts) < 3 or len(parts) > 4:
-            raise SystemExit(
+            raise UsageError(
                 f"graph spec {spec!r}: random_digraph takes N:P[:SEED] "
                 f"(got {len(parts) - 1} field(s))"
             )
@@ -162,7 +168,7 @@ def _build_graph(spec: str) -> graphs.Graph:
         return graphs.random_digraph(n, p, seed)
     if family == "oneway":
         if len(parts) < 2 or len(parts) > 3:
-            raise SystemExit(
+            raise UsageError(
                 f"graph spec {spec!r}: oneway takes N[:K] "
                 f"(got {len(parts) - 1} field(s))"
             )
@@ -203,7 +209,7 @@ def _build_graph(spec: str) -> graphs.Graph:
         return graphs.gnp_supercritical_graph(
             _spec_int(spec, parts[1], "N"), c, seed
         )
-    raise SystemExit(f"unknown graph spec {spec!r}")
+    raise UsageError(f"unknown graph spec {spec!r}")
 
 
 def parse_scheduler_axis(args: argparse.Namespace) -> list:
@@ -306,7 +312,7 @@ def find_adversary(name: str):
         if adversary.name == name:
             return adversary
     names = [a.name for a in candidates]
-    raise SystemExit(f"unknown adversary {name!r}; choose from {names}")
+    raise UsageError(f"unknown adversary {name!r}; choose from {names}")
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -400,12 +406,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     graph = parse_graph(args.graph)
     nodes = sorted(graph.nodes, key=repr)
     faulty = _parse_faulty(args, nodes) if args.faulty else []
+    # Resolved even with no faulty node, so a misspelt name never passes
+    # silently.
+    adversary = find_adversary(args.adversary)
     factory = build_factory(args, graph)
     inputs = {v: i % 2 for i, v in enumerate(nodes)}
-    adversary = None
     channel = local_broadcast_model()
-    if faulty:
-        adversary = find_adversary(args.adversary)
     if args.algorithm == "3" and args.t:
         # Same canonical (repr-sorted) prefix rule as sweep's
         # HybridEquivocatorPolicy, so a sweep record's scenario replays
@@ -418,8 +424,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     registry = build_metrics(args)
     result = consensus.run_consensus(
         graph, factory, inputs, f=args.f, faulty=faulty,
-        adversary=adversary, channel=channel, scheduler=axis[0],
-        metrics=registry, flight=bool(args.trace),
+        adversary=adversary if faulty else None, channel=channel,
+        scheduler=axis[0], metrics=registry, flight=bool(args.trace),
     )
     print(f"inputs        : {inputs}")
     print(f"faulty        : {faulty} ({args.adversary if faulty else 'none'})")
@@ -466,7 +472,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         known = sorted(input_patterns(graph))
         unknown = [p for p in patterns if p not in known]
         if unknown:
-            raise SystemExit(
+            raise UsageError(
                 f"unknown input patterns {unknown}; choose from {known}"
             )
     schedulers = parse_scheduler_axis(args)
@@ -1149,7 +1155,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _check_workers(args)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except UsageError as exc:
+        _usage_error(args, str(exc))
 
 
 if __name__ == "__main__":

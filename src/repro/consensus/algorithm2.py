@@ -105,6 +105,9 @@ class Algorithm2Protocol(Protocol):
         n = self.n
         if r > self.total_rounds:
             return
+        # A synchronizer's shadow context shares the outbox of the tick
+        # driving it, which may already hold earlier logical rounds.
+        sent_from = len(ctx.outbox)
         # Phase-1 transcript recording: transmissions of rounds 1..n are
         # heard in rounds 2..n+1.  Everything a neighbor sends is on the
         # record — that is the local broadcast advantage.
@@ -140,7 +143,9 @@ class Algorithm2Protocol(Protocol):
                 self._decide_type_a()
 
         if r <= n:
-            self._own_sent.extend((r, out.message) for out in ctx.outbox)
+            self._own_sent.extend(
+                (r, message) for message, _ in ctx.outbox[sent_from:]
+            )
 
     def output(self) -> Optional[int]:
         return self._output

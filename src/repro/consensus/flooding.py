@@ -17,7 +17,9 @@ broadcasts ``(γ_v, ⊥)``; a node ``v`` receiving ``(b, Π)`` from neighbor
 
 A missing initiation from a neighbor is substituted with the default
 message ``(1, ⊥)``, so even a silent faulty node effectively floods a
-value.
+value.  The substitutes are synthetic inbox entries run through the very
+same rules, so there is exactly one place the rules are applied:
+:meth:`FloodInstance._accept_all`.
 
 This module packages those rules as :class:`FloodInstance` — one
 per-node, per-phase state machine used by Algorithms 1, 2 and 3 (the
@@ -49,7 +51,7 @@ from weakref import WeakKeyDictionary
 
 from ..graphs import Graph
 from ..net.messages import FloodMessage, Payload
-from ..net.node import Context, Outgoing
+from ..net.node import Context, Inbox
 from ..obs import NULL_METRICS
 
 PathTuple = Tuple[Hashable, ...]
@@ -79,7 +81,7 @@ class FloodInstance:
        the inbox cannot contain this phase's traffic yet);
     2. every later round — call :meth:`process_round`; on the first of
        those rounds the default-message substitution for silent
-       neighbors runs automatically.
+       in-neighbors runs automatically.
 
     ``delivered`` maps each full path ``(origin, ..., me)`` to the
     payload received along it.  The trivial own-path ``(me,)`` is filled
@@ -192,20 +194,50 @@ class FloodInstance:
         """Apply rules (i)–(iv) to this round's inbox; returns #accepted.
 
         Must be called on every round of the phase after the initiation
-        round.  The first call also performs the default-message
-        substitution: any neighbor whose initiation ``(·, ⊥)`` is absent
-        from this inbox is treated as having sent the default payload.
+        round.  The first call then feeds one default initiation per
+        in-neighbor (the nodes I hear: every neighbor on a
+        :class:`Graph`) through the same rules, so rule (ii) drops each
+        substitute whose ``(neighbor, ⊥)`` slot a real initiation holds.
         """
         if ctx.metrics is not self._cells_from:
             self._bind_cells(ctx.metrics)
-        accepted = 0
+        accepted = self._accept_all(ctx, ctx.inbox)
+        if not self._defaults_applied:
+            self._defaults_applied = True
+            if self.default_payload is not None:
+                substitute = FloodMessage(self.phase, self.default_payload, ())
+                substituted = self._accept_all(
+                    ctx,
+                    [
+                        (nbr, substitute)
+                        for nbr in self.graph.sorted_in_neighbors(self.me)
+                    ],
+                )
+                if substituted:
+                    self._c_default(substituted)
+                    accepted += substituted
+        if accepted:
+            # The path set only grows, so one high-water reading after
+            # the round equals the per-accept maximum it replaces — and
+            # the gauge key still appears only if something was accepted.
+            self._g_path_set(len(self.delivered))
+        return accepted
+
+    def _accept_all(self, ctx: Context, entries: Inbox) -> int:
+        """Rules (i)–(iv) over ``(sender, message)`` entries, in order.
+
+        Returns the number accepted.  Every per-message lookup is hoisted
+        to a local: this loop runs once per delivered message and
+        dominates sweep time.
+
+        Validity (rules (i), (iii), payload checks) runs *before* the
+        duplicate rule (ii) marks the ``(sender, Π)`` slot: malformed
+        traffic must not burn a slot, or a garbage "initiation" could
+        suppress the default-message substitution that Lemma 5.3 needs.
+        All neighbors of a sender hear the same transmissions in the same
+        order, so this decision is identical everywhere.
+        """
         phase = self.phase
-        # Inline copy of the :meth:`_accept` rule pipeline with every
-        # per-message lookup hoisted to a local — this loop runs once
-        # per delivered message and dominates sweep time.  Keep it in
-        # lockstep with ``_accept`` (the default-substitution path below
-        # still calls it, and the legacy-equivalence property tests
-        # drive both paths).
         index = self._index
         index_of = index.index_of
         adj = index.adj_masks
@@ -221,8 +253,8 @@ class FloodInstance:
         masks = self._masks
         by_origin = self._by_origin
         outbox_append = ctx.outbox.append
-        rej_i = rej_ii = rej_iii = rej_validator = 0
-        for sender, message in ctx.inbox:
+        accepted = rej_i = rej_ii = rej_iii = rej_validator = 0
+        for sender, message in entries:
             if not isinstance(message, FloodMessage) or message.phase != phase:
                 continue
             pi = message.path
@@ -230,7 +262,9 @@ class FloodInstance:
             if walk is _UNWALKED:
                 walk = walk_fn(pi)
                 walks[pi] = walk
-            # Rule (i): Π - u must exist in G.
+            # Rule (i): Π - u must exist in G — Π itself is a simple
+            # in-graph path, the sender extends it by one edge, and the
+            # sender is not already on it.
             sender_idx = index_of.get(sender)
             if (
                 walk is None
@@ -246,19 +280,27 @@ class FloodInstance:
                 rej_iii += 1
                 continue
             extended = pi + (sender,)  # Π - u
+            # Optional payload validation (e.g. report bundles must
+            # originate at their claimed reporter).
             if validator is not None and not validator(
                 message.payload, extended
             ):
                 rej_validator += 1
                 continue
-            # Rule (ii): first well-formed message per (sender, Π) slot.
+            # Rule (ii): only the first well-formed message per
+            # (sender, Π) slot is ever accepted — equivocation
+            # prevention.  The slot key is the packed encoding of
+            # Π + (sender,): injective over the exact node sequence, so
+            # two distinct annotations sharing a node set (or a last
+            # hop) never merge slots.
             if rule_ii:
                 slot = (packed << shift) | (sender_idx + 1)
                 if slot in seen:
                     rej_ii += 1
                     continue
                 seen.add(slot)
-            # Rule (iv): accept along Π - u and forward (b, Π - u).
+            # Rule (iv): accept along Π - u (recorded as the uv-path
+            # ending here) and forward (b, Π - u).
             payload = message.payload
             full = extended + (me,)
             delivered[full] = payload
@@ -268,7 +310,7 @@ class FloodInstance:
             if sub is None:
                 sub = by_origin[origin] = {}
             sub[full] = payload
-            outbox_append(Outgoing(FloodMessage(phase, payload, extended)))
+            outbox_append((FloodMessage(phase, payload, extended), None))
             accepted += 1
         # One batched fire per counter after the loop: a cell called with
         # ``n`` equals ``n`` unit calls, keys appear only when a rule
@@ -284,95 +326,7 @@ class FloodInstance:
             self._c_rej_iii(rej_iii)
         if rej_validator:
             self._c_rej_validator(rej_validator)
-        if not self._defaults_applied:
-            self._defaults_applied = True
-            if self.default_payload is not None:
-                # Any neighbor whose valid initiation is absent is read as
-                # having flooded the default; rule (ii) rejects the
-                # substitute wherever a real initiation already claimed
-                # the (neighbor, ⊥) slot.
-                accept = self._accept
-                # Substitutes stand in for initiations *heard* by me, so
-                # they range over in-neighbors (identical on a Graph).
-                for nbr in self.graph.sorted_in_neighbors(self.me):
-                    substitute = FloodMessage(phase, self.default_payload, ())
-                    if accept(ctx, nbr, substitute):
-                        accepted += 1
-                        self._c_default()
-        if accepted:
-            # The path set only grows, so one high-water reading after
-            # the round equals the per-accept maximum it replaces — and
-            # the gauge key still appears only if something was accepted.
-            self._g_path_set(len(self.delivered))
         return accepted
-
-    # ------------------------------------------------------------------
-    def _accept(self, ctx: Context, sender: Hashable, message: FloodMessage) -> bool:
-        """Rules (i)–(iv) for one received message.  True iff accepted.
-
-        Validity (rules (i), (iii), payload checks) runs *before* the
-        duplicate rule (ii) marks the ``(sender, Π)`` slot: malformed
-        traffic must not burn a slot, or a garbage "initiation" could
-        suppress the default-message substitution that Lemma 5.3 needs.
-        All neighbors of a sender hear the same transmissions in the same
-        order, so this decision is identical everywhere.
-        """
-        index = self._index
-        pi = message.path
-        walks = self._walks
-        walk = walks.get(pi, _UNWALKED)
-        if walk is _UNWALKED:
-            walk = index.walk(pi)
-            walks[pi] = walk
-        # Rule (i): Π - u must exist in G — Π itself is a simple in-graph
-        # path, the sender extends it by one edge, and the sender is not
-        # already on it.
-        sender_idx = index.index_of.get(sender)
-        if (
-            walk is None
-            or sender_idx is None
-            or walk[0] >> sender_idx & 1
-            or (walk[2] >= 0 and not index.adj_masks[walk[2]] >> sender_idx & 1)
-        ):
-            self._c_rej_i()
-            return False
-        mask, packed, _last = walk
-        # Rule (iii): Π must not already contain me.
-        if mask & self._me_bit:
-            self._c_rej_iii()
-            return False
-        extended = pi + (sender,)  # Π - u
-        # Optional payload validation (e.g. report bundles must originate
-        # at their claimed reporter).
-        if self.validator is not None and not self.validator(message.payload, extended):
-            self._c_rej_validator()
-            return False
-        # Rule (ii): only the first well-formed message per (sender, Π)
-        # slot is ever accepted — equivocation prevention.  The slot key
-        # is the packed encoding of Π + (sender,): injective over the
-        # exact node sequence, so two distinct annotations sharing a
-        # node set (or a last hop) never merge slots.
-        if self.enable_rule_ii:
-            slot = (packed << index.shift) | (sender_idx + 1)
-            seen = self._seen
-            if slot in seen:
-                self._c_rej_ii()
-                return False
-            seen.add(slot)
-        # Rule (iv): accept along Π - u (recorded as the uv-path ending
-        # here) and forward (b, Π - u).
-        payload = message.payload
-        full = extended + (self.me,)
-        self.delivered[full] = payload
-        self._masks[full] = mask | (1 << sender_idx) | self._me_bit
-        origin = extended[0]
-        by_origin = self._by_origin.get(origin)
-        if by_origin is None:
-            by_origin = self._by_origin[origin] = {}
-        by_origin[full] = payload
-        ctx.broadcast(FloodMessage(self.phase, payload, extended))
-        self._c_accepted()
-        return True
 
     # ------------------------------------------------------------------
     # Read-side helpers used by steps (b)/(c) and Definition C.1

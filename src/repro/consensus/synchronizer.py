@@ -247,7 +247,12 @@ class AlphaSynchronizer(Protocol):
 
     # ------------------------------------------------------------------
     def _advance(self, ctx: Context, inbox: Inbox) -> None:
-        """Run one inner logical round and re-emit its sends."""
+        """Run one inner logical round; its sends land in ``ctx.outbox``.
+
+        The shadow has ``ctx``'s node, graph and channel, so
+        ``broadcast``/``send`` check each inner send exactly as ``ctx``
+        would.
+        """
         self.logical_round += 1
         shadow = Context(
             node=ctx.node,
@@ -255,6 +260,7 @@ class AlphaSynchronizer(Protocol):
             round_no=self.logical_round,
             channel=ctx.channel,
             inbox=inbox,
+            outbox=ctx.outbox,
             now=self.logical_round,
             metrics=ctx.metrics,
             # The engine-level cause of the activation driving this
@@ -264,11 +270,6 @@ class AlphaSynchronizer(Protocol):
             cause_index=ctx.cause_index,
         )
         self.inner.on_round(shadow)
-        for out in shadow.outbox:
-            if out.target is None:
-                ctx.broadcast(out.message)
-            else:
-                ctx.send(out.target, out.message)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -157,14 +157,14 @@ class CoveringSimulator:
         for cid, ctx in contexts:
             listeners = self.network.listeners_of(cid)
             u, _i = cid
-            for out in ctx.outbox:
-                if out.target is not None:
+            for message, target in ctx.outbox:
+                if target is not None:
                     raise GraphError(
                         "covering executions model local broadcast only"
                     )
-                self.transcripts[cid].record(self.round_no, out.message)
+                self.transcripts[cid].record(self.round_no, message)
                 for lid in listeners:
-                    self._pending[lid].append((u, out.message))
+                    self._pending[lid].append((u, message))
 
     def run(self, rounds: int) -> None:
         for _ in range(rounds):

@@ -12,25 +12,23 @@ broadcast), and under seeded-random and adversarial timing models for
 asynchronous experiments (arXiv:1909.02865).
 """
 
-from .adversary2 import (
-    DecisionForgeAdversary,
-    LyingReporterAdversary,
-    SilentReporterAdversary,
-    algorithm2_attack_battery,
-)
 from .adversary import (
     Adversary,
     CrashAdversary,
+    DecisionForgeAdversary,
     DropForwardAdversary,
     EquivocatingAdversary,
     FaultSpec,
     HonestFactory,
     LyingInitAdversary,
+    LyingReporterAdversary,
     RandomAdversary,
     ReplayAdversary,
     SilentAdversary,
+    SilentReporterAdversary,
     TamperForwardAdversary,
     WrongInputAdversary,
+    algorithm2_attack_battery,
     standard_adversaries,
 )
 from .channels import (

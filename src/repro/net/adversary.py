@@ -7,6 +7,16 @@ from the covering network — and (b) fuzz with seeded random behaviors.
 Every experiment in this library draws its faulty nodes' behavior from
 here.
 
+The generic battery (:func:`standard_adversaries`) attacks the value
+floods.  Appendix C's algorithm has two more attack surfaces, covered by
+:func:`algorithm2_attack_battery`: a faulty reporter can lie about what
+its neighbors transmitted in phase 2 (framing an honest node, or
+whitewashing a faulty one), and a faulty node can flood a forged
+phase-3 decision hoping a type-A node adopts it.  Both must be
+survivable: false claims never reach the f+1 disjoint-path reliability
+bar, and forged decisions are filtered because their origin is
+localized (or their paths aren't fault-free).
+
 Design: an :class:`Adversary` builds a :class:`~repro.net.node.Protocol`
 for each faulty node.  Most behaviors wrap the *honest* protocol and
 transform its outbox (tamper, crash, equivocate); others replace it
@@ -26,8 +36,8 @@ from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from ..graphs import Graph
 from .channels import ChannelModel
-from .messages import FloodMessage, ValuePayload
-from .node import Context, Protocol
+from .messages import DecisionPayload, FloodMessage, ValuePayload
+from .node import Context, Outgoing, Protocol
 from .trace import Transmission
 
 HonestFactory = Callable[[Hashable, int], Protocol]
@@ -92,12 +102,7 @@ class _WrapperProtocol(Protocol):
     def __init__(
         self,
         inner: Protocol,
-        transform: Optional[
-            Callable[
-                [List[Tuple[object, Optional[Hashable]]], Context],
-                List[Tuple[object, Optional[Hashable]]],
-            ]
-        ] = None,
+        transform: Optional[Callable[[Outgoing, Context], Outgoing]] = None,
     ):
         self.inner = inner
         if transform is not None:
@@ -109,17 +114,13 @@ class _WrapperProtocol(Protocol):
             [], ctx.now, ctx.metrics, ctx.cause_kind, ctx.cause_index,
         )
         self.inner.on_round(shadow)
-        for message, target in self.transform(
-            [(o.message, o.target) for o in shadow.outbox], ctx
-        ):
+        for message, target in self.transform(shadow.outbox, ctx):
             if target is None:
                 ctx.broadcast(message)
             else:
                 ctx.send(target, message)
 
-    def transform(
-        self, outbox: List[Tuple[object, Optional[Hashable]]], ctx: Context
-    ) -> List[Tuple[object, Optional[Hashable]]]:
+    def transform(self, outbox: Outgoing, ctx: Context) -> Outgoing:
         return outbox
 
     def output(self) -> Optional[int]:
@@ -403,7 +404,7 @@ class ReplayAdversary(Adversary):
 
     def __init__(
         self,
-        schedules: Dict[Hashable, Dict[int, List[Tuple[object, Optional[Hashable]]]]],
+        schedules: Dict[Hashable, Dict[int, Outgoing]],
     ):
         self.schedules = schedules
 
@@ -414,9 +415,9 @@ class ReplayAdversary(Adversary):
         retarget: Optional[Callable[[Transmission], Optional[Hashable]]] = None,
     ) -> "ReplayAdversary":
         """Build schedules straight from recorded trace transmissions."""
-        schedules: Dict[Hashable, Dict[int, List[Tuple[object, Optional[Hashable]]]]] = {}
+        schedules: Dict[Hashable, Dict[int, Outgoing]] = {}
         for node, txs in sorted(per_node.items(), key=lambda kv: repr(kv[0])):
-            per_round: Dict[int, List[Tuple[object, Optional[Hashable]]]] = {}
+            per_round: Dict[int, Outgoing] = {}
             for t in txs:
                 target = retarget(t) if retarget else t.target
                 per_round.setdefault(t.round_no, []).append((t.message, target))
@@ -464,12 +465,7 @@ class SplitReplayAdversary(Adversary):
         self,
         group_schedules: Dict[
             Hashable,
-            List[
-                Tuple[
-                    FrozenSet[Hashable],
-                    Dict[int, List[Tuple[object, Optional[Hashable]]]],
-                ]
-            ],
+            List[Tuple[FrozenSet[Hashable], Dict[int, Outgoing]]],
         ],
     ):
         self.group_schedules = group_schedules
@@ -532,4 +528,154 @@ def standard_adversaries(seed: int = 7) -> list[Adversary]:
         TamperForwardAdversary(),
         DropForwardAdversary(),
         RandomAdversary(seed=seed),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Algorithm 2 report and decision attacks
+# ---------------------------------------------------------------------------
+
+
+class LyingReporterAdversary(Adversary):
+    """Rewrites its own phase-2 report bundle to frame honest neighbors.
+
+    Every ``ValuePayload`` inside the initiated bundle is flipped and
+    the recorded rounds are shifted, so the bundle accuses each
+    neighbor of having transmitted things it never did (and omits what
+    it actually did).  Forwarded bundles from others pass untouched.
+    """
+
+    name = "lying-reporter"
+
+    def build(self, spec: FaultSpec) -> Protocol:
+        from ..consensus.reliable import ReportBundle
+
+        def transform(outbox, ctx):
+            result = []
+            for message, target in outbox:
+                if (
+                    isinstance(message, FloodMessage)
+                    and isinstance(message.payload, ReportBundle)
+                    and len(message.path) == 0
+                    and message.payload.reporter == ctx.node
+                ):
+                    forged_entries = []
+                    for subject, transcript in message.payload.entries:
+                        forged = tuple(
+                            (
+                                round_no + 1,
+                                FloodMessage(
+                                    m.phase,
+                                    ValuePayload(1 - m.payload.value),
+                                    m.path,
+                                )
+                                if isinstance(m, FloodMessage)
+                                and isinstance(m.payload, ValuePayload)
+                                else m,
+                            )
+                            for round_no, m in transcript
+                        )
+                        forged_entries.append((subject, forged))
+                    bundle = ReportBundle(ctx.node, tuple(forged_entries))
+                    result.append(
+                        (FloodMessage(message.phase, bundle, ()), target)
+                    )
+                else:
+                    result.append((message, target))
+            return result
+
+        return _WrapperProtocol(spec.honest(), transform)
+
+
+class SilentReporterAdversary(Adversary):
+    """Participates in phases 1 and 3 but never sends its phase-2 report
+    (and drops forwarded reports too): starves the claim machinery."""
+
+    name = "silent-reporter"
+
+    def build(self, spec: FaultSpec) -> Protocol:
+        from ..consensus.reliable import ReportBundle
+
+        def transform(outbox, ctx):
+            return [
+                (m, t)
+                for m, t in outbox
+                if not (
+                    isinstance(m, FloodMessage)
+                    and isinstance(m.payload, ReportBundle)
+                )
+            ]
+
+        return _WrapperProtocol(spec.honest(), transform)
+
+
+class DecisionForgeAdversary(Adversary):
+    """Floods a forged phase-3 decision (and flips forwarded ones).
+
+    ``value`` fixes the forged decision; default flips whatever the
+    honest protocol would have decided.
+    """
+
+    name = "decision-forge"
+
+    def __init__(self, value: Optional[int] = None):
+        self.value = value
+
+    def build(self, spec: FaultSpec) -> Protocol:
+        forged_value = self.value
+
+        def transform(outbox, ctx):
+            result = []
+            forged_any = False
+            for message, target in outbox:
+                if isinstance(message, FloodMessage) and isinstance(
+                    message.payload, DecisionPayload
+                ):
+                    value = (
+                        forged_value
+                        if forged_value is not None
+                        else 1 - message.payload.value
+                    )
+                    result.append(
+                        (
+                            FloodMessage(
+                                message.phase,
+                                DecisionPayload(value),
+                                message.path,
+                            ),
+                            target,
+                        )
+                    )
+                    forged_any = forged_any or len(message.path) == 0
+                else:
+                    result.append((message, target))
+            if not forged_any and ctx.round_no == 2 * ctx.graph.n + 1:
+                # The honest inner protocol may be type A or B-silent;
+                # forge a decision out of thin air at phase-3 start.
+                from ..consensus.algorithm2 import Algorithm2Protocol
+
+                value = forged_value if forged_value is not None else 0
+                result.append(
+                    (
+                        FloodMessage(
+                            Algorithm2Protocol.PHASE3,
+                            DecisionPayload(value),
+                            (),
+                        ),
+                        None,
+                    )
+                )
+            return result
+
+        return _WrapperProtocol(spec.honest(), transform)
+
+
+def algorithm2_attack_battery() -> list[Adversary]:
+    """The Algorithm 2-specific attacks, for sweeps and benchmarks."""
+    return [
+        LyingReporterAdversary(),
+        SilentReporterAdversary(),
+        DecisionForgeAdversary(),
+        DecisionForgeAdversary(value=0),
+        DecisionForgeAdversary(value=1),
     ]

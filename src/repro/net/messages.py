@@ -1,9 +1,10 @@
 """Message types exchanged by the protocols.
 
-All messages are small frozen dataclasses: hashable (rule (ii) of the
-flooding procedure keys on them), comparable, and safe to share between
-nodes (no aliasing bugs — a Byzantine node cannot mutate a message after
-sending it).
+All messages are small frozen dataclasses: hashable and comparable (the
+phase-2 claim index interns reported transcripts by them), and safe to
+share between nodes (no aliasing bugs — a Byzantine node cannot mutate a
+message after sending it).  Rule (ii) of the flooding procedure does not
+hash messages: it keys on ``(sender, Π)`` packed into one integer slot.
 
 The wire format of the paper's flooding step is ``(b, Π)`` — a value plus
 the path it has traversed so far, *excluding* the current transmitter

@@ -23,14 +23,7 @@ from ..obs import NULL_METRICS
 from .channels import ChannelModel, EquivocationError
 
 Inbox = List[Tuple[Hashable, object]]  # (sender, message), FIFO order
-
-
-@dataclass(slots=True)
-class Outgoing:
-    """One queued transmission: broadcast if ``target is None``."""
-
-    message: object
-    target: Optional[Hashable] = None
+Outgoing = List[Tuple[object, Optional[Hashable]]]  # (message, target) queue
 
 
 @dataclass(slots=True)
@@ -41,7 +34,10 @@ class Context:
     last round).  ``broadcast`` queues a transmission every neighbor will
     receive; ``send`` queues a private transmission — which raises
     :class:`EquivocationError` unless the channel model grants this node
-    point-to-point power.  Protocols must not keep references across
+    point-to-point power.  Both append a ``(message, target)`` pair to
+    ``outbox``, with ``target=None`` for a broadcast; the engine still
+    refuses a unicast pair appended to the outbox directly on a
+    local-broadcast channel.  Protocols must not keep references across
     rounds; all cross-round state belongs in the protocol object.
 
     ``now`` is the virtual timestamp of this activation.  The engine
@@ -71,7 +67,7 @@ class Context:
     round_no: int
     channel: ChannelModel
     inbox: Inbox
-    outbox: List[Outgoing] = field(default_factory=list)
+    outbox: Outgoing = field(default_factory=list)
     now: Optional[int] = None
     metrics: object = NULL_METRICS
     cause_kind: Optional[str] = None
@@ -84,7 +80,7 @@ class Context:
 
     def broadcast(self, message: object) -> None:
         """Queue ``message`` for delivery to *all* neighbors next round."""
-        self.outbox.append(Outgoing(message))
+        self.outbox.append((message, None))
 
     def send(self, target: Hashable, message: object) -> None:
         """Queue a private message to one neighbor (point-to-point power).
@@ -99,7 +95,7 @@ class Context:
             )
         if target not in self.graph.neighbors(self.node):
             raise ValueError(f"{target!r} is not a neighbor of {self.node!r}")
-        self.outbox.append(Outgoing(message, target=target))
+        self.outbox.append((message, target))
 
 
 class Protocol(ABC):

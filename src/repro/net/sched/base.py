@@ -304,8 +304,7 @@ class EventDrivenNetwork:
         delivery_index = first_delivery = trace.delivery_count
         for node, outbox, ck, ci in outboxes:
             nbrs = sorted_neighbors(node)
-            for out in outbox:
-                message, target = out.message, out.target
+            for message, target in outbox:
                 recipients = (
                     nbrs
                     if target is None

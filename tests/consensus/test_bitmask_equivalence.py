@@ -213,8 +213,8 @@ class TestFloodEquivalence:
             nctx = ctx_for(graph, me, round_no, list(inbox), new_metrics)
             octx = ctx_for(graph, me, round_no, list(inbox), old_metrics)
             assert new.process_round(nctx) == old.process_round(octx)
-            sent = [o.message for o in nctx.outbox]
-            assert sent == [o.message for o in octx.outbox]
+            sent = [message for message, _ in nctx.outbox]
+            assert sent == [message for message, _ in octx.outbox]
             round_no += 1
         assert new.delivered == old.delivered
         assert list(new.delivered) == list(old.delivered)

@@ -7,7 +7,7 @@ equivocation prevention) through full simulator runs.
 
 from repro.consensus import FloodInstance, flood_rounds
 from repro.consensus.runner import run_consensus
-from repro.graphs import Graph, cycle_graph, is_path, paper_figure_1a
+from repro.graphs import Graph, cycle_graph, is_path, oneway_ring, paper_figure_1a
 from repro.net import (
     Context,
     EventDrivenNetwork,
@@ -17,15 +17,17 @@ from repro.net import (
     ValuePayload,
     local_broadcast_model,
 )
+from repro.obs import NULL_METRICS, MetricsRegistry
 
 
-def ctx_for(graph, node, round_no, inbox):
+def ctx_for(graph, node, round_no, inbox, metrics=NULL_METRICS):
     return Context(
         node=node,
         graph=graph,
         round_no=round_no,
         channel=local_broadcast_model(),
         inbox=inbox,
+        metrics=metrics,
     )
 
 
@@ -40,7 +42,7 @@ class TestRules:
         flood.initiate(ctx, ValuePayload(1))
         assert flood.delivered[(0,)] == ValuePayload(1)
         assert len(ctx.outbox) == 1
-        sent = ctx.outbox[0].message
+        sent, _target = ctx.outbox[0]
         assert sent.path == ()
 
     def test_accept_and_forward(self, c5):
@@ -49,7 +51,7 @@ class TestRules:
         accepted = flood.process_round(ctx)
         assert accepted == 1
         assert flood.delivered[(0, 1)] == ValuePayload(0)
-        forwarded = [o.message for o in ctx.outbox]
+        forwarded = [message for message, _ in ctx.outbox]
         assert FloodMessage("p", ValuePayload(0), (0,)) in forwarded
 
     def test_rule_i_invalid_path_discarded(self, c5):
@@ -128,7 +130,7 @@ class TestDefaults:
         flood = FloodInstance(c5, 1, phase="p", default_payload=ValuePayload(1))
         ctx = ctx_for(c5, 1, 2, [])
         flood.process_round(ctx)
-        forwarded = {o.message for o in ctx.outbox}
+        forwarded = {message for message, _ in ctx.outbox}
         assert FloodMessage("p", ValuePayload(1), (0,)) in forwarded
         assert FloodMessage("p", ValuePayload(1), (2,)) in forwarded
 
@@ -149,6 +151,32 @@ class TestDefaults:
         flood = FloodInstance(c5, 1, phase="p", default_payload=None)
         flood.process_round(ctx_for(c5, 1, 2, []))
         assert (0, 1) not in flood.delivered
+
+    def test_directed_substitutes_only_in_neighbors(self):
+        # oneway:5 has arcs i -> i+1: node 1 hears 0 and is heard by 2.
+        g = oneway_ring(5)
+        flood = FloodInstance(g, 1, phase="p", default_payload=ValuePayload(1))
+        ctx = ctx_for(g, 1, 2, [])
+        assert flood.process_round(ctx) == 1
+        assert flood.delivered[(0, 1)] == ValuePayload(1)  # silent in-neighbor
+        assert (2, 1) not in flood.delivered  # out-only neighbor
+        assert ctx.outbox == [(msg("p", 1, (0,)), None)]
+
+    def test_directed_rule_i_garbage_does_not_burn_default_slot(self):
+        g = oneway_ring(5)
+        metrics = MetricsRegistry()
+        flood = FloodInstance(g, 1, phase="p", default_payload=ValuePayload(1))
+        garbage = [
+            (0, msg("p", 0, (0,))),  # the sender already on its own path
+            (0, msg("p", 0, (2,))),  # 2 -> 0 is no arc of the ring
+        ]
+        assert flood.process_round(ctx_for(g, 1, 2, garbage, metrics)) == 1
+        assert flood.delivered[(0, 1)] == ValuePayload(1)
+        assert metrics.snapshot()["counters"] == {
+            "flood.accepted{phase=p}": 1,
+            "flood.default_substituted{phase=p}": 1,
+            "flood.rejected{phase=p,rule=i}": 2,
+        }
 
 
 class _FloodDriver(Protocol):
@@ -209,8 +237,7 @@ class TestEmergentProperties:
                 else:
                     shadow = ctx_for(ctx.graph, ctx.node, ctx.round_no, ctx.inbox)
                     self.flood.process_round(shadow)
-                    for out in shadow.outbox:
-                        m = out.message
+                    for m, _target in shadow.outbox:
                         if m.path:
                             m = FloodMessage(m.phase, ValuePayload(0), m.path)
                         ctx.broadcast(m)

@@ -308,6 +308,35 @@ class TestAckMode:
         )
         assert res.outcome == "budget_exhausted"
 
+    def test_shared_outbox_keeps_own_transcripts_exact(self):
+        """The inner protocol's shadow context shares the tick's outbox,
+        which already holds earlier logical rounds when the handshake
+        advances several rounds in one tick.  Algorithm 2's record of its
+        own phase-1 transmissions must still equal the synchronous
+        run's, round for round."""
+        g = cycle_graph(4)
+        inputs = {v: v % 2 for v in g.nodes}
+
+        def recording(built):
+            def factory(node, value):
+                built[node] = algorithm2_factory(g, 1)(node, value)
+                return built[node]
+
+            return factory
+
+        bare, wrapped = {}, {}
+        run_consensus(g, recording(bare), inputs, f=1)
+        ack = run_consensus(
+            g,
+            synchronize_factory(recording(wrapped), SEEDED, mode="ack"),
+            inputs,
+            f=1,
+            scheduler=SEEDED,
+        )
+        assert ack.consensus
+        for node in sorted(g.nodes):
+            assert wrapped[node]._own_sent == bare[node]._own_sent
+
     def test_markers_trail_their_round_payloads(self):
         """Per-link FIFO: every round-r payload precedes marker r."""
         g = cycle_graph(4)

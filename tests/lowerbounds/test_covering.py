@@ -97,9 +97,7 @@ class TestCoveringSimulator:
     def test_unicast_rejected(self):
         class Rogue(Protocol):
             def on_round(self, ctx):
-                from repro.net import Outgoing
-
-                ctx.outbox.append(Outgoing("x", target=1))
+                ctx.outbox.append(("x", 1))
 
             def output(self):
                 return None

@@ -160,9 +160,7 @@ class TestChannelEnforcement:
     def test_outbox_injection_blocked_at_delivery(self):
         class Sneaky(Protocol):
             def on_round(self, ctx):
-                from repro.net import Outgoing
-
-                ctx.outbox.append(Outgoing("evil", target=1))
+                ctx.outbox.append(("evil", 1))
 
             def output(self):
                 return None

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.__main__ import main, parse_graph
+from repro.__main__ import UsageError, main, parse_graph
 from repro.graphs import cycle_graph, paper_figure_1b, petersen_graph
 
 
@@ -18,7 +18,7 @@ class TestParseGraph:
         assert parse_graph("harary:3:8").min_degree() == 3
 
     def test_unknown_family(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(UsageError):
             parse_graph("doughnut:5")
 
 
@@ -153,6 +153,37 @@ class TestUsageErrors:
         self.assert_usage_error(
             ["profile", "--graph", "wheel:5", "--f", "1", "--workers", "0"],
             "argument --workers: must be >= 1, got 0", capsys,
+        )
+
+    # Option values checked after parsing: graph specs, input patterns
+    # and adversary names.
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_unknown_graph_spec(self, command, capsys):
+        self.assert_usage_error(
+            [command, "--graph", "bogus:3", "--f", "1"],
+            "unknown graph spec 'bogus:3'", capsys,
+        )
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_malformed_graph_spec_field(self, command, capsys):
+        self.assert_usage_error(
+            [command, "--graph", "cycle:x", "--f", "1"],
+            "graph spec 'cycle:x': N must be an integer, got 'x'", capsys,
+        )
+
+    def test_sweep_unknown_patterns(self, capsys):
+        self.assert_usage_error(
+            ["sweep", "--graph", "cycle:5", "--f", "1", "--patterns", "nope"],
+            "unknown input patterns ['nope']", capsys,
+        )
+
+    @pytest.mark.parametrize("faulty", [["--faulty", "0"], []],
+                             ids=["faulty", "fault-free"])
+    def test_run_unknown_adversary(self, faulty, capsys):
+        self.assert_usage_error(
+            ["run", "--graph", "cycle:5", "--f", "1", *faulty,
+             "--adversary", "nope"],
+            "unknown adversary 'nope'", capsys,
         )
 
     # Scheduler-axis errors: malformed lists would silently duplicate (or
@@ -445,16 +476,15 @@ class TestRandomGraphSpecs:
         import re
 
         message = f"graph spec {spec!r}: .*{re.escape(fragment)}"
-        with pytest.raises(SystemExit, match=message):
+        with pytest.raises(UsageError, match=message):
             parse_graph(spec)
 
     @pytest.mark.parametrize("spec", ["cycle:x", "wheel:x"])
-    def test_non_integer_size_exits_cleanly(self, spec):
-        with pytest.raises(
-            SystemExit,
-            match=f"graph spec {spec!r}: N must be an integer, got 'x'",
-        ):
-            main(["check", "--graph", spec, "--f", "1"])
+    def test_non_integer_size_exits_cleanly(self, spec, capsys):
+        TestUsageErrors.assert_usage_error(
+            ["check", "--graph", spec, "--f", "1"],
+            f"graph spec {spec!r}: N must be an integer, got 'x'", capsys,
+        )
 
     def test_gnp_spec(self):
         from repro.graphs import gnp_supercritical_graph
@@ -694,7 +724,7 @@ class TestDirectedGraphSpecs:
     def test_malformed_directed_specs_fail_loudly(self, spec, fragment):
         import re
 
-        with pytest.raises(SystemExit, match=re.escape(fragment)):
+        with pytest.raises(UsageError, match=re.escape(fragment)):
             parse_graph(spec)
 
 
