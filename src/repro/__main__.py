@@ -353,7 +353,7 @@ def build_factory(args: argparse.Namespace, graph: graphs.Graph):
         return consensus.algorithm3_factory(graph, args.f, args.t or 0)
     if args.algorithm == "async":
         if args.synchronizer != "none":
-            raise SystemExit(
+            raise UsageError(
                 "the async algorithm is natively asynchronous; "
                 "use --synchronizer none"
             )
@@ -683,7 +683,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     if args.flood_receipt:
         if args.trace:
-            raise SystemExit(
+            raise UsageError(
                 "--trace records a simulated run; --flood-receipt is "
                 "analytic (no network events to record)"
             )

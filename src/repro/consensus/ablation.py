@@ -64,21 +64,6 @@ class AblatedExactConsensus(ExactConsensusProtocol):
             if phase_idx == len(self.pairs) - 1:
                 self._output = self.gamma
 
-    def step_b_view(self, phase_idx: int, fault_set) -> Dict[Hashable, int]:
-        """Diagnostic: the Z/N classification this node would compute."""
-        assert self._flood is not None
-        view: Dict[Hashable, int] = {}
-        for u in sorted(self.graph.nodes, key=repr):
-            if u == self.me:
-                payload = self._flood.delivered.get((self.me,))
-            else:
-                path = self._path_excluding(u, frozenset(fault_set))
-                payload = (
-                    self._flood.delivered.get(path) if path is not None else None
-                )
-            view[u] = payload.value if isinstance(payload, ValuePayload) else 1
-        return view
-
 
 class AblatedAlgorithm1Factory:
     """Picklable factory for the rule-(ii)-less Algorithm 1, sharing one

@@ -253,6 +253,8 @@ class FloodInstance:
         masks = self._masks
         by_origin = self._by_origin
         outbox_append = ctx.outbox.append
+        # C-level record construction: skips the NamedTuple's Python __new__.
+        new_record = tuple.__new__
         accepted = rej_i = rej_ii = rej_iii = rej_validator = 0
         for sender, message in entries:
             if not isinstance(message, FloodMessage) or message.phase != phase:
@@ -310,7 +312,9 @@ class FloodInstance:
             if sub is None:
                 sub = by_origin[origin] = {}
             sub[full] = payload
-            outbox_append((FloodMessage(phase, payload, extended), None))
+            outbox_append(
+                (new_record(FloodMessage, (phase, payload, extended)), None)
+            )
             accepted += 1
         # One batched fire per counter after the loop: a cell called with
         # ``n`` equals ``n`` unit calls, keys appear only when a rule

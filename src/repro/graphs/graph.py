@@ -165,10 +165,6 @@ class Digraph:
             self._sorted_adj[v] = cached
         return cached
 
-    def sorted_out_neighbors(self, v: Node) -> tuple[Node, ...]:
-        """Explicitly-named alias of :meth:`sorted_neighbors`."""
-        return self.sorted_neighbors(v)
-
     def sorted_in_neighbors(self, v: Node) -> tuple[Node, ...]:
         """In-neighbors of ``v`` in ``repr`` order (lazily cached)."""
         cached = self._sorted_pred.get(v)

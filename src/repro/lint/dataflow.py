@@ -24,7 +24,7 @@ domain types that matter repo-wide (``Graph.nodes``,
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 # Inferred expression kinds.  ``None`` everywhere means "unknown".
 SET = "set"
@@ -113,14 +113,6 @@ class Scope:
         while scope is not None:
             if name in scope.kinds:
                 return scope.kinds[name]
-            scope = scope.parent
-        return None
-
-    def lookup_def(self, name: str) -> Optional[ast.AST]:
-        scope: Optional[Scope] = self
-        while scope is not None:
-            if name in scope.defs:
-                return scope.defs[name]
             scope = scope.parent
         return None
 
@@ -382,15 +374,3 @@ class ModuleModel:
             if kind in UNPICKLABLE_KINDS:
                 return kind
         return None
-
-
-def iter_comprehension_generators(
-    node: ast.AST,
-) -> Iterable[Tuple[ast.comprehension, ast.AST]]:
-    """Yield ``(generator, owning comprehension)`` pairs under ``node``."""
-    for child in ast.walk(node):
-        if isinstance(
-            child, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-        ):
-            for gen in child.generators:
-                yield gen, child

@@ -1,10 +1,16 @@
 """Message types exchanged by the protocols.
 
-All messages are small frozen dataclasses: hashable and comparable (the
-phase-2 claim index interns reported transcripts by them), and safe to
-share between nodes (no aliasing bugs — a Byzantine node cannot mutate a
-message after sending it).  Rule (ii) of the flooding procedure does not
-hash messages: it keys on ``(sender, Π)`` packed into one integer slot.
+The flooding hot path's records — :class:`FloodMessage`,
+:class:`ValuePayload`, :class:`ReportPayload` — are ``NamedTuple``
+records: built, hashed and compared in C, with the ``repr`` of the frozen
+dataclasses they replaced (flights encode messages by ``repr``).  A
+record equals a bare tuple of its fields, so the flooding rules gate on
+``isinstance``; :class:`ValuePayload` alone compares type-exactly, so it
+never equals another 1-field payload such as ``DecisionPayload(1)``.
+The rarer messages are frozen dataclasses.  All are immutable, pickle to
+their own type, and are hashable (the phase-2 claim index interns
+reported transcripts by them).  Rule (ii) of the flooding procedure does
+not hash messages: it keys on ``(sender, Π)`` packed into one integer.
 
 The wire format of the paper's flooding step is ``(b, Π)`` — a value plus
 the path it has traversed so far, *excluding* the current transmitter
@@ -16,13 +22,12 @@ rules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Tuple
+from typing import Hashable, NamedTuple, Tuple
 
 Payload = Hashable
 
 
-@dataclass(frozen=True, slots=True)
-class FloodMessage:
+class FloodMessage(NamedTuple):
     """The paper's ``(b, Π)`` flood message.
 
     ``phase`` tags which flooding instance the message belongs to (Algorithm
@@ -40,20 +45,32 @@ class FloodMessage:
         return self.path + (sender,)
 
 
-@dataclass(frozen=True, slots=True)
-class ValuePayload:
+class _ValueFields(NamedTuple):
+    value: int
+
+
+class ValuePayload(_ValueFields):
     """Payload for phase (a) of Algorithms 1/3 and phase 1 of Algorithm 2:
     a node's binary state/input being flooded."""
 
-    value: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.value not in (0, 1):
-            raise ValueError(f"binary value expected, got {self.value!r}")
+    def __new__(cls, value: int) -> "ValuePayload":
+        if value not in (0, 1):
+            raise ValueError(f"binary value expected, got {value!r}")
+        return tuple.__new__(cls, (value,))
+
+    # Type-exact: a bare ``(v,)`` or another 1-field record is not equal.
+    def __eq__(self, other: object) -> bool:
+        return type(other) is ValuePayload and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
 
 
-@dataclass(frozen=True, slots=True)
-class ReportPayload:
+class ReportPayload(NamedTuple):
     """Phase 2 of Algorithm 2: node ``reporter`` attests that its neighbor
     ``subject`` transmitted flood message ``(payload, path)`` in phase 1.
 

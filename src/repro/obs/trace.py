@@ -368,14 +368,6 @@ class CausalDag:
         """The same node's previous event, or ``None`` at its first."""
         return self._process_prev.get(_eid(event))
 
-    def primary_parent(self, event: dict) -> Optional[dict]:
-        cause = event.get("cause")
-        if cause and cause.get("kind") == CAUSE_DELIVERY:
-            return self.deliver_by_i.get(cause.get("i"))
-        if event["type"] == "deliver":
-            return self.send_by_i.get(event["send"])
-        return None
-
     def ancestors(
         self, seeds: List[dict], process: bool = False
     ) -> Dict[Tuple[str, int], dict]:

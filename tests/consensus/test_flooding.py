@@ -178,6 +178,25 @@ class TestDefaults:
             "flood.rejected{phase=p,rule=i}": 2,
         }
 
+    def test_bare_tuple_initiation_is_ignored_and_substituted(self, c5):
+        # A record equals the bare tuple of its fields, so only the type
+        # gate keeps a Byzantine look-alike out of the rules.
+        metrics = MetricsRegistry()
+        flood = FloodInstance(c5, 1, phase="p", default_payload=ValuePayload(1))
+        bare = ("p", ValuePayload(0), ())
+        assert bare == msg("p", 0, ())
+        ctx = ctx_for(c5, 1, 2, [(0, bare)], metrics)
+        assert flood.process_round(ctx) == 2
+        assert flood.delivered[(0, 1)] == ValuePayload(1)  # substituted
+        assert flood.delivered[(2, 1)] == ValuePayload(1)
+        assert metrics.snapshot()["counters"] == {
+            "flood.accepted{phase=p}": 2,
+            "flood.default_substituted{phase=p}": 2,
+        }
+        forwarded = [message for message, _ in ctx.outbox]
+        assert forwarded == [msg("p", 1, (0,)), msg("p", 1, (2,))]
+        assert all(type(m) is FloodMessage for m in forwarded)
+
 
 class _FloodDriver(Protocol):
     """Minimal protocol: flood own value once, keep forwarding."""

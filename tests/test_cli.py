@@ -388,12 +388,16 @@ class TestAsyncAlgorithm:
         assert code == 0
         assert "outcome       : decided" in capsys.readouterr().out
 
-    def test_async_refuses_a_synchronizer(self):
-        with pytest.raises(SystemExit, match="natively asynchronous"):
-            main([
+    def test_async_refuses_a_synchronizer(self, capsys):
+        TestUsageErrors.assert_usage_error(
+            [
                 "run", "--graph", "wheel:5", "--f", "1",
                 "--algorithm", "async", "--synchronizer", "alpha",
-            ])
+            ],
+            "python -m repro run: error: the async algorithm is natively "
+            "asynchronous; use --synchronizer none",
+            capsys,
+        )
 
     def test_sweep_async_unbounded_with_window_targeting(self, capsys):
         code = main([
@@ -687,10 +691,14 @@ class TestTraceCommand:
         assert main(["trace", "replay", str(path)]) == 0
         assert "byte for byte" in capsys.readouterr().out
 
-    def test_profile_trace_rejects_flood_receipt(self):
-        with pytest.raises(SystemExit):
-            main(["profile", "--graph", "wheel:9", "--f", "1",
-                  "--flood-receipt", "--trace", "x.ndjson"])
+    def test_profile_trace_rejects_flood_receipt(self, capsys):
+        TestUsageErrors.assert_usage_error(
+            ["profile", "--graph", "wheel:9", "--f", "1",
+             "--flood-receipt", "--trace", "x.ndjson"],
+            "python -m repro profile: error: --trace records a simulated "
+            "run; --flood-receipt is analytic (no network events to record)",
+            capsys,
+        )
 
 
 class TestDirectedGraphSpecs:
