@@ -15,9 +15,11 @@ hardware actually being able to show them):
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import time
 from itertools import combinations
+from pathlib import Path
 
 from _bench import emit_bench
 from _tables import print_table
@@ -149,7 +151,18 @@ FLOW_CASES = [
 ]
 
 
+def _max_flow_reference():
+    """The Edmonds–Karp oracle beside the Dinic tests, loaded by file
+    path so no test directory goes on ``sys.path``."""
+    path = Path(__file__).resolve().parents[1] / "tests/graphs/flow_oracle.py"
+    spec = importlib.util.spec_from_file_location("flow_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.max_flow_reference
+
+
 def dinic_rows():
+    max_flow_reference = _max_flow_reference()
     rows = []
     for name, graph, pair_cap in FLOW_CASES:
         pairs = list(combinations(sorted(graph.nodes), 2))[:pair_cap]
@@ -158,7 +171,7 @@ def dinic_rows():
                  for u, v in pairs]
         mid = time.perf_counter()
         reference = [
-            _build_split_network(graph, [u], v).max_flow_reference()[0]
+            max_flow_reference(_build_split_network(graph, [u], v))[0]
             for u, v in pairs
         ]
         end = time.perf_counter()

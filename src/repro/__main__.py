@@ -108,6 +108,14 @@ def _usage_error(args: argparse.Namespace, message: str) -> NoReturn:
     raise SystemExit(2)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's own errors (missing option, bad ``int``, bad choice) as
+    one stderr line with exit 2 on every subparser; ``-h`` still helps."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _check_workers(args: argparse.Namespace) -> None:
     workers = getattr(args, "workers", 1)
     if workers < 1:
@@ -153,63 +161,50 @@ def parse_graph(spec: str) -> graphs.Graph:
         raise UsageError(f"graph spec {spec!r}: {exc}") from None
 
 
+def _spec_offsets(spec: str, token: str, what: str) -> list:
+    return [_spec_int(spec, x, what) for x in token.split(",")]
+
+
+_N = ("N", _spec_int)
+_SEED = ("SEED", _spec_int, 0)
+#: family -> (builder, fields); a field is ``(name, parse)`` when
+#: required, ``(name, parse, default)`` when it may be omitted.
+_GRAPH_SPECS = {
+    "cycle": (graphs.cycle_graph, [_N]),
+    "complete": (graphs.complete_graph, [_N]),
+    "path": (graphs.path_graph, [_N]),
+    "wheel": (graphs.wheel_graph, [_N]),
+    "star": (graphs.star_graph, [_N]),
+    "circulant": (graphs.circulant_graph, [_N, ("OFFSETS", _spec_offsets)]),
+    "harary": (graphs.harary_graph, [("K", _spec_int), _N]),
+    "petersen": (graphs.petersen_graph, []),
+    "fig1a": (graphs.paper_figure_1a, []),
+    "fig1b": (graphs.paper_figure_1b, []),
+    "random_regular": (graphs.random_regular_graph, [_N, ("D", _spec_int), _SEED]),
+    "gnp": (graphs.gnp_supercritical_graph, [_N, ("C", _spec_float, 2.0), _SEED]),
+    "random_digraph": (graphs.random_digraph, [_N, ("P", _spec_float), _SEED]),
+    "oneway": (graphs.oneway_ring, [_N, ("K", _spec_int, 1)]),
+}
+_GRAPH_SPECS["gnp_supercritical"] = _GRAPH_SPECS["gnp"]
+
+
 def _build_graph(spec: str) -> graphs.Graph:
-    parts = spec.split(":")
-    family = parts[0]
-    if family == "random_digraph":
-        if len(parts) < 3 or len(parts) > 4:
-            raise UsageError(
-                f"graph spec {spec!r}: random_digraph takes N:P[:SEED] "
-                f"(got {len(parts) - 1} field(s))"
-            )
-        n = _spec_int(spec, parts[1], "N")
-        p = _spec_float(spec, parts[2], "P")
-        seed = _spec_int(spec, parts[3], "SEED") if len(parts) > 3 else 0
-        return graphs.random_digraph(n, p, seed)
-    if family == "oneway":
-        if len(parts) < 2 or len(parts) > 3:
-            raise UsageError(
-                f"graph spec {spec!r}: oneway takes N[:K] "
-                f"(got {len(parts) - 1} field(s))"
-            )
-        n = _spec_int(spec, parts[1], "N")
-        k = _spec_int(spec, parts[2], "K") if len(parts) > 2 else 1
-        return graphs.oneway_ring(n, k)
-    if family == "cycle":
-        return graphs.cycle_graph(_spec_int(spec, parts[1], "N"))
-    if family == "complete":
-        return graphs.complete_graph(_spec_int(spec, parts[1], "N"))
-    if family == "path":
-        return graphs.path_graph(_spec_int(spec, parts[1], "N"))
-    if family == "wheel":
-        return graphs.wheel_graph(_spec_int(spec, parts[1], "N"))
-    if family == "star":
-        return graphs.star_graph(_spec_int(spec, parts[1], "N"))
-    if family == "circulant":
-        offsets = [_spec_int(spec, x, "offset") for x in parts[2].split(",")]
-        return graphs.circulant_graph(_spec_int(spec, parts[1], "N"), offsets)
-    if family == "harary":
-        return graphs.harary_graph(
-            _spec_int(spec, parts[1], "K"), _spec_int(spec, parts[2], "N")
+    family, *tokens = spec.split(":")
+    if family not in _GRAPH_SPECS:
+        raise UsageError(f"unknown graph spec {spec!r}")
+    builder, fields = _GRAPH_SPECS[family]
+    required = [field[0] for field in fields if len(field) == 2]
+    if not len(required) <= len(tokens) <= len(fields):
+        shape = ":".join(required) + "".join(
+            f"[:{field[0]}]" for field in fields[len(required):]
         )
-    if family == "petersen":
-        return graphs.petersen_graph()
-    if family == "fig1a":
-        return graphs.paper_figure_1a()
-    if family == "fig1b":
-        return graphs.paper_figure_1b()
-    if family == "random_regular":
-        seed = _spec_int(spec, parts[3], "SEED") if len(parts) > 3 else 0
-        return graphs.random_regular_graph(
-            _spec_int(spec, parts[1], "N"), _spec_int(spec, parts[2], "D"), seed
+        raise UsageError(
+            f"graph spec {spec!r}: {family} takes {shape or 'no fields'} "
+            f"(got {len(tokens)} field(s))"
         )
-    if family in ("gnp", "gnp_supercritical"):
-        c = _spec_float(spec, parts[2], "C") if len(parts) > 2 else 2.0
-        seed = _spec_int(spec, parts[3], "SEED") if len(parts) > 3 else 0
-        return graphs.gnp_supercritical_graph(
-            _spec_int(spec, parts[1], "N"), c, seed
-        )
-    raise UsageError(f"unknown graph spec {spec!r}")
+    values = [parse(spec, token, name)
+              for (name, parse, *_), token in zip(fields, tokens)]
+    return builder(*values, *(field[2] for field in fields[len(tokens):]))
 
 
 def parse_scheduler_axis(args: argparse.Namespace) -> list:
@@ -562,11 +557,12 @@ def _profile_flood_receipt(args: argparse.Namespace) -> int:
 
     No simulator: the backward-search :class:`~repro.consensus.path_engine
     .PathFloodEngine` materializes every delivery at the receiver
-    directly, then Definition C.1 is evaluated for every origin over the
-    per-origin delivery slices.  This is the harness that exercises the
-    bitmask path-set core at scales the round simulator cannot touch
-    (``wheel:99`` completes in seconds); on wheel graphs the delivery
-    count is checked against the closed form of
+    directly, already grouped per origin with each path's visited mask;
+    Definition C.1 is then evaluated for every origin over its group,
+    packing disjointness over those masks.  This is the harness that
+    exercises the bitmask path-set core at scales the round simulator
+    cannot touch (``wheel:99`` completes in seconds); on wheel graphs
+    the delivery count is checked against the closed form of
     :func:`~repro.analysis.metrics.expected_wheel_deliveries_at_rim`.
     """
     from time import perf_counter
@@ -589,19 +585,10 @@ def _profile_flood_receipt(args: argparse.Namespace) -> int:
     # this is always a rim node, which the closed form assumes.
     receiver = nodes[-1]
     t0 = perf_counter()
-    deliveries = engine.deliveries_at(receiver)
+    by_origin, path_masks = engine.deliveries_by_origin(receiver)
     flood_s = perf_counter() - t0
 
-    # One pass splits the delivery set per origin and records each
-    # path's visited-set bitmask — the receipt layer then never scans
-    # the full dict and packs disjointness over plain ints.
-    index = graph.node_index()
-    by_origin: dict = {}
-    path_masks: dict = {}
     t0 = perf_counter()
-    for path, value in deliveries.items():
-        by_origin.setdefault(path[0], {})[path] = value
-        path_masks[path] = index.mask_of(path)
     received: dict = {}
     for origin in nodes:
         payload = reliable_payload(
@@ -629,7 +616,7 @@ def _profile_flood_receipt(args: argparse.Namespace) -> int:
     if args.graph.startswith("wheel:"):
         expected = expected_wheel_deliveries_at_rim(graph.n - 1)
         predictions["expected_deliveries"] = expected
-        checks.append(check("flood_deliveries", expected, len(deliveries)))
+        checks.append(check("flood_deliveries", expected, len(path_masks)))
 
     timings = {
         "flood": flood_s,
@@ -647,7 +634,7 @@ def _profile_flood_receipt(args: argparse.Namespace) -> int:
         },
         predictions=predictions,
         measured={
-            "deliveries": len(deliveries),
+            "deliveries": len(path_masks),
             "reliable_origins": len(received),
         },
         checks=checks,
@@ -656,7 +643,7 @@ def _profile_flood_receipt(args: argparse.Namespace) -> int:
     )
     print(f"profile: flood+receipt on {args.graph} "
           f"(n={graph.n}, f={args.f}, receiver={receiver!r})")
-    print(f"  flood   deliveries={len(deliveries)} in {flood_s:.3f}s")
+    print(f"  flood   deliveries={len(path_masks)} in {flood_s:.3f}s")
     print(f"  receipt origins={len(received)}/{graph.n} in {receipt_s:.3f}s")
     for entry in checks:
         verdict = "ok" if entry["ok"] else "FAIL"
@@ -949,11 +936,9 @@ def cmd_demo_impossibility(args: argparse.Namespace) -> int:
             graphs.degree_deficient_graph(args.f)
         )
         scenario = degree_scenario(graph, args.f)
-    elif args.kind == "connectivity":
+    else:  # argparse restricts --kind to degree or connectivity
         graph = graphs.low_connectivity_graph(args.f)
         scenario = connectivity_scenario(graph, args.f)
-    else:
-        raise SystemExit("kind must be 'degree' or 'connectivity'")
     factory = consensus.algorithm1_factory(graph, args.f)
     outcome = run_scenario(scenario, factory)
     print(outcome.summary())
@@ -961,38 +946,25 @@ def cmd_demo_impossibility(args: argparse.Namespace) -> int:
     return 0 if outcome.violation_demonstrated else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Exact Byzantine consensus under local broadcast "
-                    "(PODC 2019 reproduction)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="evaluate feasibility conditions")
+def _add_problem(p: argparse.ArgumentParser, algorithm: str = "") -> None:
+    """``--graph``/``--f``/``--t``, plus ``--algorithm`` with a default."""
     p.add_argument("--graph", required=True)
     p.add_argument("--f", type=_fault_bound, required=True)
     p.add_argument("--t", type=int, default=None)
-    p.set_defaults(fn=cmd_check)
+    if algorithm:
+        p.add_argument("--algorithm", default=algorithm,
+                       choices=["1", "2", "3", "async"])
 
-    p = sub.add_parser("run", help="run a consensus algorithm")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--f", type=_fault_bound, required=True)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--algorithm", default="1",
-                   choices=["1", "2", "3", "async"])
-    p.add_argument("--faulty", default="",
-                   help="comma-separated node indices")
-    p.add_argument("--adversary", default="tamper-forward")
-    p.add_argument("--scheduler", default="sync",
-                   help="timing model: sync, lockstep, seeded-async, "
-                        "adversarial")
+
+def _add_timing(p: argparse.ArgumentParser) -> None:
+    """The asynchronous-timing options ``run`` and ``sweep`` share."""
     p.add_argument("--synchronizer", default="none",
                    choices=["none", "alpha", "ack"],
                    help="wrap the protocol in an α-synchronizer so it "
                         "keeps its round structure under async timing "
-                        "(ack mode tolerates f marker-withholding "
-                        "faults); --algorithm async needs none")
+                        "(window = the worst declared delay; ack mode "
+                        "tolerates f marker-withholding faults); "
+                        "--algorithm async needs none")
     p.add_argument("--max-delay", type=int, default=3,
                    help="worst-case per-link delay for async schedulers")
     p.add_argument("--declare-unbounded", action="store_true",
@@ -1003,6 +975,29 @@ def build_parser() -> argparse.ArgumentParser:
                    help="adversarial scheduler: land bottleneck traffic "
                         "exactly on the α-synchronizer activation ticks "
                         "of this window (0 = flat max-delay stretching)")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="python -m repro",
+        description="Exact Byzantine consensus under local broadcast "
+                    "(PODC 2019 reproduction)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("check", help="evaluate feasibility conditions")
+    _add_problem(p)
+    p.set_defaults(fn=cmd_check)
+
+    p = sub.add_parser("run", help="run a consensus algorithm")
+    _add_problem(p, algorithm="1")
+    p.add_argument("--faulty", default="",
+                   help="comma-separated node indices")
+    p.add_argument("--adversary", default="tamper-forward")
+    p.add_argument("--scheduler", default="sync",
+                   help="timing model: sync, lockstep, seeded-async, "
+                        "adversarial")
+    _add_timing(p)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the seeded-async scheduler")
     p.add_argument("--metrics", nargs="?", const="-", default=None,
@@ -1024,11 +1019,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the adversary battery over every fault placement "
              "and emit a JSON report",
     )
-    p.add_argument("--graph", required=True)
-    p.add_argument("--f", type=_fault_bound, required=True)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--algorithm", default="1",
-                   choices=["1", "2", "3", "async"])
+    _add_problem(p, algorithm="1")
     p.add_argument("--workers", type=int, default=1,
                    help="process fan-out (1 = serial; report is identical)")
     p.add_argument("--fault-limit", type=int, default=None,
@@ -1039,20 +1030,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheduler", default="sync",
                    help="comma-separated timing axis: sync, lockstep, "
                         "seeded-async, adversarial")
-    p.add_argument("--synchronizer", default="none",
-                   choices=["none", "alpha", "ack"],
-                   help="wrap the swept protocol in an α-synchronizer "
-                        "(window = the axis's worst declared delay; "
-                        "ack mode tolerates f withheld markers)")
-    p.add_argument("--max-delay", type=int, default=3,
-                   help="worst-case per-link delay for async schedulers")
-    p.add_argument("--declare-unbounded", action="store_true",
-                   help="withdraw the delay-bound declaration from the "
-                        "async schedulers (same delays on the wire)")
-    p.add_argument("--target-window", type=int, default=0,
-                   help="adversarial scheduler: land bottleneck traffic "
-                        "exactly on α-window activation ticks "
-                        "(0 = flat max-delay stretching)")
+    _add_timing(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default="",
                    help="write the JSON report here instead of stdout")
@@ -1086,11 +1064,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="metered fault-free run + sweep, checked against the "
              "closed-form cost model; optionally emit BENCH_<name>.json",
     )
-    p.add_argument("--graph", required=True)
-    p.add_argument("--f", type=_fault_bound, required=True)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--algorithm", default="2",
-                   choices=["1", "2", "3", "async"])
+    _add_problem(p, algorithm="2")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--fault-limit", type=int, default=None,
                    help="seeded sample size of fault subsets")

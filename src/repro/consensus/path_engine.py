@@ -10,7 +10,8 @@ deliveries directly, which
 * cross-validates the round simulator (the property tests assert the
   two engines agree delivery-for-delivery), and
 * lets benchmarks evaluate flood outcomes on graphs where the full
-  message-passing run would be slow.
+  message-passing run would be slow, grouped per origin with each
+  path's visited mask (:meth:`PathFloodEngine.deliveries_by_origin`).
 
 The correspondence holds because, under local broadcast with rules
 (i)–(iv), each ``(sender, Π)`` slot carries exactly one message and the
@@ -165,10 +166,13 @@ class PathFloodEngine:
         Searches simple paths *backward* from the receiver over
         in-neighbors, so every node the search visits is one path
         ``(y, …, receiver)`` that reaches the receiver: no dead-end
-        prefix is ever built.  Each suffix carries its composed effect
-        (which delivered value, if any, each carried value turns into
-        after the suffix's relays), tabulated over the finite set of
-        values the flood can carry (:meth:`_tabulate`); honest relays
+        prefix is ever built.  The suffix's visited-set bitmask (bit
+        ``i`` = the ``i``-th node in ``repr`` order, as in
+        :class:`~repro.graphs.index.NodeIndex`) rides down the recursion
+        and keeps the paths simple.  Each suffix carries its composed
+        effect (which delivered value, if any, each carried value turns
+        into after the suffix's relays), tabulated over the finite set
+        of values the flood can carry (:meth:`_tabulate`); honest relays
         are the identity and pass their suffix's effect on uncopied.  A
         suffix whose effect drops every value is cut, with the whole
         subtree behind it (counted under ``path_engine.prefixes_pruned``
@@ -188,6 +192,24 @@ class PathFloodEngine:
         Metric notes: ``paths_evaluated`` and ``paths_delivered`` both
         count deliveries, and ``path_length`` is their length histogram.
         """
+        return self._deliveries(receiver, None)
+
+    def deliveries_by_origin(self, receiver: Hashable) -> Tuple[
+        Dict[Hashable, Dict[PathTuple, int]], Dict[PathTuple, int]
+    ]:
+        """:meth:`deliveries_at` grouped per origin, plus each delivered
+        path's visited mask, from the same one search.
+
+        Returns ``(by_origin, masks)``: ``by_origin[o]`` holds the
+        ``o → receiver`` paths in :meth:`deliveries_at` order (the
+        receiver's group is its trivial path), and ``masks[path]`` equals
+        ``graph.node_index().mask_of(path)``, ready for
+        :func:`~repro.consensus.reliable.reliable_payload`'s ``path_mask``.
+        """
+        return self._deliveries(receiver, [])
+
+    def _deliveries(self, receiver: Hashable, found_masks: Optional[List[int]]):
+        # ``found_masks`` collects each delivery's mask; None = flat view.
         graph = self.graph
         n = graph.n
         order = sorted(graph.nodes, key=repr)
@@ -196,10 +218,11 @@ class PathFloodEngine:
         # (zero past the path's end), then the delivered value's slot.
         width = max(1, (n - 1).bit_length(), (len(values) - 1).bit_length())
         head = {v: rank << width * n for rank, v in enumerate(order)}
+        bit = {v: 1 << rank for rank, v in enumerate(order)}
         # Per in-neighbor, everything the search reads about it.
         preds = {
             v: tuple(
-                (y, head[y], start[y], tables[y])
+                (y, bit[y], head[y], start[y], tables[y])
                 for y in graph.sorted_in_neighbors(v)
             )
             for v in order
@@ -208,14 +231,14 @@ class PathFloodEngine:
         paths: List[PathTuple] = []
         keys: List[int] = []
         lengths = [0] * (n + 1)
-        on_path = {receiver}
         pruned = 0
 
-        def search(suffix: PathTuple, effect: Tuple[Optional[int], ...], key: int) -> None:
+        def search(suffix: PathTuple, effect: Tuple[Optional[int], ...],
+                   key: int, seen: int) -> None:
             nonlocal pruned
             size = len(suffix) + 1
-            for y, y_head, y_start, table in preds[suffix[0]]:
-                if y in on_path:
+            for y, y_bit, y_head, y_start, table in preds[suffix[0]]:
+                if seen & y_bit:
                     continue
                 path = (y,) + suffix
                 out_slot = effect[y_start]
@@ -226,6 +249,8 @@ class PathFloodEngine:
                     keys.append(path_key)
                     paths.append(path)
                     lengths[size] += 1
+                    if found_masks is not None:
+                        found_masks.append(seen | y_bit)
                 if size == n:
                     continue
                 if table is not None:
@@ -237,12 +262,11 @@ class PathFloodEngine:
                         continue
                 else:
                     relayed = effect
-                on_path.add(y)
-                search(path, relayed, path_key)
-                on_path.remove(y)
+                search(path, relayed, path_key, seen | y_bit)
 
+        own = (receiver,)
         try:
-            search((receiver,), tuple(range(len(values))), head[receiver])
+            search(own, tuple(range(len(values))), head[receiver], bit[receiver])
         finally:
             # ``search`` calls itself through its own closure cell, a
             # cycle that would keep the lists alive until the cyclic
@@ -254,11 +278,29 @@ class PathFloodEngine:
         keys.sort()
         mask = (1 << shift) - 1
         slot_mask = (1 << width) - 1
-        out: Dict[PathTuple, int] = {
-            (receiver,): self.effective_initial(receiver)
-        }
-        for key in keys:
-            out[paths[key & mask]] = values[key >> shift & slot_mask]
+        out: Dict[PathTuple, int] = {own: self.effective_initial(receiver)}
+        result = out
+        if found_masks is None:
+            for key in keys:
+                out[paths[key & mask]] = values[key >> shift & slot_mask]
+        else:
+            # Keys sort origin-major, so each origin's paths arrive as one
+            # run (the top field is the origin's rank); popping frees each
+            # key as its entries land, so keys and results never peak together.
+            by_origin = {receiver: out}
+            path_masks = {own: bit[receiver]}
+            result = by_origin, path_masks
+            origin_shift = shift + width * n
+            last = -1
+            keys.reverse()
+            while keys:
+                key = keys.pop()
+                i = key & mask
+                if key >> origin_shift != last:
+                    last = key >> origin_shift
+                    group = by_origin[order[last]] = {}
+                group[paths[i]] = values[key >> shift & slot_mask]
+                path_masks[paths[i]] = found_masks[i]
         del keys
 
         metrics = self.metrics
@@ -271,8 +313,8 @@ class PathFloodEngine:
                     metrics.observe("path_engine.path_length", length, lengths[length])
         if pruned:
             metrics.inc("path_engine.prefixes_pruned", pruned)
-        metrics.gauge_max("path_engine.path_set.max", len(out))
-        return out
+        metrics.gauge_max("path_engine.path_set.max", count + 1)
+        return result
 
     def all_deliveries(self) -> Dict[Hashable, Dict[PathTuple, int]]:
         """Deliveries at every node."""

@@ -50,9 +50,9 @@ class _FlowNetwork:
 
     :meth:`max_flow` runs Dinic's algorithm (BFS level graph + pointered
     DFS blocking flow): O(E·√V) on the unit-capacity node-split networks
-    used here, versus Edmonds–Karp's O(V·E).  The old Edmonds–Karp loop
-    is retained verbatim as :meth:`max_flow_reference` — a test oracle
-    the equivalence suite cross-validates against.
+    used here, versus Edmonds–Karp's O(V·E).  The Edmonds–Karp loop it
+    replaced is the test oracle ``max_flow_reference`` in
+    ``tests/graphs/flow_oracle.py``.
     """
 
     def __init__(self) -> None:
@@ -154,42 +154,6 @@ class _FlowNetwork:
                     path.pop()
                     if path:
                         pointer[path[-1]] += 1
-
-    def max_flow_reference(self) -> tuple[int, dict[tuple, dict[tuple, int]]]:
-        """The original Edmonds–Karp implementation (test oracle only)."""
-        # repro: allow[REPRO001] _adj's insertion order is canonical by
-        # construction (arcs inserted in repr-sorted node order).
-        flow: dict[tuple, dict[tuple, int]] = {u: {} for u in self._adj}
-
-        def residual(a: tuple, b: tuple) -> int:
-            return self.capacity.get(a, {}).get(b, 0) - flow[a].get(b, 0)
-
-        total = 0
-        while True:
-            parent: dict[tuple, tuple] = {_SOURCE: _SOURCE}
-            queue = deque([_SOURCE])
-            while queue:
-                u = queue.popleft()
-                if u == _SINK:
-                    break
-                for v in self._adj.get(u, ()):
-                    if v not in parent and residual(u, v) > 0:
-                        parent[v] = u
-                        queue.append(v)
-            if _SINK not in parent:
-                return total, flow
-            path = [_SINK]
-            while path[-1] != _SOURCE:
-                path.append(parent[path[-1]])
-            path.reverse()
-            bottleneck = min(
-                residual(path[i], path[i + 1]) for i in range(len(path) - 1)
-            )
-            for i in range(len(path) - 1):
-                u, v = path[i], path[i + 1]
-                flow[u][v] = flow[u].get(v, 0) + bottleneck
-                flow[v][u] = flow[v].get(u, 0) - bottleneck
-            total += bottleneck
 
     def residual_reachable(self, flow: dict[tuple, dict[tuple, int]]) -> set[tuple]:
         """Vertices reachable from the source in the residual network."""

@@ -7,6 +7,7 @@ check a hash-and-walk; this module assigns each node a fixed small
 integer so a node set becomes one plain Python ``int`` bitmask and the
 checks collapse to single int-ops:
 
+* a path's node set        → ``mask_of(path)``, one C-level ``sum``;
 * membership / rule (iii)  → ``mask & bit``;
 * adjacency / rule (i)     → ``(adj_masks[u] >> v) & 1``;
 * packing disjointness     → ``mask_a & mask_b == 0``.
@@ -53,7 +54,7 @@ class NodeIndex:
     __slots__ = (
         "nodes", "index_of", "adj_masks", "neighbor_indices",
         "in_masks", "in_neighbor_indices",
-        "n", "all_mask", "shift", "walk_memo",
+        "n", "all_mask", "shift", "walk_memo", "bits",
     )
 
     def __init__(self, graph) -> None:
@@ -112,6 +113,9 @@ class NodeIndex:
         self.walk_memo: Dict[Tuple[Node, ...], Optional[WalkInfo]] = {
             (): (0, 0, -1)
         }
+        #: ``label -> 1 << index``, the summands of :meth:`mask_of`.
+        #: Derived from ``nodes``, so, like the memo, not pickled.
+        self.bits: Dict[Node, int] = {v: 1 << i for i, v in enumerate(nodes)}
 
     # ------------------------------------------------------------------
     # Set representation
@@ -123,7 +127,20 @@ class NodeIndex:
     def mask_of(self, nodes: Iterable[Node]) -> int:
         """Bitmask of the given nodes; labels outside the graph are
         ignored (removing an absent node from a graph is a no-op, which
-        is the semantics every pruning consumer wants)."""
+        is the semantics every pruning consumer wants).
+
+        Distinct graph nodes cost one C-level ``sum`` of ``bits``: a
+        repeated label always carries, so the sum has ``len(nodes)`` set
+        bits only when no label repeats; the rest take the loop."""
+        if not hasattr(nodes, "__len__"):
+            nodes = tuple(nodes)
+        try:
+            mask = sum(map(self.bits.__getitem__, nodes))
+        except KeyError:
+            pass
+        else:
+            if mask.bit_count() == len(nodes):
+                return mask
         index_of = self.index_of
         mask = 0
         for v in nodes:
@@ -135,15 +152,17 @@ class NodeIndex:
     def mask_of_strict(self, nodes: Iterable[Node]) -> Optional[int]:
         """Bitmask of the given nodes, or ``None`` if any label is not a
         graph node (callers fall back to label-space keys there, keeping
-        distinct queries distinct)."""
-        index_of = self.index_of
-        mask = 0
-        for v in nodes:
-            i = index_of.get(v)
-            if i is None:
-                return None
-            mask |= 1 << i
-        return mask
+        distinct queries distinct).  :meth:`mask_of`'s fast path, inlined:
+        through a shared helper, short paths ran slower than the loop."""
+        if not hasattr(nodes, "__len__"):
+            nodes = tuple(nodes)
+        try:
+            mask = sum(map(self.bits.__getitem__, nodes))
+        except KeyError:
+            return None
+        if mask.bit_count() == len(nodes):
+            return mask
+        return self.mask_of(nodes)  # every label known, some repeated
 
     def members(self, mask: int) -> Tuple[Node, ...]:
         """The labels of a mask, in canonical (index) order."""
@@ -197,13 +216,13 @@ class NodeIndex:
 
     # ------------------------------------------------------------------
     def __getstate__(self):
-        # Slots-class pickling, minus the walk memo: the memo is cheap
-        # to refill and shipping it would grow graph pickles with query
-        # history instead of structure.
+        # Slots-class pickling, minus the walk memo and the bit table:
+        # both are cheap to refill, and shipping them would grow graph
+        # pickles with query history and derived data.
         return None, {
             slot: getattr(self, slot)
             for slot in self.__slots__
-            if slot != "walk_memo"
+            if slot not in ("walk_memo", "bits")
         }
 
     def __setstate__(self, state):
@@ -211,6 +230,7 @@ class NodeIndex:
         for slot, value in slots.items():  # repro: allow[REPRO001] attribute-store order is invisible; the restored object is identical either way
             object.__setattr__(self, slot, value)
         self.walk_memo = {(): (0, 0, -1)}
+        self.bits = {v: 1 << i for i, v in enumerate(self.nodes)}
 
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:

@@ -278,12 +278,31 @@ ENGINE_BATTERY = BATTERY + [
 ]
 
 
+def split_by_origin(index, deliveries):
+    """The per-origin view rebuilt from the flat one: split by
+    ``path[0]`` and re-derive every path's mask."""
+    by_origin, masks = {}, {}
+    for path, value in deliveries.items():
+        by_origin.setdefault(path[0], {})[path] = value
+        masks[path] = index.mask_of(path)
+    return by_origin, masks
+
+
 def assert_matches_naive_walk(graph, behaviors):
+    """The flat view matches the enumerate-and-rewalk oracle, and the
+    per-origin view matches splitting it — insertion order included."""
     engine = PathFloodEngine(graph, behaviors)
+    index = graph.node_index()
     for receiver in sorted(graph.nodes, key=repr):
         fast = engine.deliveries_at(receiver)
         naive = naive_deliveries_at(engine, receiver)
         assert list(fast.items()) == list(naive.items())
+        by_origin, masks = engine.deliveries_by_origin(receiver)
+        want_by_origin, want_masks = split_by_origin(index, fast)
+        assert list(by_origin) == list(want_by_origin)
+        for origin, group in want_by_origin.items():
+            assert list(by_origin[origin].items()) == list(group.items())
+        assert list(masks.items()) == list(want_masks.items())
 
 
 class TestEngineEquivalence:
@@ -339,6 +358,11 @@ class TestEngineEquivalence:
         lengths = snapshot["histograms"]["path_engine.path_length"]
         assert lengths["count"] == len(out) - 1
         assert snapshot["gauges"]["path_engine.path_set.max"] == len(out)
+
+        # The per-origin view books the same search identically.
+        grouped = MetricsRegistry()
+        PathFloodEngine(graph, behaviors, metrics=grouped).deliveries_by_origin(0)
+        assert grouped.snapshot() == snapshot
 
     def test_honest_flood_prunes_nothing(self):
         metrics = MetricsRegistry()

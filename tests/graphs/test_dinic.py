@@ -2,15 +2,16 @@
 
 The connectivity layer swapped its augmenting-path engine for Dinic's
 algorithm; the old Edmonds–Karp loop survives as
-``_FlowNetwork.max_flow_reference`` purely so this suite can
-cross-validate values, min cuts, and path decompositions on the families
-the consensus experiments actually use.
+``flow_oracle.max_flow_reference`` (beside this file) purely so this
+suite can cross-validate values, min cuts, and path decompositions on
+the families the consensus experiments actually use.
 """
 
 from itertools import combinations
 
 import pytest
 
+from flow_oracle import max_flow_reference
 from repro.graphs import (
     circulant_graph,
     complete_graph,
@@ -48,7 +49,7 @@ class TestDinicMatchesEdmondsKarp:
             net_dinic = _build_split_network(graph, [u], v)
             net_ref = _build_split_network(graph, [u], v)
             value, _ = net_dinic.max_flow()
-            ref_value, _ = net_ref.max_flow_reference()
+            ref_value, _ = max_flow_reference(net_ref)
             assert value == ref_value, (name, u, v)
 
     def test_set_flow_values_match(self, name, graph):
@@ -57,7 +58,7 @@ class TestDinicMatchesEdmondsKarp:
         sources = nodes[: min(4, len(nodes) - 1)]
         net_dinic = _build_split_network(graph, sources, sink)
         net_ref = _build_split_network(graph, sources, sink)
-        assert net_dinic.max_flow()[0] == net_ref.max_flow_reference()[0]
+        assert net_dinic.max_flow()[0] == max_flow_reference(net_ref)[0]
 
 
 class TestConnectivityStillCorrect:

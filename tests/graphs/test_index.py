@@ -1,7 +1,9 @@
 """Unit and property tests for the canonical integer node index."""
 
 import pickle
+import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,6 +87,67 @@ class TestSetRepresentation:
             )
 
 
+def reference_mask(index, nodes, strict):
+    """Bit by bit, from ``index.nodes`` alone: the mask of ``nodes``,
+    skipping labels outside the graph (``None`` for them if strict)."""
+    mask = 0
+    for v in nodes:
+        if v not in index.nodes:
+            if strict:
+                return None
+            continue
+        mask |= 1 << index.nodes.index(v)
+    return mask
+
+
+#: Small, string-labeled, and past 63 nodes (masks wider than a word).
+MASK_GRAPHS = [
+    cycle_graph(5),
+    cycle_graph(6).relabeled({i: f"u{i}" for i in range(6)}),
+    wheel_graph(70),
+]
+
+#: Each input shape ``mask_of`` accepts, built fresh per call (a
+#: generator is single-use).
+SHAPES = [tuple, list, set, frozenset, lambda labels: (v for v in labels)]
+
+
+class TestMaskOfMatchesReference:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**9), st.sampled_from(MASK_GRAPHS))
+    def test_random_label_lists(self, seed, graph):
+        """Distinct, repeated and unknown labels in every input shape:
+        the word-level sum and its loop fallback agree with the bit-by-
+        bit reference, lenient and strict."""
+        idx = graph.node_index()
+        rng = random.Random(seed)
+        pool = list(idx.nodes) + [-1, "zz", (0, 0)]
+        labels = [rng.choice(pool) for _ in range(rng.randrange(0, 80))]
+        if rng.random() < 0.5:  # often all distinct and known: the fast path
+            labels = rng.sample(idx.nodes, rng.randrange(0, idx.n + 1))
+        for shape in SHAPES:
+            assert idx.mask_of(shape(labels)) == reference_mask(
+                idx, labels, strict=False
+            )
+            assert idx.mask_of_strict(shape(labels)) == reference_mask(
+                idx, labels, strict=True
+            )
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_edge_cases(self, shape):
+        idx = wheel_graph(70).node_index()
+        top = idx.nodes[-1]
+        assert idx.mask_of(shape([])) == 0
+        assert idx.mask_of_strict(shape([])) == 0
+        full = (1 << 70) - 1
+        assert idx.mask_of(shape(idx.nodes)) == full
+        assert idx.mask_of_strict(shape(idx.nodes)) == full
+        assert idx.mask_of(shape([top, top, 0])) == idx.bit(top) | idx.bit(0)
+        assert idx.mask_of_strict(shape([top, top])) == idx.bit(top)
+        assert idx.mask_of(shape([top, 99])) == idx.bit(top)
+        assert idx.mask_of_strict(shape([top, 99])) is None
+
+
 class TestWalk:
     def test_empty_path_is_valid_prefix(self):
         assert cycle_graph(4).node_index().walk(()) == (0, 0, -1)
@@ -164,6 +227,15 @@ class TestPickling:
         assert clone.index_of == idx.index_of
         assert clone.neighbor_indices == idx.neighbor_indices
         assert clone.shift == idx.shift
+
+    def test_bit_table_is_rebuilt_not_pickled(self):
+        idx = wheel_graph(6).node_index()
+        _, slots = idx.__getstate__()
+        assert "bits" not in slots and "walk_memo" not in slots
+        clone = pickle.loads(pickle.dumps(idx))
+        assert clone.bits == idx.bits == {
+            v: 1 << i for i, v in enumerate(idx.nodes)
+        }
 
     def test_graph_ships_warm_index(self):
         g = wheel_graph(6)

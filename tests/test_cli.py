@@ -155,6 +155,51 @@ class TestUsageErrors:
             "argument --workers: must be >= 1, got 0", capsys,
         )
 
+    # argparse's own errors take the same one-line path.
+    GRAPHS = {"run": "cycle:5", "sweep": "cycle:5", "profile": "wheel:5",
+              "check": "cycle:5"}
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "profile", "check"])
+    def test_missing_required_option(self, command, capsys):
+        self.assert_usage_error(
+            [command, "--graph", self.GRAPHS[command]],
+            f"python -m repro {command}: error: the following arguments "
+            "are required: --f", capsys,
+        )
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "profile", "check"])
+    def test_bad_int_value(self, command, capsys):
+        self.assert_usage_error(
+            [command, "--graph", self.GRAPHS[command], "--f", "1",
+             "--t", "x"],
+            f"python -m repro {command}: error: argument --t: invalid int "
+            "value: 'x'", capsys,
+        )
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "profile"])
+    def test_bad_choice(self, command, capsys):
+        self.assert_usage_error(
+            [command, "--graph", self.GRAPHS[command], "--f", "1",
+             "--algorithm", "9"],
+            f"python -m repro {command}: error: argument --algorithm: "
+            "invalid choice: '9'", capsys,
+        )
+
+    def test_unknown_command(self, capsys):
+        self.assert_usage_error(
+            ["bogus"], "python -m repro: error: argument command: invalid "
+            "choice: 'bogus'", capsys,
+        )
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "profile", "check"])
+    def test_help_still_prints_full_usage(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: python -m repro {command}")
+        assert "--graph GRAPH" in out and "show this help message" in out
+
     # Option values checked after parsing: graph specs, input patterns
     # and adversary names.
     @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -488,6 +533,23 @@ class TestRandomGraphSpecs:
         TestUsageErrors.assert_usage_error(
             ["check", "--graph", spec, "--f", "1"],
             f"graph spec {spec!r}: N must be an integer, got 'x'", capsys,
+        )
+
+    @pytest.mark.parametrize("spec,fragment", [
+        ("cycle", "cycle takes N (got 0 field(s))"),
+        ("wheel:5:1", "wheel takes N (got 2 field(s))"),
+        ("harary:3", "harary takes K:N (got 1 field(s))"),
+        ("circulant:8", "circulant takes N:OFFSETS (got 1 field(s))"),
+        ("circulant:8:1,x", "OFFSETS must be an integer, got 'x'"),
+        ("random_regular:8", "random_regular takes N:D[:SEED]"),
+        ("gnp", "gnp takes N[:C][:SEED] (got 0 field(s))"),
+        ("petersen:3", "petersen takes no fields (got 1 field(s))"),
+    ])
+    def test_wrong_field_count_exits_cleanly(self, spec, fragment, capsys):
+        """Missing fields once escaped as an ``IndexError`` traceback."""
+        TestUsageErrors.assert_usage_error(
+            ["check", "--graph", spec, "--f", "1"],
+            f"graph spec {spec!r}: {fragment}", capsys,
         )
 
     def test_gnp_spec(self):
