@@ -26,8 +26,8 @@ Subpackages: :mod:`repro.graphs` (graph substrate), :mod:`repro.net`
 :mod:`repro.consensus` (algorithms + conditions + baselines),
 :mod:`repro.lowerbounds` (impossibility constructions),
 :mod:`repro.analysis` (requirement curves, cost models, sweeps),
-:mod:`repro.obs` (metrics registry, span tracer, NDJSON events,
-quarantined wall timings).
+:mod:`repro.obs` (metrics registry, span tracer, causal flight
+recorder, quarantined wall timings).
 """
 
 from . import analysis, consensus, graphs, lowerbounds, net, obs

@@ -122,6 +122,13 @@ def _check_workers(args: argparse.Namespace) -> None:
         _usage_error(args, f"argument --workers: must be >= 1, got {workers}")
 
 
+def _check_t(args: argparse.Namespace) -> None:
+    """``--t`` counts equivocating faults among the ``--f`` faulty ones."""
+    t = getattr(args, "t", None)
+    if t is not None and not 0 <= t <= args.f:
+        _usage_error(args, f"argument --t: must be in 0..{args.f}, got {t}")
+
+
 def _parse_faulty(args: argparse.Namespace, nodes: list) -> list:
     """``--faulty``: comma-separated indices into the repr-sorted nodes,
     at most ``--f`` distinct ones."""
@@ -356,45 +363,23 @@ def build_factory(args: argparse.Namespace, graph: graphs.Graph):
     raise SystemExit(f"unknown algorithm {args.algorithm!r}")
 
 
-def build_metrics(args: argparse.Namespace):
-    """``--metrics``/``--events`` → a metered registry, or ``None``.
-
-    ``--metrics`` with no value prints the snapshot to stdout; with a
-    path it writes there.  ``--events FILE`` attaches an NDJSON event
-    log; giving it alone still meters the run (events need a registry).
-    """
-    from .obs import EventLog, MetricsRegistry
-
-    if args.metrics is None and not args.events:
-        return None
-    events = EventLog.open(args.events) if args.events else None
-    return MetricsRegistry(events=events)
-
-
-def emit_metrics(args: argparse.Namespace, registry, metrics, timings) -> None:
-    """Write/print a run's metrics per ``--metrics`` and close the log.
+def write_metrics(path: str, metrics, timings, what: str = "metrics") -> None:
+    """Print ``{"metrics", "timings"}`` (``path`` ``-``) or write it to ``path``.
 
     The payload keeps the quarantine split explicit: ``metrics`` is
     canonical content, ``timings`` is wall-clock commentary (strip it
     before any determinism comparison).
     """
-    if registry is None:
+    payload = json.dumps(
+        {"metrics": metrics, "timings": timings},
+        indent=2, sort_keys=True, default=repr,
+    )
+    if path == "-":
+        print(payload)
         return
-    if args.metrics is not None:
-        payload = json.dumps(
-            {"metrics": metrics, "timings": timings},
-            indent=2, sort_keys=True, default=repr,
-        )
-        if args.metrics == "-":
-            print(payload)
-        else:
-            with open(args.metrics, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-            print(f"wrote metrics to {args.metrics}")
-    if registry.events is not None:
-        count = registry.events.count
-        registry.events.close()
-        print(f"wrote {count} events to {args.events}")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(payload + "\n")
+    print(f"wrote {what} to {path}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -416,11 +401,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         channel = HybridEquivocatorPolicy(args.t)(tuple(faulty))
     axis = parse_scheduler_axis(args)
     factory = apply_synchronizer(factory, args.synchronizer, axis, f=args.f)
-    registry = build_metrics(args)
     result = consensus.run_consensus(
         graph, factory, inputs, f=args.f, faulty=faulty,
         adversary=adversary if faulty else None, channel=channel,
-        scheduler=axis[0], metrics=registry, flight=bool(args.trace),
+        scheduler=axis[0], metrics=args.metrics is not None,
+        flight=bool(args.trace),
     )
     print(f"inputs        : {inputs}")
     print(f"faulty        : {faulty} ({args.adversary if faulty else 'none'})")
@@ -433,7 +418,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"rounds        : {result.rounds}")
     print(f"transmissions : {result.transmissions}")
     print(f"max latency   : {result.trace.max_latency}")
-    emit_metrics(args, registry, result.metrics, result.timings)
+    if args.metrics is not None:
+        write_metrics(args.metrics, result.metrics, result.timings)
     if args.trace:
         assert result.flight is not None
         result.flight.save(args.trace)
@@ -472,7 +458,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
     schedulers = parse_scheduler_axis(args)
     factory = apply_synchronizer(factory, args.synchronizer, schedulers, f=args.f)
-    metered = args.metrics is not None or bool(args.events)
     report = consensus_sweep(
         graph,
         factory,
@@ -484,7 +469,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         workers=args.workers,
         schedulers=schedulers,
         channel_policy=channel_policy,
-        metrics=metered,
+        metrics=args.metrics is not None,
         capture=args.capture_policy if args.capture else None,
     )
     text = report.to_json(
@@ -497,42 +482,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"wrote {report.runs} records to {args.output}")
     else:
         print(text)
-    if metered and args.metrics not in (None, "-"):
+    if args.metrics not in (None, "-"):
         # Side file with just the aggregate: the merged canonical
         # snapshot plus the quarantined wall-clock section.
-        with open(args.metrics, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(
-                {"metrics": report.metrics, "timings": report.timings},
-                indent=2, sort_keys=True, default=repr,
-            ) + "\n")
-        print(f"wrote merged metrics to {args.metrics}")
-    if args.events:
-        # Canonical slot order (records are slotted by task index), so
-        # the NDJSON stream is byte-identical at any worker count.
-        from .obs import EventLog
-
-        with EventLog.open(args.events) as events:
-            for index, rec in enumerate(report.records):
-                events.emit(
-                    "record",
-                    index=index,
-                    faulty=rec.faulty,
-                    adversary=rec.adversary,
-                    inputs=rec.inputs_name,
-                    scheduler=rec.scheduler,
-                    outcome=rec.outcome,
-                    rounds=rec.rounds,
-                    transmissions=rec.transmissions,
-                    decision=rec.decision,
-                )
-            events.emit(
-                "summary",
-                runs=report.runs,
-                all_consensus=report.all_consensus,
-                outcomes=report.outcomes,
-            )
-            count = events.count
-        print(f"wrote {count} events to {args.events}")
+        write_metrics(args.metrics, report.metrics, report.timings,
+                      what="merged metrics")
     if args.capture:
         # One file per retained task, named by canonical task index — the
         # same index at any --workers, so a capture directory diffs clean
@@ -1005,9 +959,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="meter the run; print the canonical snapshot "
                         "(plus quarantined wall timings) to stdout, or "
                         "write it to FILE")
-    p.add_argument("--events", default="", metavar="FILE",
-                   help="write an NDJSON event stream (ticks, spans, "
-                        "decisions, result) to FILE; implies metering")
     p.add_argument("--trace", default="", metavar="FILE",
                    help="record a causal flight recording (happened-"
                         "before NDJSON) of the run to FILE; analyze or "
@@ -1045,10 +996,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "snapshots, a canonical merge, and quarantined "
                         "wall timings; with FILE also write the "
                         "aggregate there")
-    p.add_argument("--events", default="", metavar="FILE",
-                   help="write one NDJSON record event per task (in "
-                        "canonical slot order) plus a summary to FILE; "
-                        "implies metering")
     p.add_argument("--capture", default="", metavar="DIR",
                    help="write flight recordings of captured runs to "
                         "DIR as flight-<index>.ndjson (index = canonical "
@@ -1129,10 +1076,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _check_workers(args)
+    _check_t(args)
     try:
         return args.fn(args)
     except UsageError as exc:
         _usage_error(args, str(exc))
+    except OSError as exc:
+        # A file the user named (--metrics, --trace, --output, a flight
+        # to read) that cannot be opened: one line, not a traceback.
+        if exc.filename is None:
+            raise
+        _usage_error(args, f"{exc.filename}: {exc.strerror}")
 
 
 if __name__ == "__main__":

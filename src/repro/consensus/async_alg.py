@@ -340,10 +340,6 @@ class AsyncConsensusProtocol(Protocol):
             "async.decide", self._start_tick, self._now,
             node=self.me, value=value,
         )
-        self._metrics.emit(
-            "decide", node=self.me, value=value, tick=self._now,
-            vote_round=self.vote_round,
-        )
         self._decides.initiate(ctx, DecisionPayload(value))
         self._refresh_decisions()
 

@@ -179,10 +179,9 @@ def run_consensus(
     the fixed-round protocols outside their synchrony assumption.
 
     ``metrics`` meters the run: ``True`` builds a fresh
-    :class:`~repro.obs.MetricsRegistry`; passing a registry (e.g. one
-    with an NDJSON event log attached) uses it.  The canonical snapshot
-    lands on ``ConsensusResult.metrics`` and the wall-clock duration —
-    quarantined — on ``ConsensusResult.timings``.
+    :class:`~repro.obs.MetricsRegistry`; passing a registry uses it.
+    The canonical snapshot lands on ``ConsensusResult.metrics`` and the
+    wall-clock duration — quarantined — on ``ConsensusResult.timings``.
 
     ``flight=True`` records the run as a causal flight recording
     (:class:`~repro.obs.FlightRecord` on ``ConsensusResult.flight``,
@@ -340,15 +339,6 @@ def run_consensus(
         # outcome capture run state, so they are attached here, before
         # the result escapes.  The event stream waits for `flight`.
         object.__setattr__(result, "_flight_frame", (header, outcome_line))
-    if registry is not None:
-        registry.emit(
-            "result",
-            outcome=result.outcome,
-            decision=result.decision,
-            rounds=result.rounds,
-            transmissions=result.transmissions,
-            deliveries=result.deliveries,
-        )
     return result
 
 

@@ -376,8 +376,7 @@ class EventDrivenNetwork:
         ``delivered`` counts messages handed to inboxes this tick,
         ``sent`` the transmissions queued by it.
         """
-        m = self.metrics
-        if not m.enabled:
+        if not self.metrics.enabled:
             return
         in_flight = self._in_flight
         self._c_ticks()
@@ -389,14 +388,6 @@ class EventDrivenNetwork:
         self._g_in_flight(in_flight)
         if delivered == 0 and sent == 0 and in_flight == 0:
             self._c_quiescent()
-        if m.events is not None:
-            m.emit(
-                "tick",
-                tick=self.round_no,
-                deliveries=delivered,
-                sends=sent,
-                in_flight=in_flight,
-            )
 
     def _resolve_recipients(
         self, node: Hashable, target: Optional[Hashable]

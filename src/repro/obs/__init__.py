@@ -1,4 +1,4 @@
-"""Deterministic observability: metrics, spans, events, quarantined timings.
+"""Deterministic observability: metrics, spans, flights, quarantined timings.
 
 The package splits measurement into two regimes the rest of the repo
 must never mix:
@@ -18,7 +18,6 @@ Import discipline: this package imports nothing from ``repro.net`` /
 """
 
 from .bench import BENCH_SCHEMA, bench_json, bench_path, bench_record, check, write_bench
-from .events import EventLog
 from .registry import (
     NULL_METRICS,
     MetricsRegistry,
@@ -48,7 +47,6 @@ from .trace import (
 __all__ = [
     "BENCH_SCHEMA",
     "CausalDag",
-    "EventLog",
     "FlightError",
     "FlightRecord",
     "FlightReplayError",

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from .events import EventLog
 from .spans import SpanTracer
 
 
@@ -78,17 +77,16 @@ def _hist_snapshot(bucket: Dict[float, int]) -> dict:
 
 
 class MetricsRegistry:
-    """Counters, max-gauges, exact histograms, spans, and event passthrough."""
+    """Counters, max-gauges, exact histograms and spans."""
 
     #: Instrumentation sites may branch on this to skip building labels.
     enabled = True
 
-    def __init__(self, events: Optional[EventLog] = None):
+    def __init__(self) -> None:
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, float] = {}
         self._hists: Dict[str, Dict[float, int]] = {}
         self.spans = SpanTracer()
-        self.events = events
 
     # -- writers -------------------------------------------------------
     def inc(self, name: str, n: int = 1, **labels: object) -> None:
@@ -167,14 +165,8 @@ class MetricsRegistry:
         return observe_value
 
     def span(self, name: str, start: int, end: int, **labels: object) -> None:
-        """Record a closed virtual-time span (and emit it as an event)."""
+        """Record a closed virtual-time span."""
         self.spans.record(name, start, end, **labels)
-        self.emit("span", name=name, start=start, end=end, **labels)
-
-    def emit(self, kind: str, **fields: object) -> None:
-        """Forward one NDJSON event if an :class:`EventLog` is attached."""
-        if self.events is not None:
-            self.events.emit(kind, **fields)
 
     # -- readers -------------------------------------------------------
     def counter(self, name: str, **labels: object) -> int:
@@ -206,7 +198,6 @@ class NullMetrics:
     """
 
     enabled = False
-    events = None
 
     def inc(self, name: str, n: int = 1, **labels: object) -> None:
         pass
@@ -229,9 +220,6 @@ class NullMetrics:
         return _null_cell
 
     def span(self, name: str, start: int, end: int, **labels: object) -> None:
-        pass
-
-    def emit(self, kind: str, **fields: object) -> None:
         pass
 
     def counter(self, name: str, **labels: object) -> int:

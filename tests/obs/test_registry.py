@@ -1,5 +1,5 @@
-"""Unit tests for the observability core: registry, spans, events,
-timings, bench records.
+"""Unit tests for the observability core: registry, spans, timings,
+bench records.
 
 The load-bearing properties: snapshots are *canonical* (fully sorted,
 insertion-order independent), merges are lossless and order-insensitive,
@@ -8,14 +8,12 @@ insertion-order independent), merges are lossless and order-insensitive,
 hides.
 """
 
-import io
 import json
 
 import pytest
 
 from repro.obs import (
     NULL_METRICS,
-    EventLog,
     MetricsRegistry,
     NullMetrics,
     SpanTracer,
@@ -103,7 +101,6 @@ class TestNullMetrics:
         n.gauge_max("g", 5)
         n.observe("h", 1)
         n.span("s", 0, 1)
-        n.emit("e", value=1)
         assert n.counter("x") == 0
         assert n.snapshot() == {}
 
@@ -193,33 +190,6 @@ class TestSpanTracer:
         t = SpanTracer()
         with pytest.raises(ValueError):
             t.record("bad", 5, 3)
-
-
-class TestEventLog:
-    def test_emits_sorted_ndjson_lines(self):
-        stream = io.StringIO()
-        log = EventLog(stream)
-        log.emit("tick", tick=1, sends=5)
-        log.emit("decide", node=0, value=("a", 1))
-        lines = stream.getvalue().splitlines()
-        assert json.loads(lines[0]) == {"event": "tick", "sends": 5, "tick": 1}
-        # Non-JSON values fall back to repr — deterministic, not lossy.
-        assert json.loads(lines[1])["value"] == [u"a", 1]
-        assert log.count == 2
-
-    def test_closed_log_refuses_emits(self):
-        log = EventLog(io.StringIO())
-        log.close()
-        with pytest.raises(ValueError):
-            log.emit("late")
-
-    def test_registry_forwards_events(self):
-        stream = io.StringIO()
-        m = MetricsRegistry(events=EventLog(stream))
-        m.emit("custom", x=1)
-        m.span("s", 0, 2)
-        kinds = [json.loads(l)["event"] for l in stream.getvalue().splitlines()]
-        assert kinds == ["custom", "span"]
 
 
 class TestTimings:

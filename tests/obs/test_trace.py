@@ -26,6 +26,7 @@ Three layers of contract:
 from __future__ import annotations
 
 import multiprocessing
+from collections import Counter
 
 import pytest
 
@@ -189,6 +190,40 @@ class TestReplay:
         record.save(str(path))
         loaded = FlightRecord.load(str(path))
         assert loaded.to_ndjson() == record.to_ndjson()
+
+
+class TestFlightWithSnapshot:
+    """The flight plus the metrics snapshot carry every per-tick number:
+    deliveries and sends per tick are counted from the flight, and they
+    must match the snapshot's network counters and histogram exactly."""
+
+    @pytest.mark.parametrize("scheduler", [
+        None, SchedulerSpec("seeded-async", seed=7, max_delay=3),
+    ], ids=["sync", "seeded-async"])
+    @pytest.mark.parametrize("make_factory", [
+        algorithm1_factory, algorithm2_factory,
+    ], ids=["alg1", "alg2"])
+    def test_per_tick_counts_match_snapshot(self, make_factory, scheduler):
+        w5 = wheel_graph(5)
+        nodes = sorted(w5.nodes, key=repr)
+        result = run_consensus(
+            w5, make_factory(w5, 1), {v: i % 2 for i, v in enumerate(nodes)},
+            f=1, scheduler=scheduler, metrics=True, flight=True,
+        )
+        counters = result.metrics["counters"]
+        ticks = counters["net.ticks"]
+        per_tick = Counter(event["t"] for event in result.flight.delivers)
+        in_ticks = [per_tick[t] for t in range(1, ticks + 1)]
+        histogram = result.metrics["histograms"]["net.deliveries_per_tick"]
+        assert sorted(Counter(in_ticks).items()) == [
+            (value, count) for value, count in histogram["values"]
+        ]
+        assert sum(in_ticks) == counters["net.deliveries"]
+        assert len(result.flight.sends) == counters["net.transmissions"]
+        # Sends from the last ticks land after the run stops stepping:
+        # the flight records their deliveries, the snapshot does not.
+        late = sum(n for t, n in per_tick.items() if t > ticks)
+        assert late == result.deliveries - counters["net.deliveries"]
 
 
 class TestBlame:

@@ -185,6 +185,23 @@ class TestUsageErrors:
             "invalid choice: '9'", capsys,
         )
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_events_sink_is_gone(self, command, capsys):
+        self.assert_usage_error(
+            [command, "--graph", "cycle:4", "--f", "1", "--events", "x"],
+            "python -m repro: error: unrecognized arguments: --events x",
+            capsys,
+        )
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "profile", "check"])
+    @pytest.mark.parametrize("t", ["-1", "2"])
+    def test_t_outside_zero_to_f(self, command, t, capsys):
+        self.assert_usage_error(
+            [command, "--graph", self.GRAPHS[command], "--f", "1", "--t", t],
+            f"python -m repro {command}: error: argument --t: must be in "
+            f"0..1, got {t}", capsys,
+        )
+
     def test_unknown_command(self, capsys):
         self.assert_usage_error(
             ["bogus"], "python -m repro: error: argument command: invalid "
@@ -572,20 +589,15 @@ class TestMetricsFlags:
         assert payload["metrics"]["counters"]["net.ticks"] > 0
         assert "run" in payload["timings"]
 
-    def test_run_metrics_to_file_and_events(self, tmp_path, capsys):
+    def test_run_metrics_to_file(self, tmp_path, capsys):
         metrics_file = tmp_path / "m.json"
-        events_file = tmp_path / "e.ndjson"
         code = main(["run", "--graph", "cycle:4", "--f", "1",
-                     "--algorithm", "2",
-                     "--metrics", str(metrics_file),
-                     "--events", str(events_file)])
+                     "--algorithm", "2", "--metrics", str(metrics_file)])
         assert code == 0
         payload = json.loads(metrics_file.read_text())
         assert payload["metrics"]["counters"]["net.ticks"] > 0
-        lines = events_file.read_text().splitlines()
-        kinds = [json.loads(line)["event"] for line in lines]
-        assert kinds[0] == "tick"
-        assert kinds[-1] == "result"
+        assert "run" in payload["timings"]
+        assert f"wrote metrics to {metrics_file}" in capsys.readouterr().out
 
     def test_unmetered_run_prints_no_snapshot(self, capsys):
         assert main(["run", "--graph", "cycle:4", "--f", "1",
@@ -605,19 +617,42 @@ class TestMetricsFlags:
         assert report["timings"]["workers"] == 1
         merged = json.loads(metrics_file.read_text())
         assert merged["metrics"] == report["metrics"]
+        assert f"wrote merged metrics to {metrics_file}" in (
+            capsys.readouterr().out
+        )
 
-    def test_sweep_events_are_slot_ordered(self, tmp_path, capsys):
-        events_file = tmp_path / "sweep.ndjson"
-        code = main(["sweep", "--graph", "cycle:4", "--f", "1",
-                     "--algorithm", "2", "--patterns", "alternating",
-                     "--workers", "2", "--events", str(events_file)])
-        assert code == 0
-        lines = [json.loads(line)
-                 for line in events_file.read_text().splitlines()]
-        records = [e for e in lines if e["event"] == "record"]
-        assert [e["index"] for e in records] == list(range(len(records)))
-        assert lines[-1]["event"] == "summary"
-        assert lines[-1]["runs"] == len(records)
+
+class TestUnopenableFiles:
+    """A file named on the command line that cannot be opened exits 2
+    with one ``CMD: error: FILE: reason`` line on stderr."""
+
+    @staticmethod
+    def assert_file_error(argv, path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err == (f"python -m repro {argv[0]}: error: {path}: "
+                       "No such file or directory\n")
+
+    def test_trace_reads_missing_flight(self, tmp_path, capsys):
+        path = tmp_path / "missing.ndjson"
+        self.assert_file_error(["trace", "summary", str(path)], path, capsys)
+
+    def test_run_metrics_into_missing_directory(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "m.json"
+        self.assert_file_error(
+            ["run", "--graph", "cycle:4", "--f", "1", "--metrics", str(path)],
+            path, capsys,
+        )
+
+    def test_sweep_output_into_missing_directory(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "r.json"
+        self.assert_file_error(
+            ["sweep", "--graph", "cycle:4", "--f", "1",
+             "--patterns", "alternating", "--output", str(path)],
+            path, capsys,
+        )
 
 
 class TestProfileCommand:
