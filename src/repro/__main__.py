@@ -41,17 +41,22 @@ no round schedule, and no delay bound read anywhere — pair it with
     python -m repro sweep --graph wheel:5 --f 1 --algorithm async \\
                           --scheduler seeded-async,adversarial \\
                           --declare-unbounded
+
+``run``, ``sweep`` and ``profile`` map their options to the recipe dicts
+a flight header records (:func:`factory_spec`, an adversary's
+``{name, seed}``) and build them as ``trace replay`` does, so a sweep
+row reproduces through ``run --faulty … --adversary …``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import NoReturn
 
-from . import consensus, graphs
-from .analysis import requirement_table
+from . import analysis, consensus, graphs
 from .lowerbounds import (
     connectivity_scenario,
     degree_scenario,
@@ -60,6 +65,7 @@ from .lowerbounds import (
 from .net import EquivocatingAdversary, standard_adversaries
 from .net.channels import local_broadcast_model
 from .net.sched import SCHEDULER_KINDS, parse_scheduler
+from .obs import FlightReplayError
 
 
 class UsageError(ValueError):
@@ -123,10 +129,27 @@ def _check_workers(args: argparse.Namespace) -> None:
 
 
 def _check_t(args: argparse.Namespace) -> None:
-    """``--t`` counts equivocating faults among the ``--f`` faulty ones."""
+    """``--t`` counts equivocating faults among the ``--f`` faulty ones;
+    only Algorithm 3 runs on the hybrid channel it describes (``profile``
+    and ``check`` still read it for their predictions)."""
     t = getattr(args, "t", None)
-    if t is not None and not 0 <= t <= args.f:
+    if t is None:
+        return
+    if not 0 <= t <= args.f:
         _usage_error(args, f"argument --t: must be in 0..{args.f}, got {t}")
+    if args.command in ("run", "sweep") and args.algorithm != "3":
+        _usage_error(args, "argument --t: only --algorithm 3 takes t")
+
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """A ``--output``/``--metrics``/``--trace`` file must have a directory
+    to land in before any run starts, not after the work is done."""
+    for option in ("output", "metrics", "trace"):
+        path = getattr(args, option, None)
+        if path and path != "-" and not os.path.isdir(
+            os.path.dirname(path) or "."
+        ):
+            _usage_error(args, f"{path}: No such file or directory")
 
 
 def _parse_faulty(args: argparse.Namespace, nodes: list) -> list:
@@ -276,47 +299,6 @@ def parse_scheduler_axis(args: argparse.Namespace) -> list:
     return axis
 
 
-def apply_synchronizer(factory, mode: str, axis, f: int = 0):
-    """Wrap ``factory`` for ``--synchronizer``; ``none`` is the identity.
-
-    The window is the worst declared delay bound across the axis — a
-    window larger than one entry's bound only stretches rounds further,
-    never breaks them.  ``f`` arms ack mode's fault-tolerant ``deg − f``
-    marker quorum; its α-window timeout gate requires every axis entry
-    to declare a bound (``sync`` counts: its delays are exactly 1).
-    """
-    if mode == "none":
-        return factory
-    # An unbounded axis entry never reaches this point: parse_scheduler_axis
-    # rejects every fixed-round algorithm on such an axis first, and the
-    # async algorithm refuses synchronizers in build_factory.
-    window = max(
-        (spec.worst_case_delay for spec in axis if spec is not None),
-        default=1,
-    )
-    # Every axis entry is bounded here (checked above), so ack mode's
-    # α-window gate is sound — arm it explicitly, since the factory
-    # derivation only sees a single scheduler spec, not the axis.
-    return consensus.synchronize_factory(
-        factory,
-        mode=mode,
-        window=window,
-        f=f if mode == "ack" else 0,
-        ack_timeout=True if mode == "ack" else None,
-    )
-
-
-def find_adversary(name: str):
-    # The standard battery plus the hybrid-only equivocator, so every
-    # adversary a sweep record can name is replayable through `run`.
-    candidates = standard_adversaries() + [EquivocatingAdversary()]
-    for adversary in candidates:
-        if adversary.name == name:
-            return adversary
-    names = [a.name for a in candidates]
-    raise UsageError(f"unknown adversary {name!r}; choose from {names}")
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     graph = parse_graph(args.graph)
     if graph.directed:
@@ -345,22 +327,39 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_factory(args: argparse.Namespace, graph: graphs.Graph):
-    """The ``--algorithm`` dispatch shared by ``run`` and ``sweep``."""
-    if args.algorithm == "1":
-        return consensus.algorithm1_factory(graph, args.f)
-    if args.algorithm == "2":
-        return consensus.algorithm2_factory(graph, args.f)
+def factory_spec(args: argparse.Namespace, axis=()) -> dict:
+    """``--algorithm``/``--synchronizer`` as the ``flight_spec()`` dict a
+    flight header records; :func:`~repro.analysis.factory_from_flight`
+    builds it, for ``run``/``sweep``/``profile`` as for ``trace replay``.
+    """
+    kind = "async" if args.algorithm == "async" else f"algorithm{args.algorithm}"
+    spec = {"kind": kind, "f": args.f}
     if args.algorithm == "3":
-        return consensus.algorithm3_factory(graph, args.f, args.t or 0)
+        spec["t"] = args.t or 0
+    if args.synchronizer == "none":
+        return spec
     if args.algorithm == "async":
-        if args.synchronizer != "none":
-            raise UsageError(
-                "the async algorithm is natively asynchronous; "
-                "use --synchronizer none"
-            )
-        return consensus.async_factory(graph, args.f)
-    raise SystemExit(f"unknown algorithm {args.algorithm!r}")
+        raise UsageError(
+            "the async algorithm is natively asynchronous; "
+            "use --synchronizer none"
+        )
+    ack = args.synchronizer == "ack"
+    return {
+        "kind": "synchronized",
+        "inner": spec,
+        # The worst declared delay bound across the axis: a window larger
+        # than one entry's bound only stretches rounds further.
+        "window": max(
+            (entry.worst_case_delay for entry in axis if entry is not None),
+            default=1,
+        ),
+        "mode": args.synchronizer,
+        # Ack mode's deg - f marker quorum with its α-window timeout gate:
+        # sound, since parse_scheduler_axis has already refused every
+        # unbounded entry for a fixed-round algorithm.
+        "f": args.f if ack else 0,
+        "ack_timeout": ack,
+    }
 
 
 def write_metrics(path: str, metrics, timings, what: str = "metrics") -> None:
@@ -387,20 +386,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     nodes = sorted(graph.nodes, key=repr)
     faulty = _parse_faulty(args, nodes) if args.faulty else []
     # Resolved even with no faulty node, so a misspelt name never passes
-    # silently.
-    adversary = find_adversary(args.adversary)
-    factory = build_factory(args, graph)
+    # silently; seeded as sweep seeds its battery, so a row replays here.
+    adversary = analysis.adversary_from_flight(
+        {"name": args.adversary, "seed": args.seed}
+    )
+    axis = parse_scheduler_axis(args)
+    factory = analysis.factory_from_flight(graph, factory_spec(args, axis))
     inputs = {v: i % 2 for i, v in enumerate(nodes)}
     channel = local_broadcast_model()
-    if args.algorithm == "3" and args.t:
+    if args.t:  # Algorithm 3 only (_check_t)
         # Same canonical (repr-sorted) prefix rule as sweep's
         # HybridEquivocatorPolicy, so a sweep record's scenario replays
         # identically here regardless of --faulty argument order.
-        from .analysis import HybridEquivocatorPolicy
-
-        channel = HybridEquivocatorPolicy(args.t)(tuple(faulty))
-    axis = parse_scheduler_axis(args)
-    factory = apply_synchronizer(factory, args.synchronizer, axis, f=args.f)
+        channel = analysis.HybridEquivocatorPolicy(args.t)(tuple(faulty))
     result = consensus.run_consensus(
         graph, factory, inputs, f=args.f, faulty=faulty,
         adversary=adversary if faulty else None, channel=channel,
@@ -428,17 +426,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from .analysis import HybridEquivocatorPolicy, consensus_sweep
-
     graph = parse_graph(args.graph)
     channel_policy = None
     adversaries = None
-    factory = build_factory(args, graph)
-    if args.algorithm == "3" and args.t:
+    if args.t:
         # Mirror cmd_run: Algorithm 3's whole point is the hybrid
         # channel, whose equivocator set is (a prefix of) each
         # task's fault placement — derive it per task.
-        channel_policy = HybridEquivocatorPolicy(args.t)
+        channel_policy = analysis.HybridEquivocatorPolicy(args.t)
         if args.t >= args.f:
             # Every fault placement is fully equivocating, so the
             # equivocation behavior is physically possible on each
@@ -448,17 +443,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             ]
     patterns = args.patterns.split(",") if args.patterns else None
     if patterns is not None:
-        from .analysis import input_patterns
-
-        known = sorted(input_patterns(graph))
+        known = sorted(analysis.input_patterns(graph))
         unknown = [p for p in patterns if p not in known]
         if unknown:
             raise UsageError(
                 f"unknown input patterns {unknown}; choose from {known}"
             )
     schedulers = parse_scheduler_axis(args)
-    factory = apply_synchronizer(factory, args.synchronizer, schedulers, f=args.f)
-    report = consensus_sweep(
+    factory = analysis.factory_from_flight(graph, factory_spec(args, schedulers))
+    report = analysis.consensus_sweep(
         graph,
         factory,
         f=args.f,
@@ -491,8 +484,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # One file per retained task, named by canonical task index — the
         # same index at any --workers, so a capture directory diffs clean
         # across worker counts.
-        import os
-
         os.makedirs(args.capture, exist_ok=True)
         for index in sorted(report.flights):
             path = os.path.join(args.capture, f"flight-{index:05d}.ndjson")
@@ -618,7 +609,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     record (schema in :mod:`repro.obs.bench`); exit status reports
     whether every closed-form check passed.
     """
-    from .analysis import consensus_sweep
     from .analysis.metrics import expected_flood_deliveries, predicted_costs
     from .obs import bench_json, bench_record, check, render_key
 
@@ -630,14 +620,14 @@ def cmd_profile(args: argparse.Namespace) -> int:
             )
         return _profile_flood_receipt(args)
     graph = parse_graph(args.graph)
-    factory = build_factory(args, graph)
+    factory = analysis.factory_from_flight(graph, factory_spec(args))
     nodes = sorted(graph.nodes, key=repr)
     inputs = {v: i % 2 for i, v in enumerate(nodes)}
     result = consensus.run_consensus(
         graph, factory, inputs, f=args.f, metrics=True,
         flight=bool(args.trace),
     )
-    report = consensus_sweep(
+    report = analysis.consensus_sweep(
         graph,
         factory,
         f=args.f,
@@ -848,10 +838,8 @@ def _trace_action(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "replay":
-        from .analysis import replay_flight
-
         try:
-            outcome = replay_flight(record)
+            outcome = analysis.replay_flight(record)
         except FlightReplayError as exc:
             print(f"not replayable: {exc}")
             return 2
@@ -877,7 +865,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     print(f"{'f':>3} {'kappa p2p':>10} {'kappa LB':>9} "
           f"{'min n p2p':>10} {'min n LB':>9}")
-    for row in requirement_table(args.max_f):
+    for row in analysis.requirement_table(args.max_f):
         print(f"{row.f:>3} {row.p2p_connectivity:>10} "
               f"{row.lb_connectivity:>9} {row.p2p_min_nodes:>10} "
               f"{row.lb_min_nodes:>9}")
@@ -953,7 +941,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "adversarial")
     _add_timing(p)
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for the seeded-async scheduler")
+                   help="seed for the seeded-async scheduler and the "
+                        "battery's random adversary (as in sweep)")
     p.add_argument("--metrics", nargs="?", const="-", default=None,
                    metavar="FILE",
                    help="meter the run; print the canonical snapshot "
@@ -1077,9 +1066,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _check_workers(args)
     _check_t(args)
+    if args.command in ("run", "sweep", "profile"):
+        _check_outputs(args)
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, FlightReplayError) as exc:
         _usage_error(args, str(exc))
     except OSError as exc:
         # A file the user named (--metrics, --trace, --output, a flight

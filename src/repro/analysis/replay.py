@@ -9,7 +9,9 @@ and running :func:`~repro.consensus.runner.run_consensus` again with
 ``flight=True``, so the replay produces a second recording that can be
 byte-compared with the first.  Recipes instead of pickles keep flight
 blobs worker-count-invariant (pickled oracles embed cache warmth) and
-keep the file format inspectable and diffable.
+keep the file format inspectable and diffable.  The CLI builds every
+run from the same recipe dicts, so ``run``, ``sweep`` and replay cannot
+disagree on what a recipe means.
 
 ``replay_flight`` is the determinism audit in one call: *any* byte of
 divergence between the original and the re-execution — one message, one
@@ -54,39 +56,45 @@ def graph_from_flight(header: dict) -> Graph:
     return Graph(nodes, edges)
 
 
+#: ``flight_spec()`` kind -> factory, called as ``cls(graph, **spec-minus-kind)``.
+_FACTORY_KINDS = {
+    "algorithm1": Algorithm1Factory,
+    "algorithm2": Algorithm2Factory,
+    "algorithm3": Algorithm3Factory,
+    "async": AsyncFactory,
+    "eig": EIGFactory,
+    "dolev-eig": DolevEIGFactory,
+}
+
+
 def factory_from_flight(graph: Graph, spec: dict):
-    """Rebuild the honest-protocol factory from its ``flight_spec()``."""
-    kind = spec.get("kind")
-    if kind == "algorithm1":
-        return Algorithm1Factory(graph, spec["f"])
-    if kind == "algorithm2":
-        return Algorithm2Factory(graph, spec["f"])
-    if kind == "algorithm3":
-        return Algorithm3Factory(graph, spec["f"], spec["t"])
-    if kind == "async":
-        return AsyncFactory(graph, spec["f"], patience=spec.get("patience"))
-    if kind == "eig":
-        return EIGFactory(graph, spec["f"])
-    if kind == "dolev-eig":
-        return DolevEIGFactory(graph, spec["f"])
-    if kind == "synchronized":
-        return SynchronizedFactory(
-            factory_from_flight(graph, spec["inner"]),
-            window=spec["window"],
-            mode=spec["mode"],
-            f=spec["f"],
-            ack_timeout=spec["ack_timeout"],
-        )
+    """Build the factory a ``flight_spec()`` dict names (the CLI builds
+    here too); ``synchronized`` wraps the factory its ``inner`` names."""
+    params = dict(spec)
+    kind = params.pop("kind", None)
     if kind == "opaque":
         raise FlightReplayError(
             f"factory {spec.get('repr', '?')} was recorded without a "
             "flight_spec(); the flight is analyzable but not replayable"
         )
-    raise FlightReplayError(f"unknown factory kind {kind!r}")
+    if kind == "synchronized":
+        if not isinstance(params.get("inner"), dict):
+            raise FlightReplayError(f"factory spec {spec!r}: no inner spec")
+        cls = SynchronizedFactory
+        target = factory_from_flight(graph, params.pop("inner"))
+    elif kind in _FACTORY_KINDS:
+        cls, target = _FACTORY_KINDS[kind], graph
+    else:
+        raise FlightReplayError(f"unknown factory kind {kind!r}")
+    try:
+        return cls(target, **params)
+    except (TypeError, ValueError) as exc:  # a missing, unknown or bad field
+        raise FlightReplayError(f"factory spec {spec!r}: {exc}") from None
 
 
 def adversary_from_flight(spec: Optional[dict]) -> Optional[Adversary]:
-    """Rebuild the adversary by battery name (plus recorded knobs)."""
+    """Look the adversary up by name in the battery seeded with ``seed``
+    (7 when absent) plus the equivocator; a crash keeps its round."""
     if spec is None:
         return None
     name = spec["name"]
@@ -100,9 +108,8 @@ def adversary_from_flight(spec: Optional[dict]) -> Optional[Adversary]:
     for adversary in battery:
         if adversary.name == name:
             return adversary
-    raise FlightReplayError(
-        f"no adversary named {name!r} in the standard battery"
-    )
+    names = [adversary.name for adversary in battery]
+    raise FlightReplayError(f"unknown adversary {name!r}; choose from {names}")
 
 
 def channel_from_flight(spec: dict) -> ChannelModel:

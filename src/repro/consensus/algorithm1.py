@@ -240,23 +240,6 @@ class ExactConsensusProtocol(Protocol):
                 self.gamma = delta
                 return
 
-    def _path_excluding(
-        self, u: Hashable, excluded: FrozenSet[Hashable] | set
-    ) -> Optional[Tuple[Hashable, ...]]:
-        """One ``u → me`` path with no internal node in ``excluded``.
-
-        Lemma 5.4 (resp. D.4) guarantees existence whenever the graph
-        meets the feasibility conditions; on deficient graphs (used by the
-        impossibility experiments) this may return ``None`` and the caller
-        falls back to the default classification.  Delegated to the
-        (shared) :class:`~repro.consensus.path_oracle.PathOracle`, so the
-        pruned graph and BFS tree for each candidate set are computed once
-        per graph rather than once per node per phase.
-        """
-        if not isinstance(excluded, frozenset):
-            excluded = frozenset(excluded)
-        return self.oracle.path_excluding(u, self.me, excluded)
-
 
 class Algorithm1Protocol(ExactConsensusProtocol):
     """Algorithm 1 (Section 5.1): the tight-condition local-broadcast

@@ -211,8 +211,7 @@ class PathOracle:
         """One shortest ``u → v`` path with no internal node in
         ``excluded`` (endpoints may belong to it), or ``None``.
 
-        Semantics match ``ExactConsensusProtocol._path_excluding``: the
-        pruned graph is ``G − (excluded − {u, v})`` and a missing
+        The pruned graph is ``G − (excluded − {u, v})``; a missing
         endpoint or disconnection yields ``None``.
         """
         key = (self._set_key(excluded), self._node_key(u), self._node_key(v))

@@ -354,7 +354,6 @@ def synchronize_factory(
     mode: str = "alpha",
     window: Optional[int] = None,
     f: int = 0,
-    ack_timeout: Optional[bool] = None,
 ) -> SynchronizedFactory:
     """Wrap ``factory`` with the window sized from a scheduler spec.
 
@@ -367,14 +366,10 @@ def synchronize_factory(
     ``f`` enables ack mode's fault-tolerant marker quorum (``deg − f``);
     the α-window timeout gate that makes the quorum advance sound is
     switched on exactly when the scheduler declares a delay bound.
-    ``ack_timeout`` overrides that derivation for callers (the CLI)
-    whose bound declaration lives on a whole scheduler *axis* rather
-    than one spec — pass ``True`` only when every entry is bounded.
     """
-    if ack_timeout is None:
-        ack_timeout = (
-            mode == "ack" and scheduler is not None and scheduler.bounded
-        )
+    ack_timeout = (
+        mode == "ack" and scheduler is not None and scheduler.bounded
+    )
     if window is None:
         if scheduler is None:
             window = 1

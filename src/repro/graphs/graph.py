@@ -46,7 +46,7 @@ class Digraph:
     Self-loops and parallel arcs are rejected (each arc ``u → v`` is a
     FIFO link carrying ``u``'s broadcasts to ``v``; the model has
     neither).  The adjacency structure is frozen at construction time;
-    all mutating "operations" (:meth:`remove_nodes`, :meth:`add_arcs`,
+    all mutating "operations" (:meth:`remove_nodes`, :meth:`add_nodes`,
     ...) return new instances.  Immutability keeps executions
     reproducible — a protocol cannot accidentally rewire the network
     mid-run — and means derived caches (sorted adjacency, the
@@ -281,11 +281,6 @@ class Digraph:
         """``G - X``: the induced subdigraph on ``V - X``."""
         drop_set = set(drop)
         return self.subgraph(self._nodes - drop_set)
-
-    def add_arcs(self, new_arcs: Iterable[Arc]) -> "Digraph":
-        """A new digraph with ``new_arcs`` added (idempotent for existing
-        arcs)."""
-        return Digraph(self._nodes, list(self.arcs()) + list(new_arcs))
 
     def add_nodes(self, new_nodes: Iterable[Node]) -> "Digraph":
         """A new digraph with isolated ``new_nodes`` added."""

@@ -52,19 +52,13 @@ class LintResult:
             counts[finding.rule] = counts.get(finding.rule, 0) + 1
         return {k: counts[k] for k in sorted(counts)}
 
-    def fingerprints(self, root_lines: Dict[str, List[str]]) -> List[str]:
-        """Content-addressed ids for every active finding (baseline input).
-
-        ``root_lines`` maps each finding's path to its source lines;
-        identical flagged lines within a file are disambiguated by
-        occurrence index so a baseline entry pins exactly one finding.
-        """
-        return fingerprint_findings(self.findings, root_lines)
-
 
 def fingerprint_findings(
     findings: Sequence[Finding], lines_by_path: Dict[str, List[str]]
 ) -> List[str]:
+    """Content-addressed ids for ``findings`` (baseline input); identical
+    flagged lines within a file are disambiguated by occurrence index, so
+    a baseline entry pins exactly one finding."""
     seen: Dict[Tuple[str, str, str], int] = {}
     prints: List[str] = []
     for finding in sorted(findings):

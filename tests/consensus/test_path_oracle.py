@@ -17,7 +17,7 @@ from repro.graphs import (
 
 
 def uncached_path_excluding(graph, u, v, excluded):
-    """The original ExactConsensusProtocol._path_excluding computation."""
+    """The uncached computation that PathOracle.path_excluding memoizes."""
     pruned = graph.remove_nodes(set(excluded) - {u, v})
     if u not in pruned.nodes or v not in pruned.nodes:
         return None

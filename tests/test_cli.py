@@ -202,6 +202,27 @@ class TestUsageErrors:
             f"0..1, got {t}", capsys,
         )
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("algorithm", ["1", "2", "async"])
+    def test_t_needs_algorithm_3(self, command, algorithm, capsys):
+        self.assert_usage_error(
+            [command, "--graph", "cycle:4", "--f", "1", "--t", "0",
+             "--algorithm", algorithm],
+            f"python -m repro {command}: error: argument --t: only "
+            "--algorithm 3 takes t", capsys,
+        )
+
+    def test_profile_keeps_t_for_its_predictions(self, monkeypatch):
+        """``profile`` reads ``--t`` for ``predicted_costs``, so it gets
+        past validation to the metered run with any algorithm."""
+        def started(*args, **kwargs):
+            raise RuntimeError("run started")
+
+        monkeypatch.setattr("repro.consensus.run_consensus", started)
+        with pytest.raises(RuntimeError, match="run started"):
+            main(["profile", "--graph", "cycle:4", "--f", "1", "--t", "1",
+                  "--algorithm", "2"])
+
     def test_unknown_command(self, capsys):
         self.assert_usage_error(
             ["bogus"], "python -m repro: error: argument command: invalid "
@@ -654,6 +675,65 @@ class TestUnopenableFiles:
             path, capsys,
         )
 
+    @pytest.mark.parametrize("command,option", [
+        ("run", "--metrics"), ("run", "--trace"),
+        ("sweep", "--output"), ("sweep", "--metrics"),
+        ("profile", "--output"), ("profile", "--trace"),
+    ])
+    def test_missing_directory_refused_before_any_run(
+        self, command, option, tmp_path, monkeypatch, capsys
+    ):
+        def started(*args, **kwargs):
+            raise AssertionError("a run started before the output check")
+
+        monkeypatch.setattr("repro.consensus.run_consensus", started)
+        monkeypatch.setattr("repro.analysis.sweep.run_consensus", started)
+        path = tmp_path / "missing" / "out"
+        self.assert_file_error(
+            [command, "--graph", "cycle:4", "--f", "1", option, str(path)],
+            path, capsys,
+        )
+        assert capsys.readouterr().out == ""
+
+
+class TestSweepRowsReplayThroughRun:
+    """Every row of a capture-all sweep reproduces through ``run`` with
+    the same options: the flight matches the captured one except the
+    header's ``spec`` (the sweep's task index)."""
+
+    @staticmethod
+    def _lines(path):
+        header, *events = path.read_text().splitlines()
+        header = json.loads(header)
+        header.pop("spec", None)
+        return header, events
+
+    @pytest.mark.parametrize("problem,sample", [
+        (["--graph", "cycle:5", "--f", "1", "--algorithm", "1"], []),
+        (["--graph", "wheel:5", "--f", "1", "--algorithm", "2",
+          "--scheduler", "seeded-async", "--seed", "3", "--max-delay", "2",
+          "--synchronizer", "alpha"], ["--fault-limit", "2"]),
+    ], ids=["c5-alg1", "w5-alg2-alpha"])
+    def test_every_row_reproduces(self, problem, sample, tmp_path, capsys):
+        capture, report = tmp_path / "cap", tmp_path / "r.json"
+        assert main([
+            "sweep", *problem, *sample, "--patterns", "alternating",
+            "--capture-policy", "all",
+            "--capture", str(capture), "--output", str(report),
+        ]) == 0
+        records = json.loads(report.read_text())["records"]
+        nodes = sorted(parse_graph(problem[1]).nodes, key=repr)
+        adversaries = {record["adversary"] for record in records}
+        assert "random" in adversaries and len(adversaries) == 7
+        for index, record in enumerate(records):
+            flight = tmp_path / f"run-{index}.ndjson"
+            faulty = ",".join(str(nodes.index(v)) for v in record["faulty"])
+            main(["run", *problem, "--faulty", faulty,
+                  "--adversary", record["adversary"], "--trace", str(flight)])
+            captured = capture / f"flight-{index:05d}.ndjson"
+            assert self._lines(flight) == self._lines(captured), record
+        capsys.readouterr()
+
 
 class TestProfileCommand:
     def test_profile_checks_pass_and_bench_written(self, tmp_path, capsys):
@@ -779,6 +859,38 @@ class TestTraceCommand:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"trace {action}: {broken}: ")
         assert fragment in captured.err
+
+    @pytest.mark.parametrize("edit,fragment", [
+        (lambda spec: spec.pop("window"), "missing 1 required positional"),
+        (lambda spec: spec.update(window=0), "window must be >= 1"),
+        (lambda spec: spec.update(extra=1), "unexpected keyword argument"),
+        (lambda spec: spec["inner"].pop("f"), "missing 1 required positional"),
+        (lambda spec: spec["inner"].update(extra=1),
+         "unexpected keyword argument"),
+        (lambda spec: spec.pop("inner"), "no inner spec"),
+    ], ids=["missing", "bad-value", "extra", "inner-missing", "inner-extra",
+            "no-inner"])
+    def test_bad_factory_spec_is_not_replayable(
+        self, tmp_path, capsys, edit, fragment
+    ):
+        """A header whose factory spec lacks a field, carries an unknown
+        one or holds a bad value is not replayable (exit 2), not a
+        traceback."""
+        path = tmp_path / "flight.ndjson"
+        assert main(["run", "--graph", "cycle:5", "--f", "1",
+                     "--algorithm", "2", "--synchronizer", "alpha",
+                     "--scheduler", "seeded-async", "--seed", "3",
+                     "--max-delay", "2", "--trace", str(path)]) == 0
+        capsys.readouterr()
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        edit(header["factory"])
+        lines[0] = json.dumps(header, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["trace", "replay", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("not replayable: factory spec ")
+        assert fragment in out
 
     def test_profile_trace_records_metered_run(self, tmp_path, capsys):
         path = tmp_path / "prof.ndjson"
