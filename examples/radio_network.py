@@ -10,7 +10,7 @@ per side), checks 2f-connectivity, and runs Algorithm 2 (Appendix C):
 
 * one station is Byzantine and tampers relayed values;
 * honest stations localize the faulty station from overheard reports
-  (becoming "type A") and agree in exactly 3n rounds.
+  (becoming "type A") and agree within the 3n-round budget.
 
 Radio links are not always reciprocal: transmit power and terrain can
 make station u audible to station v but not vice versa.  The second

@@ -5,8 +5,10 @@ The paper's efficiency story (Sections 5.3, 7):
 * Algorithm 1/3 run one flood per candidate fault set — the *phase
   count* is ``Σ_{k ≤ f} C(n, k)`` (resp. the (F, T)-pair count), i.e.
   exponential in ``f``; each phase costs ``n`` rounds;
-* Algorithm 2 runs exactly ``3n`` rounds — ``O(n)`` — whenever the graph
-  is 2f-connected (Theorem 5.6);
+* Algorithm 2 runs within a budget of ``3n`` rounds — ``O(n)`` —
+  whenever the graph is 2f-connected (Theorem 5.6); a run may end at
+  round ``2n + 1``, when every honest node is type B and decides as
+  phase 3 starts;
 * flooding message counts are driven by simple-path counts (each
   accepted path-annotated message corresponds to a simple path), which
   is the honest cost of the path-annotation defense.

@@ -46,20 +46,30 @@ def majority(values: List[int]) -> int:
     return 1 if ones > zeros else 0
 
 
-def _valid_bundle(graph: Graph, payload, full_path) -> bool:
+def _valid_bundle(graph: Graph, memo: dict, payload, full_path) -> bool:
     """Phase-2 validator: a well-formed report bundle from ``full_path[0]``
-    whose every subject is a neighbor of the reporter."""
-    if not isinstance(payload, ReportBundle):
+    whose subjects are distinct neighbors of the reporter.
+
+    Only the reporter test depends on the delivery.  The subject checks
+    depend on the bundle alone, so ``memo`` (one per flood) keeps their
+    verdict per bundle object: honest relays forward one object, so
+    nearly every delivery is a hit.  Each entry holds its bundle, so no
+    ``id()`` key is reused while the flood lives.
+    """
+    if not isinstance(payload, ReportBundle) or payload.reporter != full_path[0]:
         return False
-    if payload.reporter != full_path[0]:
-        return False
-    subjects = [s for s, _ in payload.entries]
-    if len(set(subjects)) != len(subjects):
-        return False
-    return all(
-        s in graph.nodes and payload.reporter in graph.neighbors(s)
-        for s in subjects
-    )
+    hit = memo.get(id(payload))
+    if hit is None:
+        subjects = [s for s, _ in payload.entries]
+        hit = memo[id(payload)] = (
+            payload,
+            len(set(subjects)) == len(subjects)
+            and all(
+                s in graph.nodes and payload.reporter in graph.neighbors(s)
+                for s in subjects
+            ),
+        )
+    return hit[1]
 
 
 class Algorithm2Protocol(Protocol):
@@ -77,8 +87,8 @@ class Algorithm2Protocol(Protocol):
             raise ValueError("oracle was built for a different graph")
         self.graph = graph
         # One oracle is typically shared by every instance on this graph
-        # (the factory does that): phase-2 fault localization asks for
-        # the same per-pair disjoint-path families at every node.
+        # (the factory does that): phase-2 fault localization walks the
+        # same per-origin plans at every node.
         self.oracle = oracle if oracle is not None else PathOracle(graph)
         self.me = node
         self.f = f
@@ -166,7 +176,7 @@ class Algorithm2Protocol(Protocol):
             self.me,
             phase=self.PHASE2,
             default_payload=None,
-            validator=partial(_valid_bundle, self.graph),
+            validator=partial(_valid_bundle, self.graph, {}),
         )
         self._flood2.initiate(ctx, bundle)
 
@@ -215,6 +225,7 @@ class Algorithm2Protocol(Protocol):
                 nbr: tuple(msgs) for nbr, msgs in self._transcripts.items()
             },
             own_sent=tuple(self._own_sent),
+            path_mask=self._flood2.path_mask,
         )
         self.detected = detect_faults(
             self.graph,
@@ -267,17 +278,24 @@ class Algorithm2Protocol(Protocol):
             return
         # No type-B node exists: reconstruct every non-faulty node's input
         # over fault-free paths (knowing the fault set makes Observation
-        # B.1 usable directly) and take the majority.
-        inputs: Dict[Hashable, int] = {}
-        for path, payload in sorted(self._flood1.delivered.items(), key=repr):
-            origin = path[0]
-            if origin in self.detected or origin in inputs:
-                continue
-            if not isinstance(payload, ValuePayload):
-                continue
-            if self._fault_free(path):
-                inputs[origin] = payload.value
-        self._output = majority([inputs[u] for u in sorted(inputs, key=repr)])
+        # B.1 usable directly) and take the majority.  Each undetected
+        # origin's first fault-free delivery is read.  That needs sound
+        # detection (the detected set is exactly the faulty one, as in
+        # synchronous runs): then every fault-free path from an undetected
+        # origin carries that origin's value, and any one will do.  Async
+        # schedulers can leave detection unsound; there a path through an
+        # undetected faulty relay may carry another value, so reading the
+        # first path instead of the ``repr``-least one could change the
+        # output.
+        inputs: List[int] = []
+        for origin in sorted(self.graph.nodes - self.detected, key=repr):
+            # repro: allow[REPRO001] insertion order is the deterministic
+            # flood-processing order, and any fault-free path will do.
+            for path, payload in self._flood1.origin_view(origin).items():
+                if isinstance(payload, ValuePayload) and self._fault_free(path):
+                    inputs.append(payload.value)
+                    break
+        self._output = majority(inputs)
 
 
 class Algorithm2Factory:
@@ -285,9 +303,9 @@ class Algorithm2Factory:
 
     A plain class rather than a closure so the parallel sweep engine can
     ship it to worker processes.  All instances it creates share one
-    :class:`PathOracle`, so the per-pair disjoint-path families phase-2
-    fault localization walks are computed once per graph — not once per
-    (node, run, pair).  The oracle keeps shipping cheap by pickling only
+    :class:`PathOracle`, so the localization plans phase-2 fault
+    localization walks are built once per graph — not once per (node,
+    run, pair).  The oracle keeps shipping cheap by pickling only
     its structural memos (see :meth:`PathOracle.__reduce__`), so sweep
     workers start warm.
     """

@@ -18,11 +18,12 @@ per phase).
   ``(sources, v, excluded, k)``;
 * maximum disjoint-path families from :func:`repro.graphs
   .max_disjoint_paths`, keyed by ``(u, v)`` — a pure function of the
-  static graph that Algorithm 2's fault localization asks for once per
-  (origin, target) pair *per node per run*.  Memoized here, the
-  generic max-flow computation leaves the hot path entirely; the
-  underlying routine stays as the oracle the property tests compare
-  against.
+  static graph; the underlying routine stays as the oracle the
+  property tests compare against;
+* localization plans, keyed by ``(w, k)`` — the walk order of
+  Algorithm 2's phase-2 fault localization from origin ``w``, built
+  from those families once per oracle instead of re-sorted and
+  re-sliced by every node of every run.
 
 Internally every memo key lives in the graph's canonical
 :class:`~repro.graphs.index.NodeIndex` space: node sets become
@@ -41,7 +42,8 @@ deterministic cross-process sweep engine relies on.
 When pickled, the oracle ships its *structural* memos — the pruned
 graphs and BFS parent trees, which dominate the rebuild cost and are
 pure functions of the graph — so sweep workers start warm.  The
-per-query result caches (paths, packings) and the hit/miss counters are
+per-query result caches (paths, packings), the localization plans
+(derived from the shipped families) and the hit/miss counters are
 per-process state and deliberately stay behind, keeping the pickle
 payload proportional to the phase structure rather than the query
 history.
@@ -56,15 +58,23 @@ from ..graphs import Graph, disjoint_paths_excluding, max_disjoint_paths
 from ..obs import MetricsRegistry
 
 PathTuple = Tuple[Hashable, ...]
+#: Phase-2 localization walk of one origin: per path, its internal-node
+#: steps ``(z, slot, prefix, idx)`` with ``z = path[idx]``,
+#: ``slot = path[:idx + 1]`` and ``prefix = path[:idx]``.
+LocalizationPlan = Tuple[Tuple[Tuple[Hashable, PathTuple, PathTuple, int], ...], ...]
+
+#: Query kinds the ``oracle.hits``/``oracle.misses`` counters split by.
+_KINDS = ("path", "packing", "disjoint", "plan")
 
 
 class PathOracle:
     """Memoized pruned-graph shortest paths and disjoint-path packings."""
 
     __slots__ = ("graph", "_index", "_pruned", "_trees", "_paths", "_packings",
-                 "_disjoint", "metrics", "_c_hit_path", "_c_miss_path",
-                 "_c_hit_packing", "_c_miss_packing", "_c_hit_disjoint",
-                 "_c_miss_disjoint")
+                 "_disjoint", "_plans", "metrics", "_c_hit_path",
+                 "_c_miss_path", "_c_hit_packing", "_c_miss_packing",
+                 "_c_hit_disjoint", "_c_miss_disjoint", "_c_hit_plan",
+                 "_c_miss_plan")
 
     def __init__(
         self,
@@ -90,6 +100,7 @@ class PathOracle:
         self._disjoint: Dict[
             Tuple[object, object], List[PathTuple]
         ] = {}
+        self._plans: Dict[Tuple[object, int], LocalizationPlan] = {}
         # Per-process observability: cache traffic lands on a private
         # registry so sweep merges can aggregate it, while the
         # ``hits``/``misses`` property shims keep the original int API.
@@ -109,6 +120,8 @@ class PathOracle:
         self._c_miss_disjoint = metrics.counter_cell(
             "oracle.misses", kind="disjoint"
         )
+        self._c_hit_plan = metrics.counter_cell("oracle.hits", kind="plan")
+        self._c_miss_plan = metrics.counter_cell("oracle.misses", kind="plan")
         if warm is not None:
             pruned, trees, *rest = warm
             self._pruned.update(pruned)
@@ -119,31 +132,22 @@ class PathOracle:
     @property
     def hits(self) -> int:
         """Total cache hits (shim over the ``oracle.hits`` counters)."""
-        metrics = self.metrics
-        return (
-            metrics.counter("oracle.hits", kind="path")
-            + metrics.counter("oracle.hits", kind="packing")
-            + metrics.counter("oracle.hits", kind="disjoint")
-        )
+        return sum(self.metrics.counter("oracle.hits", kind=k) for k in _KINDS)
 
     @property
     def misses(self) -> int:
         """Total cache misses (shim over the ``oracle.misses`` counters)."""
-        metrics = self.metrics
-        return (
-            metrics.counter("oracle.misses", kind="path")
-            + metrics.counter("oracle.misses", kind="packing")
-            + metrics.counter("oracle.misses", kind="disjoint")
-        )
+        return sum(self.metrics.counter("oracle.misses", kind=k) for k in _KINDS)
 
     def __reduce__(self):
         # Ship the structural memos (pruned graphs, BFS parent trees,
         # disjoint-path families) so sweep workers start warm — these
         # dominate the rebuild cost and are pure functions of the graph.
-        # The per-query result caches (_paths/_packings) and the hit
-        # counters stay per-process: they are cheap to refill and
-        # keeping them local keeps the pickle payload proportional to
-        # the phase structure, not to the query history.
+        # The per-query result caches (_paths/_packings), the plans
+        # derived from the families and the hit counters stay
+        # per-process: they are cheap to refill and keeping them local
+        # keeps the pickle payload proportional to the phase structure,
+        # not to the query history.
         return (
             type(self),
             (
@@ -295,11 +299,8 @@ class PathOracle:
 
         Memoized :func:`repro.graphs.max_disjoint_paths` (``want_paths``
         form, count dropped): the answer depends only on the static
-        graph and the endpoint pair, yet Algorithm 2's phase-2 fault
-        localization asks for it for every (origin, target) pair in
-        every protocol instance of every run — by far the dominant cost
-        of an unmemoized sweep.  Callers must not mutate the returned
-        list.
+        graph and the endpoint pair.  Callers must not mutate the
+        returned list.
         """
         key = (self._node_key(u), self._node_key(v))
         paths = self._disjoint.get(key)
@@ -310,6 +311,31 @@ class PathOracle:
         _count, paths = max_disjoint_paths(self.graph, u, v, want_paths=True)
         self._disjoint[key] = paths
         return paths
+
+    def localization_plan(self, w: Hashable, k: int) -> LocalizationPlan:
+        """The walk order of phase-2 fault localization from origin ``w``:
+        for every ``u ≠ w`` in ``repr`` order, the first ``k`` paths of
+        the ``repr``-sorted :meth:`disjoint_paths_between` family, each
+        as its internal-node steps (paths with none are left out).
+        Built once per oracle and shared by every node of every run."""
+        key = (self._node_key(w), k)
+        plan = self._plans.get(key)
+        if plan is not None:
+            self._c_hit_plan()
+            return plan
+        self._c_miss_plan()
+        walk = []
+        for u in sorted(self.graph.nodes, key=repr):
+            if u == w:
+                continue
+            for path in sorted(self.disjoint_paths_between(w, u), key=repr)[:k]:
+                if len(path) > 2:
+                    walk.append(tuple(
+                        (path[idx], path[: idx + 1], path[:idx], idx)
+                        for idx in range(1, len(path) - 1)
+                    ))
+        plan = self._plans[key] = tuple(walk)
+        return plan
 
     # ------------------------------------------------------------------
     def cache_info(self) -> Dict[str, int]:
@@ -322,6 +348,7 @@ class PathOracle:
             "paths": len(self._paths),
             "packings": len(self._packings),
             "disjoint_pairs": len(self._disjoint),
+            "plans": len(self._plans),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -34,19 +34,12 @@ on its path, so honest downstream nodes are never blamed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 
-from ..graphs import (
-    Graph,
-    has_disjoint_mask_packing,
-    has_disjoint_path_packing,
-    max_disjoint_paths,
-)
+from ..graphs import Graph, has_disjoint_mask_packing, has_disjoint_path_packing
 from ..net.messages import FloodMessage, ValuePayload
 from ..obs import NULL_METRICS
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (oracle imports graphs)
-    from .path_oracle import PathOracle
+from .path_oracle import PathOracle
 
 PathTuple = Tuple[Hashable, ...]
 TimedMessage = Tuple[int, object]  # (send round, message)
@@ -80,7 +73,7 @@ def reliable_value(
     me: Hashable,
     delivered: Dict[PathTuple, object],
     origin: Hashable,
-    oracle: Optional["PathOracle"] = None,
+    oracle: Optional[PathOracle] = None,
     metrics: object = NULL_METRICS,
     path_mask: Optional[Callable[[PathTuple], int]] = None,
 ) -> Optional[int]:
@@ -152,7 +145,7 @@ def reliable_payload(
     me: Hashable,
     delivered: Dict[PathTuple, object],
     origin: Hashable,
-    oracle: Optional["PathOracle"] = None,
+    oracle: Optional[PathOracle] = None,
     metrics: object = NULL_METRICS,
     path_mask: Optional[Callable[[PathTuple], int]] = None,
 ) -> Optional[object]:
@@ -244,7 +237,7 @@ class ReceiptTracker:
         f: int,
         me: Hashable,
         flood,
-        oracle: Optional["PathOracle"] = None,
+        oracle: Optional[PathOracle] = None,
     ):
         self.graph = graph
         self.f = f
@@ -303,7 +296,15 @@ class ClaimIndex:
     most entries repeat a transcript object already interned: those are
     found by identity, and a transcript tuple is compared or hashed only
     the first time its object is seen.  Equal copies (a Byzantine
-    re-encoding) still merge into one group.
+    re-encoding) still merge into one group.  Each distinct bundle
+    object's usable entries are resolved to ``(subject, bit, group)``
+    once, however many paths delivered it, and the "subject on path"
+    test is a bit test against the delivered path's node mask.
+
+    ``path_mask`` gives that mask, or ``None`` for a path with an
+    off-index label (no composite mask then); it defaults to
+    :meth:`~repro.graphs.index.NodeIndex.mask_of_strict`.  Algorithm 2
+    passes the flood's masks: a dict read instead of a bit sum.
     """
 
     def __init__(
@@ -314,6 +315,7 @@ class ClaimIndex:
         bundle_deliveries: Dict[PathTuple, ReportBundle],
         own_transcripts: Dict[Hashable, Transcript],
         own_sent: Transcript = (),
+        path_mask: Optional[Callable[[PathTuple], Optional[int]]] = None,
     ):
         self.graph = graph
         self.f = f
@@ -327,21 +329,27 @@ class ClaimIndex:
         # claimed that transcript; each composite path is (subject,) + path.
         self._evidence: Dict[Hashable, Dict[int, List[PathTuple]]] = {}
         # flood path -> internal-node bitmask of its composite paths,
-        # ``path[:-1]`` whatever the subject (None if the index cannot
+        # the path minus ``me`` whatever the subject (None if the index cannot
         # encode it); the packing currency of both certificates.
         self._path_masks: Dict[PathTuple, Optional[int]] = {}
         self._known_group: Dict[Hashable, Optional[int]] = {}
         self._claim_cache: Dict[Tuple[Hashable, object], bool] = {}
         index = graph.node_index()
-        nodes = graph.nodes
+        if path_mask is None:
+            path_mask = index.mask_of_strict
+        bits = index.bits
+        me_bit = bits.get(me, 0)
+        neighbors = graph.neighbors
         transcripts = self._transcripts
         evidence = self._evidence
         path_masks = self._path_masks
         group_of: Dict[Transcript, int] = {}
         # Identity keys are valid only while their objects live: ``pinned``
-        # holds every transcript whose id() is a key, so none is reused.
+        # holds every transcript and bundle whose id() is a key, so none
+        # is reused.
         group_of_id: Dict[int, int] = {}
-        pinned: List[Transcript] = []
+        entries_of_id: Dict[int, List[Tuple[Hashable, int, int]]] = {}
+        pinned: List[object] = []
         # repro: allow[REPRO001] bundle_deliveries preserves the
         # deterministic flood-processing insertion order; the evidence
         # lists built here feed packing-existence checks only.
@@ -349,30 +357,44 @@ class ClaimIndex:
             reporter = path[0]
             if bundle.reporter != reporter:
                 continue  # malformed: claimed reporter must be the flood origin
-            for subject, transcript in bundle.entries:
-                if subject not in nodes:
-                    continue
-                if reporter not in graph.neighbors(subject):
-                    continue  # a reporter can only attest about its neighbors
-                if subject in path:
+            # A bundle's usable entries depend on the bundle alone (its
+            # reporter is pinned to the path origin above): resolved
+            # once per bundle object, not once per delivered path.
+            entries = entries_of_id.get(id(bundle))
+            if entries is None:
+                entries = entries_of_id[id(bundle)] = []
+                pinned.append(bundle)
+                for subject, transcript in bundle.entries:
+                    if subject not in bits or reporter not in neighbors(subject):
+                        continue  # a reporter can only attest about its neighbors
+                    group = group_of_id.get(id(transcript))
+                    if group is None:
+                        # Reporters that heard the same broadcasts hold
+                        # equal tuples over the *same* message objects:
+                        # comparing with the subject's first claim settles
+                        # those by identity, far cheaper than hashing the
+                        # tuple through every message.
+                        claimed = evidence.get(subject)
+                        group = next(iter(claimed)) if claimed else None
+                        if group is None or transcripts[group] != transcript:
+                            group = group_of.setdefault(transcript, len(transcripts))
+                            if group == len(transcripts):
+                                transcripts.append(transcript)
+                        group_of_id[id(transcript)] = group
+                        pinned.append(transcript)
+                    entries.append((subject, bits[subject], group))
+            on_path = path_mask(path)
+            if on_path is None:
+                # An off-index label: no composite mask, and the lax mask
+                # still tests "subject on path" exactly (subjects are
+                # graph nodes).
+                on_path = index.mask_of(path)
+                path_masks[path] = None
+            else:
+                path_masks[path] = on_path & ~me_bit
+            for subject, bit, group in entries:
+                if on_path & bit:
                     continue  # composite path (subject,)+path must stay simple
-                group = group_of_id.get(id(transcript))
-                if group is None:
-                    # Reporters that heard the same broadcasts hold equal
-                    # tuples over the *same* message objects: comparing with
-                    # the subject's first claim settles those by identity,
-                    # far cheaper than hashing the tuple through every
-                    # message (a dataclass __hash__ call each).
-                    claimed = evidence.get(subject)
-                    group = next(iter(claimed)) if claimed else None
-                    if group is None or transcripts[group] != transcript:
-                        group = group_of.setdefault(transcript, len(transcripts))
-                        if group == len(transcripts):
-                            transcripts.append(transcript)
-                    group_of_id[id(transcript)] = group
-                    pinned.append(transcript)
-                if path not in path_masks:
-                    path_masks[path] = index.mask_of_strict(path[:-1])
                 evidence.setdefault(subject, {}).setdefault(group, []).append(path)
 
     # ------------------------------------------------------------------
@@ -472,7 +494,7 @@ def detect_faults(
     claims: ClaimIndex,
     phase1_tag: Hashable,
     first_round: int = 1,
-    oracle: Optional["PathOracle"] = None,
+    oracle: Optional[PathOracle] = None,
 ) -> set[Hashable]:
     """Phase-2 fault localization (Algorithm 2, phase 2).
 
@@ -512,11 +534,13 @@ def detect_faults(
     omissions occur only downstream of an earlier (faulty) deviator,
     which is detected first and shadows them.
 
-    When a shared :class:`~repro.consensus.path_oracle.PathOracle` is
-    supplied, the disjoint-path families come from its per-pair memo —
-    identical answers, computed once per graph instead of once per
-    (instance, run, pair); otherwise each pair runs the generic
-    max-flow routine directly.
+    The walk order — per target ``u`` in ``repr`` order, the first
+    ``2f`` paths of the ``repr``-sorted disjoint family, each split
+    into its ``(z, slot, prefix, idx)`` steps — is a pure function of
+    the static graph and ``w``: a shared
+    :class:`~repro.consensus.path_oracle.PathOracle` serves it as a
+    per-origin localization plan built once per oracle; without one, a
+    private oracle builds the plans for this call only.
     """
     detected: set[Hashable] = set()
     # Depends only on z's transcript — memoized so the quadruple loop
@@ -536,6 +560,8 @@ def detect_faults(
             )
         return _early_cache[z]
 
+    if oracle is None:
+        oracle = PathOracle(graph)  # plans for this call only
     for w in sorted(reliable_values, key=repr):
         b = reliable_values[w]
         wrong = ValuePayload(1 - b)
@@ -544,42 +570,29 @@ def detect_faults(
         # the prefix before it), and the path families towards different
         # targets u share prefixes: each slot is judged once per origin.
         verdicts: Dict[PathTuple, bool] = {}
-        for u in sorted(graph.nodes, key=repr):
-            if u == w:
-                continue
-            if oracle is not None:
-                # The path family is a pure function of the static graph
-                # and the pair — the shared oracle answers it once per
-                # pair instead of once per (instance, run, pair).
-                paths = oracle.disjoint_paths_between(w, u)
-            else:
-                _count, paths = max_disjoint_paths(graph, w, u, want_paths=True)
-            for path in sorted(paths, key=repr)[: 2 * f]:
-                for idx in range(1, len(path) - 1):
-                    z = path[idx]
-                    if z == me:
-                        continue  # a node never suspects itself
-                    slot = path[: idx + 1]
-                    suspicious = verdicts.get(slot)
-                    if suspicious is None:
-                        prefix = path[:idx]
-                        suspicious = claims.reliably_transmitted(
-                            z, FloodMessage(phase1_tag, wrong, prefix)
-                        )
-                        if not suspicious:
-                            rounds = claims.send_rounds(z)
-                            if rounds is not None:
-                                first = rounds.get(
-                                    FloodMessage(phase1_tag, right, prefix)
-                                )
-                                on_time = first is not None and (
-                                    first <= first_round + idx
-                                )
-                                suspicious = not on_time or (
-                                    forwards_in_initiation_round(z, rounds)
-                                )
-                        verdicts[slot] = suspicious
-                    if suspicious:
-                        detected.add(z)
-                        break  # only the first such node on this path
+        for steps in oracle.localization_plan(w, 2 * f):
+            for z, slot, prefix, idx in steps:
+                if z == me:
+                    continue  # a node never suspects itself
+                suspicious = verdicts.get(slot)
+                if suspicious is None:
+                    suspicious = claims.reliably_transmitted(
+                        z, FloodMessage(phase1_tag, wrong, prefix)
+                    )
+                    if not suspicious:
+                        rounds = claims.send_rounds(z)
+                        if rounds is not None:
+                            first = rounds.get(
+                                FloodMessage(phase1_tag, right, prefix)
+                            )
+                            on_time = first is not None and (
+                                first <= first_round + idx
+                            )
+                            suspicious = not on_time or (
+                                forwards_in_initiation_round(z, rounds)
+                            )
+                    verdicts[slot] = suspicious
+                if suspicious:
+                    detected.add(z)
+                    break  # only the first such node on this path
     return detected
