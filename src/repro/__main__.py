@@ -451,6 +451,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
     schedulers = parse_scheduler_axis(args)
     factory = analysis.factory_from_flight(graph, factory_spec(args, schedulers))
+    if args.capture:
+        # Before the first task: a bad --capture path fails before any run.
+        os.makedirs(args.capture, exist_ok=True)
     report = analysis.consensus_sweep(
         graph,
         factory,
@@ -484,7 +487,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # One file per retained task, named by canonical task index — the
         # same index at any --workers, so a capture directory diffs clean
         # across worker counts.
-        os.makedirs(args.capture, exist_ok=True)
         for index in sorted(report.flights):
             path = os.path.join(args.capture, f"flight-{index:05d}.ndjson")
             with open(path, "w", encoding="utf-8") as handle:

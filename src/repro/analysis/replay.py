@@ -24,11 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional
 
-from ..consensus.algorithm1 import Algorithm1Factory
-from ..consensus.algorithm2 import Algorithm2Factory
-from ..consensus.algorithm3 import Algorithm3Factory
-from ..consensus.async_alg import AsyncFactory
-from ..consensus.baselines import DolevEIGFactory, EIGFactory
+from ..consensus.factory import ProtocolFactory
 from ..consensus.runner import ConsensusResult, run_consensus
 from ..consensus.synchronizer import SynchronizedFactory
 from ..graphs import Digraph, Graph
@@ -56,39 +52,28 @@ def graph_from_flight(header: dict) -> Graph:
     return Graph(nodes, edges)
 
 
-#: ``flight_spec()`` kind -> factory, called as ``cls(graph, **spec-minus-kind)``.
-_FACTORY_KINDS = {
-    "algorithm1": Algorithm1Factory,
-    "algorithm2": Algorithm2Factory,
-    "algorithm3": Algorithm3Factory,
-    "async": AsyncFactory,
-    "eig": EIGFactory,
-    "dolev-eig": DolevEIGFactory,
-}
-
-
 def factory_from_flight(graph: Graph, spec: dict):
     """Build the factory a ``flight_spec()`` dict names (the CLI builds
-    here too); ``synchronized`` wraps the factory its ``inner`` names."""
+    here too): a :class:`~repro.consensus.factory.ProtocolFactory`, or
+    for ``synchronized`` a wrapper around the factory its ``inner``
+    names."""
     params = dict(spec)
     kind = params.pop("kind", None)
     if kind == "opaque":
         raise FlightReplayError(
-            f"factory {spec.get('repr', '?')} was recorded without a "
+            f"factory {spec.get('name', '?')} was recorded without a "
             "flight_spec(); the flight is analyzable but not replayable"
         )
     if kind == "synchronized":
         if not isinstance(params.get("inner"), dict):
             raise FlightReplayError(f"factory spec {spec!r}: no inner spec")
-        cls = SynchronizedFactory
-        target = factory_from_flight(graph, params.pop("inner"))
-    elif kind in _FACTORY_KINDS:
-        cls, target = _FACTORY_KINDS[kind], graph
+        inner = factory_from_flight(graph, params.pop("inner"))
+        cls, args = SynchronizedFactory, (inner,)
     else:
-        raise FlightReplayError(f"unknown factory kind {kind!r}")
+        cls, args = ProtocolFactory, (kind, graph)
     try:
-        return cls(target, **params)
-    except (TypeError, ValueError) as exc:  # a missing, unknown or bad field
+        return cls(*args, **params)
+    except (TypeError, ValueError) as exc:  # an unknown kind, field or value
         raise FlightReplayError(f"factory spec {spec!r}: {exc}") from None
 
 

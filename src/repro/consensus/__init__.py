@@ -15,36 +15,32 @@
 * :mod:`~repro.consensus.async_alg` — the native asynchronous algorithm
   (arXiv:1909.02865): message-driven quorum decisions, no round schedule,
   no delay bound;
+* :mod:`~repro.consensus.factory` — :class:`ProtocolFactory`, the one
+  picklable honest-protocol factory over the :data:`KINDS` table;
 * :mod:`~repro.consensus.synchronizer` — the α-synchronizer layer that
   instead runs the fixed-round protocols unchanged under asynchrony;
 * :mod:`~repro.consensus.runner` — one-call experiment driver.
 """
 
 from .algorithm1 import (
-    Algorithm1Factory,
     Algorithm1Protocol,
     ExactConsensusProtocol,
-    algorithm1_factory,
     candidate_fault_sets,
     candidate_pairs,
     phase_count,
 )
-from .algorithm2 import Algorithm2Factory, Algorithm2Protocol, algorithm2_factory, majority
-from .algorithm3 import Algorithm3Factory, Algorithm3Protocol, algorithm3_factory
+from .algorithm2 import Algorithm2Protocol, majority
+from .algorithm3 import Algorithm3Protocol
 from .async_alg import (
     DECIDE_PHASE,
     VALUES_PHASE,
     AsyncConsensusProtocol,
-    AsyncFactory,
-    async_factory,
     vote_phase,
 )
 from .baselines import (
     DolevEIGProtocol,
     EIGEquivocatingAdversary,
     EIGProtocol,
-    dolev_eig_factory,
-    eig_factory,
 )
 from .conditions import (
     Clause,
@@ -63,6 +59,17 @@ from .conditions import (
     max_f_hybrid,
     max_f_local_broadcast,
     max_f_point_to_point,
+)
+from .factory import (
+    KINDS,
+    ProtocolFactory,
+    ablated_algorithm1_factory,
+    algorithm1_factory,
+    algorithm2_factory,
+    algorithm3_factory,
+    async_factory,
+    dolev_eig_factory,
+    eig_factory,
 )
 from .flooding import FloodInstance, flood_rounds
 from .iterative import (
@@ -98,15 +105,11 @@ from .synchronizer import (
 )
 
 __all__ = [
-    "Algorithm1Factory",
     "Algorithm1Protocol",
-    "Algorithm2Factory",
     "Algorithm2Protocol",
-    "Algorithm3Factory",
     "Algorithm3Protocol",
     "AlphaSynchronizer",
     "AsyncConsensusProtocol",
-    "AsyncFactory",
     "ClaimIndex",
     "Clause",
     "ConditionReport",
@@ -117,6 +120,7 @@ __all__ = [
     "EIGProtocol",
     "ExactConsensusProtocol",
     "FloodInstance",
+    "KINDS",
     "NodeBehavior",
     "OUTCOME_BUDGET_EXHAUSTED",
     "OUTCOME_DECIDED",
@@ -124,12 +128,14 @@ __all__ = [
     "OUTCOME_STALLED",
     "PathFloodEngine",
     "PathOracle",
+    "ProtocolFactory",
     "ReportBundle",
     "RoundMarker",
     "SYNCHRONIZER_MODES",
     "SynchronizedFactory",
     "VALUES_PHASE",
     "WMSRResult",
+    "ablated_algorithm1_factory",
     "algorithm1_factory",
     "algorithm2_factory",
     "algorithm3_factory",

@@ -27,7 +27,6 @@ from ..net.messages import FloodMessage, ValuePayload
 from ..net.node import Protocol
 from .algorithm1 import ExactConsensusProtocol
 from .flooding import FloodInstance
-from .path_oracle import PathOracle
 
 PathTuple = Tuple[Hashable, ...]
 
@@ -63,30 +62,6 @@ class AblatedExactConsensus(ExactConsensusProtocol):
             self.gamma_history.append(self.gamma)
             if phase_idx == len(self.pairs) - 1:
                 self._output = self.gamma
-
-
-class AblatedAlgorithm1Factory:
-    """Picklable factory for the rule-(ii)-less Algorithm 1, sharing one
-    :class:`~repro.consensus.path_oracle.PathOracle` per graph."""
-
-    def __init__(self, graph: Graph, f: int):
-        self.graph = graph
-        self.f = f
-        self.oracle = PathOracle(graph)
-
-    def __call__(self, node: Hashable, input_value: int) -> AblatedExactConsensus:
-        return AblatedExactConsensus(
-            self.graph, node, self.f, input_value, t=0, oracle=self.oracle
-        )
-
-    def __reduce__(self):
-        # Carry the (warm) oracle across the process boundary.
-        return (type(self), (self.graph, self.f), {"oracle": self.oracle})
-
-
-def ablated_algorithm1_factory(graph: Graph, f: int) -> AblatedAlgorithm1Factory:
-    """Factory for the rule-(ii)-less Algorithm 1."""
-    return AblatedAlgorithm1Factory(graph, f)
 
 
 class ReInitAdversary(Adversary):

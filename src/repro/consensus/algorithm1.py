@@ -102,7 +102,7 @@ class ExactConsensusProtocol(Protocol):
         self.f = f
         self.t = t
         # One oracle is typically shared by every instance on this graph
-        # (the factories arrange that); a private one still caches the
+        # (the factory arranges that); a private one still caches the
         # per-phase pruned graph and BFS tree across step (b)'s n queries.
         self.oracle = oracle if oracle is not None else PathOracle(graph)
         self.gamma = input_value
@@ -248,43 +248,3 @@ class Algorithm1Protocol(ExactConsensusProtocol):
     def __init__(self, graph: Graph, node: Hashable, f: int, input_value: int,
                  oracle: Optional[PathOracle] = None):
         super().__init__(graph, node, f, input_value, t=0, oracle=oracle)
-
-
-class Algorithm1Factory:
-    """Picklable honest-protocol factory: ``(node, input) → protocol``.
-
-    All protocol instances built by one factory share one
-    :class:`PathOracle`, so the per-phase pruned graphs and BFS trees are
-    computed once per *graph* instead of once per node.  Being a plain
-    class (not a closure), the factory crosses process boundaries — the
-    parallel sweep engine ships it to its workers; ``__reduce__`` of the
-    oracle keeps that cheap by shipping only the structural memos
-    (pruned graphs and BFS trees), so workers start warm without
-    carrying the per-query caches.
-    """
-
-    def __init__(self, graph: Graph, f: int):
-        self.graph = graph
-        self.f = f
-        self.oracle = PathOracle(graph)
-
-    def __call__(self, node: Hashable, input_value: int) -> Algorithm1Protocol:
-        return Algorithm1Protocol(
-            self.graph, node, self.f, input_value, oracle=self.oracle
-        )
-
-    def flight_spec(self) -> dict:
-        """JSON-ready recipe for the flight recorder (the graph travels
-        separately in the flight header, so replay can rebuild this
-        factory as ``Algorithm1Factory(graph, **spec-minus-kind)``)."""
-        return {"kind": "algorithm1", "f": self.f}
-
-    def __reduce__(self):
-        # The state dict carries the (warm) oracle across the process
-        # boundary, replacing the cold one __init__ builds.
-        return (type(self), (self.graph, self.f), {"oracle": self.oracle})
-
-
-def algorithm1_factory(graph: Graph, f: int) -> Algorithm1Factory:
-    """An honest-protocol factory for the runner: ``(node, input) → protocol``."""
-    return Algorithm1Factory(graph, f)

@@ -296,41 +296,3 @@ class Algorithm2Protocol(Protocol):
                     inputs.append(payload.value)
                     break
         self._output = majority(inputs)
-
-
-class Algorithm2Factory:
-    """Picklable honest-protocol factory: ``(node, input) → protocol``.
-
-    A plain class rather than a closure so the parallel sweep engine can
-    ship it to worker processes.  All instances it creates share one
-    :class:`PathOracle`, so the localization plans phase-2 fault
-    localization walks are built once per graph — not once per (node,
-    run, pair).  The oracle keeps shipping cheap by pickling only
-    its structural memos (see :meth:`PathOracle.__reduce__`), so sweep
-    workers start warm.
-    """
-
-    def __init__(self, graph: Graph, f: int):
-        self.graph = graph
-        self.f = f
-        self.oracle = PathOracle(graph)
-
-    def __call__(self, node: Hashable, input_value: int) -> Algorithm2Protocol:
-        return Algorithm2Protocol(
-            self.graph, node, self.f, input_value, oracle=self.oracle
-        )
-
-    def flight_spec(self) -> dict:
-        """JSON-ready recipe for the flight recorder (graph travels
-        separately in the flight header)."""
-        return {"kind": "algorithm2", "f": self.f}
-
-    def __reduce__(self):
-        # The state dict carries the (warm) oracle across the process
-        # boundary; its own __reduce__ ships just the structural memos.
-        return (type(self), (self.graph, self.f), {"oracle": self.oracle})
-
-
-def algorithm2_factory(graph: Graph, f: int) -> Algorithm2Factory:
-    """Honest-protocol factory for the runner: ``(node, input) → protocol``."""
-    return Algorithm2Factory(graph, f)

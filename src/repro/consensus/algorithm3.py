@@ -31,37 +31,3 @@ class Algorithm3Protocol(ExactConsensusProtocol):
         oracle: Optional[PathOracle] = None,
     ):
         super().__init__(graph, node, f, input_value, t=t, oracle=oracle)
-
-
-class Algorithm3Factory:
-    """Picklable honest-protocol factory sharing one :class:`PathOracle`
-    across all protocol instances on the graph."""
-
-    def __init__(self, graph: Graph, f: int, t: int):
-        self.graph = graph
-        self.f = f
-        self.t = t
-        self.oracle = PathOracle(graph)
-
-    def __call__(self, node: Hashable, input_value: int) -> Algorithm3Protocol:
-        return Algorithm3Protocol(
-            self.graph, node, self.f, self.t, input_value, oracle=self.oracle
-        )
-
-    def flight_spec(self) -> dict:
-        """JSON-ready recipe for the flight recorder (graph travels
-        separately in the flight header)."""
-        return {"kind": "algorithm3", "f": self.f, "t": self.t}
-
-    def __reduce__(self):
-        # Carry the (warm) oracle across the process boundary.
-        return (
-            type(self),
-            (self.graph, self.f, self.t),
-            {"oracle": self.oracle},
-        )
-
-
-def algorithm3_factory(graph: Graph, f: int, t: int) -> Algorithm3Factory:
-    """Honest-protocol factory for the runner: ``(node, input) → protocol``."""
-    return Algorithm3Factory(graph, f, t)

@@ -393,50 +393,3 @@ class AsyncConsensusProtocol(Protocol):
             f"|values|={len(self.reliable_values)} round={self.vote_round} "
             f"output={self._output!r}>"
         )
-
-
-class AsyncFactory:
-    """Picklable honest-protocol factory: ``(node, input) → protocol``.
-
-    All instances on one graph share one :class:`PathOracle`, so the
-    packing-feasibility prechecks of every certificate check are computed
-    once per (origin, threshold) instead of once per node.  Pickles
-    exactly like the other ``*Factory`` classes (the oracle ships its
-    structural memos, so workers start warm), and asynchronous sweeps
-    fan out across worker processes byte-identically.
-    """
-
-    def __init__(self, graph: Graph, f: int, patience: Optional[int] = None):
-        self.graph = graph
-        self.f = f
-        self.patience = patience
-        self.oracle = PathOracle(graph)
-
-    def __call__(self, node: Hashable, input_value: int) -> AsyncConsensusProtocol:
-        return AsyncConsensusProtocol(
-            self.graph, node, self.f, input_value,
-            oracle=self.oracle, patience=self.patience,
-        )
-
-    def flight_spec(self) -> dict:
-        """JSON-ready recipe for the flight recorder (graph travels
-        separately in the flight header)."""
-        return {"kind": "async", "f": self.f, "patience": self.patience}
-
-    def __reduce__(self):
-        # Carry the (warm) oracle across the process boundary.
-        return (
-            type(self),
-            (self.graph, self.f, self.patience),
-            {"oracle": self.oracle},
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"AsyncFactory(n={self.graph.n}, f={self.f})"
-
-
-def async_factory(
-    graph: Graph, f: int, patience: Optional[int] = None
-) -> AsyncFactory:
-    """Honest-protocol factory for the runner: ``(node, input) → protocol``."""
-    return AsyncFactory(graph, f, patience=patience)

@@ -26,12 +26,13 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from ..graphs import Graph, max_disjoint_paths
+from ..graphs import Graph
 from ..net.adversary import Adversary, FaultSpec, _WrapperProtocol
 from ..net.messages import DirectMessage
 from ..net.node import Context, Protocol
 from .algorithm2 import majority
 from .flooding import FloodInstance, flood_rounds
+from .path_oracle import PathOracle
 
 Label = Tuple[Hashable, ...]
 
@@ -73,7 +74,9 @@ class EIGProtocol(Protocol):
     carrying it as a baseline.
     """
 
-    def __init__(self, graph: Graph, node: Hashable, f: int, input_value: int):
+    def __init__(self, graph: Graph, node: Hashable, f: int, input_value: int,
+                 oracle: Optional[PathOracle] = None):
+        # ``oracle`` is accepted like every protocol's; EIG needs no paths.
         if input_value not in (0, 1):
             raise ValueError("binary input expected")
         expected = graph.n - 1
@@ -120,27 +123,6 @@ class EIGProtocol(Protocol):
 
     def output(self) -> Optional[int]:
         return self._output
-
-
-class EIGFactory:
-    """Picklable honest-protocol factory for :class:`EIGProtocol`."""
-
-    def __init__(self, graph: Graph, f: int):
-        self.graph = graph
-        self.f = f
-
-    def __call__(self, node: Hashable, input_value: int) -> EIGProtocol:
-        return EIGProtocol(self.graph, node, self.f, input_value)
-
-    def flight_spec(self) -> dict:
-        """JSON-ready recipe for the flight recorder (graph travels
-        separately in the flight header)."""
-        return {"kind": "eig", "f": self.f}
-
-
-def eig_factory(graph: Graph, f: int) -> EIGFactory:
-    """Honest-protocol factory for :class:`EIGProtocol`."""
-    return EIGFactory(graph, f)
 
 
 class EIGEquivocatingAdversary(Adversary):
@@ -192,10 +174,15 @@ class DolevEIGProtocol(Protocol):
     EIG resolve then yields consensus.
     """
 
-    def __init__(self, graph: Graph, node: Hashable, f: int, input_value: int):
+    def __init__(self, graph: Graph, node: Hashable, f: int, input_value: int,
+                 oracle: Optional[PathOracle] = None):
         if input_value not in (0, 1):
             raise ValueError("binary input expected")
+        if oracle is not None and oracle.graph != graph:
+            raise ValueError("oracle was built for a different graph")
         self.graph = graph
+        # Shared per graph (the factory does that): one family per pair.
+        self.oracle = oracle if oracle is not None else PathOracle(graph)
         self.me = node
         self.f = f
         self.nodes = sorted(graph.nodes, key=repr)
@@ -204,8 +191,6 @@ class DolevEIGProtocol(Protocol):
         self.tree: Dict[Label, int] = {(): input_value}
         self._flood: Optional[FloodInstance] = None
         self._output: Optional[int] = None
-        # Canonical disjoint-path families, computed on demand per origin.
-        self._families: Dict[Hashable, List[Tuple[Hashable, ...]]] = {}
 
     # ------------------------------------------------------------------
     def on_round(self, ctx: Context) -> None:
@@ -239,14 +224,6 @@ class DolevEIGProtocol(Protocol):
         return self._output
 
     # ------------------------------------------------------------------
-    def _paths_from(self, origin: Hashable) -> List[Tuple[Hashable, ...]]:
-        if origin not in self._families:
-            _count, paths = max_disjoint_paths(
-                self.graph, origin, self.me, want_paths=True
-            )
-            self._families[origin] = sorted(paths, key=repr)[: 2 * self.f + 1]
-        return self._families[origin]
-
     def _absorb_super_round(self, super_idx: int) -> None:
         assert self._flood is not None
         delivered = self._flood.delivered
@@ -254,7 +231,10 @@ class DolevEIGProtocol(Protocol):
             if q == self.me:
                 continue
             votes: Dict[Label, List[int]] = {}
-            for path in self._paths_from(q):
+            family = sorted(
+                self.oracle.disjoint_paths_between(q, self.me), key=repr
+            )
+            for path in family[: 2 * self.f + 1]:
                 payload = delivered.get(path)
                 if not isinstance(payload, tuple):
                     continue
@@ -265,24 +245,3 @@ class DolevEIGProtocol(Protocol):
             for label, vals in sorted(votes.items(), key=repr):
                 if len(vals) >= self.f + 1:
                     self.tree.setdefault(label + (q,), majority(vals))
-
-
-class DolevEIGFactory:
-    """Picklable honest-protocol factory for :class:`DolevEIGProtocol`."""
-
-    def __init__(self, graph: Graph, f: int):
-        self.graph = graph
-        self.f = f
-
-    def __call__(self, node: Hashable, input_value: int) -> DolevEIGProtocol:
-        return DolevEIGProtocol(self.graph, node, self.f, input_value)
-
-    def flight_spec(self) -> dict:
-        """JSON-ready recipe for the flight recorder (graph travels
-        separately in the flight header)."""
-        return {"kind": "dolev-eig", "f": self.f}
-
-
-def dolev_eig_factory(graph: Graph, f: int) -> DolevEIGFactory:
-    """Honest-protocol factory for :class:`DolevEIGProtocol`."""
-    return DolevEIGFactory(graph, f)

@@ -34,10 +34,11 @@ label-space keys), so the hit/miss sequence of every query stream is
 exactly the one the label-keyed implementation produced.
 
 One oracle is meant to be shared by all protocol instances on the same
-graph — the ``algorithm*_factory`` helpers do exactly that.  All
-traversals iterate neighbors in ``repr`` order, so every answer is a pure
-function of the query (independent of ``PYTHONHASHSEED``), which the
-deterministic cross-process sweep engine relies on.
+graph — :class:`~repro.consensus.factory.ProtocolFactory` does exactly
+that for every protocol kind.  All traversals iterate neighbors in
+``repr`` order, so every answer is a pure function of the query
+(independent of ``PYTHONHASHSEED``), which the deterministic
+cross-process sweep engine relies on.
 
 When pickled, the oracle ships its *structural* memos — the pruned
 graphs and BFS parent trees, which dominate the rebuild cost and are

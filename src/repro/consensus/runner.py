@@ -26,6 +26,7 @@ from ..obs import (
     encode_label,
     flight_from_trace,
 )
+from .factory import flight_spec_of
 
 
 #: The four ways a run can end (``ConsensusResult.outcome``).
@@ -358,18 +359,13 @@ def _flight_header(
     """The flight header: everything a replay needs, JSON-canonical.
 
     Factories publish their own rebuild recipe via a duck-typed
-    ``flight_spec()``; one without it is recorded as opaque — the flight
-    stays fully analyzable, and only ``replay`` refuses it.  The
+    ``flight_spec()``; one without it is recorded as opaque by its
+    ``module.qualname`` (:func:`~repro.consensus.factory.flight_spec_of`)
+    — the flight stays fully analyzable, and only ``replay`` refuses it.  The
     adversary is recorded by battery name (plus its seed/crash knobs
     when present), the scheduler as its frozen spec fields, and
     ``max_rounds`` as the *resolved* budget so replay never re-derives.
     """
-    spec_fn = getattr(honest_factory, "flight_spec", None)
-    factory_spec = (
-        spec_fn()
-        if callable(spec_fn)
-        else {"kind": "opaque", "repr": repr(honest_factory)}
-    )
     adversary_spec = None
     if adversary is not None:
         adversary_spec = {
@@ -419,7 +415,7 @@ def _flight_header(
         },
         "scheduler": None if scheduler is None else asdict(scheduler),
         "max_rounds": max_rounds,
-        "factory": factory_spec,
+        "factory": flight_spec_of(honest_factory),
         "metered": snapshot is not None,
         "spec": dict(run_spec) if run_spec else {},
     }

@@ -46,10 +46,10 @@ synchronously.  Ack mode adds only the marker messages; payloads still
 travel verbatim.
 
 :class:`SynchronizedFactory` wraps any picklable honest-protocol factory
-(every ``*Factory`` in the library), so sweeps can fan synchronized runs
-out across worker processes; the wrapped protocol advertises a scaled
-``total_rounds`` (inner rounds × window) so the runner's delay-aware
-budget accounting keeps working.
+(every :class:`~repro.consensus.factory.ProtocolFactory` is one), so
+sweeps can fan synchronized runs out across worker processes; the
+wrapped protocol advertises a scaled ``total_rounds`` (inner rounds ×
+window) so the runner's delay-aware budget accounting keeps working.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from typing import Dict, Hashable, List, Optional
 
 from ..net.adversary import HonestFactory
 from ..net.node import Context, Inbox, Protocol
+from .factory import flight_spec_of
 
 SYNCHRONIZER_MODES = ("alpha", "ack")
 
@@ -281,10 +282,10 @@ class AlphaSynchronizer(Protocol):
 class SynchronizedFactory:
     """Picklable ``(node, input) → AlphaSynchronizer(inner)`` factory.
 
-    Wraps any honest-protocol factory in the library — the ``*Factory``
-    classes are all picklable, and this wrapper pickles exactly when its
-    inner factory does, so synchronized sweeps fan out across worker
-    processes unchanged.  Adversaries that simulate honest behavior
+    Wraps any honest-protocol factory in the library — every
+    :class:`~repro.consensus.factory.ProtocolFactory` is picklable, and
+    this wrapper pickles exactly when its inner factory does, so
+    synchronized sweeps fan out across worker processes unchanged.  Adversaries that simulate honest behavior
     (``spec.honest()``) also receive the wrapped protocol, so faulty
     nodes participate in the same round discipline their honest template
     would.
@@ -327,18 +328,13 @@ class SynchronizedFactory:
         knobs plus the inner factory's own spec (replay rebuilds
         inside-out).  An inner factory without a ``flight_spec`` is
         recorded as opaque — the flight stays analyzable, not replayable."""
-        inner_spec = getattr(self.inner, "flight_spec", None)
         return {
             "kind": "synchronized",
             "window": self.window,
             "mode": self.mode,
             "f": self.f,
             "ack_timeout": self.ack_timeout,
-            "inner": (
-                inner_spec()
-                if callable(inner_spec)
-                else {"kind": "opaque", "repr": repr(self.inner)}
-            ),
+            "inner": flight_spec_of(self.inner),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.consensus import algorithm1_factory, run_consensus
-from repro.consensus.ablation import (
-    ReInitAdversary,
+from repro.consensus import (
     ablated_algorithm1_factory,
-    reliable_value_with_threshold,
+    algorithm1_factory,
+    run_consensus,
 )
+from repro.consensus.ablation import ReInitAdversary, reliable_value_with_threshold
 from repro.graphs import cycle_graph, paper_figure_1a
 from repro.net import ValuePayload
 

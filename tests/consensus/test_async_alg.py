@@ -25,8 +25,9 @@ import pytest
 
 from repro.analysis import consensus_sweep
 from repro.consensus import (
+    KINDS,
     AsyncConsensusProtocol,
-    AsyncFactory,
+    ProtocolFactory,
     algorithm2_factory,
     async_factory,
     check_async_local_broadcast,
@@ -268,14 +269,18 @@ class TestUnboundedScheduler:
 
 
 class TestComposition:
-    def test_factory_pickles(self):
-        factory = async_factory(wheel_graph(5), 1)
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_factory_pickles(self, kind):
+        params = {"t": 0} if kind == "algorithm3" else {}
+        factory = ProtocolFactory(kind, complete_graph(4), 1, **params)
         clone = pickle.loads(pickle.dumps(factory))
-        assert isinstance(clone, AsyncFactory)
-        assert (clone.f, clone.graph) == (1, factory.graph)
-        protocol = clone(0, 1)
-        assert isinstance(protocol, AsyncConsensusProtocol)
-        assert protocol.oracle is clone.oracle  # shared per factory
+        assert isinstance(clone, ProtocolFactory)
+        assert clone.flight_spec() == factory.flight_spec()
+        assert clone.graph == factory.graph
+        first, second = clone(0, 1), clone(1, 0)
+        assert type(first) is KINDS[kind][0]
+        if kind != "eig":  # EIG reads no paths
+            assert first.oracle is second.oracle is clone.oracle
 
     @pytest.mark.parametrize("workers", [2])
     def test_sweep_byte_identical_across_workers(self, workers):

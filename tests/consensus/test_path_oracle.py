@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from repro.consensus import Algorithm1Factory, PathOracle, algorithm1_factory
+from repro.consensus import KINDS, PathOracle, ProtocolFactory, algorithm1_factory
 from repro.consensus.runner import run_consensus
 from repro.graphs import (
     cycle_graph,
@@ -123,7 +123,7 @@ class TestDisjointPathsExcluding:
 class TestSharing:
     def test_factory_shares_one_oracle(self):
         graph = cycle_graph(5)
-        factory = Algorithm1Factory(graph, 1)
+        factory = algorithm1_factory(graph, 1)
         p0 = factory(0, 0)
         p1 = factory(1, 1)
         assert p0.oracle is p1.oracle is factory.oracle
@@ -135,17 +135,20 @@ class TestSharing:
         with pytest.raises(ValueError):
             Algorithm1Protocol(cycle_graph(4), 0, 1, 0, oracle=oracle)
 
-    def test_pickled_factory_ships_warm_oracle(self):
-        """The factory's oracle crosses the process boundary with its
-        structural memos (pruned graphs, BFS trees) intact; the
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_pickled_factory_ships_warm_oracle(self, kind):
+        """Every kind's factory oracle crosses the process boundary with
+        its structural memos (pruned graphs, BFS trees) intact; the
         per-query caches and counters start fresh in the worker."""
         graph = cycle_graph(5)
-        factory = algorithm1_factory(graph, 1)
+        params = {"t": 0} if kind == "algorithm3" else {}
+        factory = ProtocolFactory(kind, graph, 1, **params)
         factory.oracle.path_excluding(0, 2, frozenset({4}))
         before = factory.oracle.cache_info()
         assert before["pruned_graphs"] == 1 and before["bfs_trees"] == 1
         clone = pickle.loads(pickle.dumps(factory))
         assert clone.graph == graph
+        assert clone.flight_spec() == factory.flight_spec()
         info = clone.oracle.cache_info()
         assert info["pruned_graphs"] == 1
         assert info["bfs_trees"] == 1

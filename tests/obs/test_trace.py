@@ -34,14 +34,16 @@ from repro.analysis import consensus_sweep, replay_flight
 from repro.consensus import (
     OUTCOME_DECIDED,
     OUTCOME_DISAGREED,
+    ablated_algorithm1_factory,
     algorithm1_factory,
     algorithm2_factory,
     algorithm3_factory,
     async_factory,
+    dolev_eig_factory,
+    eig_factory,
     run_consensus,
 )
 from repro.consensus import runner
-from repro.consensus.baselines import DolevEIGFactory, EIGFactory
 from repro.graphs import complete_graph, cycle_graph, wheel_graph
 from repro.net import standard_adversaries
 from repro.net import trace as net_trace
@@ -79,14 +81,15 @@ def record_run(graph, factory, *, f=1, faulty=(), adversary=None,
 
 
 def scenario_factories(graph, k4):
-    """Five fixed-round factories plus the native async algorithm."""
+    """Six fixed-round factories plus the native async algorithm."""
     return [
         ("alg1", graph, algorithm1_factory(graph, 1)),
         ("alg2", graph, algorithm2_factory(graph, 1)),
         ("alg3", graph, algorithm3_factory(graph, 1, 0)),
         ("async", graph, async_factory(graph, 1)),
-        ("eig", k4, EIGFactory(k4, 1)),
-        ("dolev-eig", k4, DolevEIGFactory(k4, 1)),
+        ("eig", k4, eig_factory(k4, 1)),
+        ("dolev-eig", k4, dolev_eig_factory(k4, 1)),
+        ("ablated-alg1", graph, ablated_algorithm1_factory(graph, 1)),
     ]
 
 

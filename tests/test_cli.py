@@ -5,7 +5,20 @@ import json
 import pytest
 
 from repro.__main__ import UsageError, main, parse_graph
+from repro.analysis import consensus_sweep
+from repro.consensus import Algorithm1Protocol
 from repro.graphs import cycle_graph, paper_figure_1b, petersen_graph
+
+
+class SpeclessFactory:
+    """A picklable factory without ``flight_spec()``: its flights are
+    recorded as opaque."""
+
+    def __init__(self, graph, f):
+        self.graph, self.f = graph, f
+
+    def __call__(self, node, input_value):
+        return Algorithm1Protocol(self.graph, node, self.f, input_value)
 
 
 class TestParseGraph:
@@ -648,13 +661,13 @@ class TestUnopenableFiles:
     with one ``CMD: error: FILE: reason`` line on stderr."""
 
     @staticmethod
-    def assert_file_error(argv, path, capsys):
+    def assert_file_error(argv, path, capsys,
+                          reason="No such file or directory"):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err == (f"python -m repro {argv[0]}: error: {path}: "
-                       "No such file or directory\n")
+        assert err == f"python -m repro {argv[0]}: error: {path}: {reason}\n"
 
     def test_trace_reads_missing_flight(self, tmp_path, capsys):
         path = tmp_path / "missing.ndjson"
@@ -677,7 +690,7 @@ class TestUnopenableFiles:
 
     @pytest.mark.parametrize("command,option", [
         ("run", "--metrics"), ("run", "--trace"),
-        ("sweep", "--output"), ("sweep", "--metrics"),
+        ("sweep", "--output"), ("sweep", "--metrics"), ("sweep", "--capture"),
         ("profile", "--output"), ("profile", "--trace"),
     ])
     def test_missing_directory_refused_before_any_run(
@@ -689,9 +702,15 @@ class TestUnopenableFiles:
         monkeypatch.setattr("repro.consensus.run_consensus", started)
         monkeypatch.setattr("repro.analysis.sweep.run_consensus", started)
         path = tmp_path / "missing" / "out"
+        reason = "No such file or directory"
+        if option == "--capture":
+            # --capture makes its directory, parents too; only a regular
+            # file in the way stops it.
+            path.parent.write_text("")
+            reason = "Not a directory"
         self.assert_file_error(
             [command, "--graph", "cycle:4", "--f", "1", option, str(path)],
-            path, capsys,
+            path, capsys, reason,
         )
         assert capsys.readouterr().out == ""
 
@@ -868,8 +887,12 @@ class TestTraceCommand:
         (lambda spec: spec["inner"].update(extra=1),
          "unexpected keyword argument"),
         (lambda spec: spec.pop("inner"), "no inner spec"),
+        (lambda spec: spec["inner"].update(kind="algorithm9"),
+         "unknown protocol kind 'algorithm9'"),
+        (lambda spec: spec.update(inner={"kind": "algorithm3", "f": 1}),
+         "algorithm3 missing required argument 't'"),
     ], ids=["missing", "bad-value", "extra", "inner-missing", "inner-extra",
-            "no-inner"])
+            "no-inner", "inner-unknown-kind", "inner-alg3-no-t"])
     def test_bad_factory_spec_is_not_replayable(
         self, tmp_path, capsys, edit, fragment
     ):
@@ -891,6 +914,35 @@ class TestTraceCommand:
         out = capsys.readouterr().out
         assert out.startswith("not replayable: factory spec ")
         assert fragment in out
+
+    def test_opaque_factory_flights_match_across_workers(
+        self, tmp_path, capsys
+    ):
+        """An opaque factory is recorded by name, not by a ``repr`` with
+        a memory address: its capture-all flights are the same bytes at
+        any worker count, and replay refuses them (exit 2)."""
+        graph = cycle_graph(5)
+        serial, parallel = (
+            consensus_sweep(
+                graph, SpeclessFactory(graph, 1), f=1,
+                patterns=["alternating"], capture="all", workers=workers,
+            ).flights
+            for workers in (1, 2)
+        )
+        assert serial and serial == parallel
+        header = json.loads(serial[0].splitlines()[0])
+        assert header["factory"] == {
+            "kind": "opaque",
+            "name": f"{__name__}.SpeclessFactory",
+        }
+        path = tmp_path / "flight.ndjson"
+        path.write_text(serial[0])
+        assert main(["trace", "replay", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(
+            f"not replayable: factory {__name__}.SpeclessFactory was "
+            "recorded without a flight_spec()"
+        )
 
     def test_profile_trace_records_metered_run(self, tmp_path, capsys):
         path = tmp_path / "prof.ndjson"
