@@ -10,9 +10,10 @@ from _tables import print_table
 from repro.consensus import (
     ablated_algorithm1_factory,
     algorithm1_factory,
+    reliable_value,
     run_consensus,
 )
-from repro.consensus.ablation import ReInitAdversary, reliable_value_with_threshold
+from repro.consensus.ablation import ReInitAdversary
 from repro.graphs import cycle_graph, paper_figure_1a
 from repro.net import ValuePayload
 
@@ -55,7 +56,8 @@ def threshold_ablation():
     }
     rows = []
     for threshold, label in [(2, "f + 1 (paper)"), (1, "f (ablated)")]:
-        value = reliable_value_with_threshold(g, threshold, 0, delivered, 2)
+        # f + 1 disjoint paths are required, so threshold k is f = k - 1.
+        value = reliable_value(g, threshold - 1, 0, delivered, 2)
         rows.append((label, threshold, str(value)))
     return rows
 

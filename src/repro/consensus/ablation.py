@@ -13,22 +13,19 @@ invariant Lemma 5.3 needs.
 
 The second ablation attacks Definition C.1's threshold: accepting a
 value on ``f`` (rather than ``f + 1``) node-disjoint paths lets a single
-faulty relay forge a "reliably received" value — measured directly in
-:func:`reliable_value_with_threshold`.
+faulty relay forge a "reliably received" value — measured directly by
+calling :func:`~repro.consensus.reliable.reliable_value` with ``f``
+one lower than the fault bound.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Optional
 
-from ..graphs import Graph, has_disjoint_path_packing
 from ..net.adversary import Adversary, FaultSpec, _WrapperProtocol
 from ..net.messages import FloodMessage, ValuePayload
 from ..net.node import Protocol
 from .algorithm1 import ExactConsensusProtocol
-from .flooding import FloodInstance
-
-PathTuple = Tuple[Hashable, ...]
 
 
 class AblatedExactConsensus(ExactConsensusProtocol):
@@ -38,30 +35,7 @@ class AblatedExactConsensus(ExactConsensusProtocol):
     intact, isolating the contribution of the duplicate-slot rule.
     """
 
-    def on_round(self, ctx) -> None:
-        r = ctx.round_no
-        if r > self.total_rounds:
-            return
-        phase_idx = (r - 1) // self.rounds_per_phase
-        within = (r - 1) % self.rounds_per_phase + 1
-        if within == 1:
-            self._flood = FloodInstance(
-                self.graph,
-                self.me,
-                phase=("exact", phase_idx),
-                default_payload=ValuePayload(1),
-                validator=self._valid_payload,
-                enable_rule_ii=False,
-            )
-            self._flood.initiate(ctx, ValuePayload(self.gamma))
-        else:
-            assert self._flood is not None
-            self._flood.process_round(ctx)
-        if within == self.rounds_per_phase:
-            self._finish_phase(phase_idx)
-            self.gamma_history.append(self.gamma)
-            if phase_idx == len(self.pairs) - 1:
-                self._output = self.gamma
+    enable_rule_ii = False
 
 
 class ReInitAdversary(Adversary):
@@ -102,40 +76,3 @@ class ReInitAdversary(Adversary):
             return result
 
         return _WrapperProtocol(spec.honest(), transform)
-
-
-def reliable_value_with_threshold(
-    graph: Graph,
-    threshold: int,
-    me: Hashable,
-    delivered: Dict[PathTuple, object],
-    origin: Hashable,
-) -> Optional[int]:
-    """Definition C.1 case (3) with a configurable path threshold.
-
-    The paper requires ``f + 1`` disjoint paths; the ablation benchmarks
-    show that at threshold ``f`` a single faulty relay can forge a
-    reliable receipt (and that honest receipt still works), i.e. the
-    ``+1`` is exactly the safety margin.
-    """
-    if origin == me:
-        own = delivered.get((me,))
-        return own.value if isinstance(own, ValuePayload) else None
-    direct = delivered.get((origin, me))
-    if isinstance(direct, ValuePayload):
-        return direct.value
-    for delta in (0, 1):
-        paths = [
-            p
-            # repro: allow[REPRO001] delivered's insertion order is the
-            # deterministic flood-processing order, and the consumer only
-            # checks packing *existence* (order-insensitive).
-            for p, payload in delivered.items()
-            if len(p) >= 2
-            and p[0] == origin
-            and isinstance(payload, ValuePayload)
-            and payload.value == delta
-        ]
-        if has_disjoint_path_packing(paths, threshold, mode="uv"):
-            return delta
-    return None

@@ -89,6 +89,10 @@ class ExactConsensusProtocol(Protocol):
     transform its outbox.
     """
 
+    #: Flooding rule (ii), passed to every phase's :class:`FloodInstance`;
+    #: only the rule-(ii) ablation turns it off.
+    enable_rule_ii = True
+
     def __init__(self, graph: Graph, node: Hashable, f: int, input_value: int,
                  t: int = 0, oracle: Optional[PathOracle] = None):
         if input_value not in (0, 1):
@@ -131,6 +135,7 @@ class ExactConsensusProtocol(Protocol):
                 phase=("exact", phase_idx),
                 default_payload=ValuePayload(1),
                 validator=self._valid_payload,
+                enable_rule_ii=self.enable_rule_ii,
             )
             self._flood.initiate(ctx, ValuePayload(self.gamma))
         else:

@@ -29,9 +29,9 @@ Internally every memo key lives in the graph's canonical
 :class:`~repro.graphs.index.NodeIndex` space: node sets become
 plain-int bitmasks and nodes become bit positions, so the hot lookups
 hash small integers instead of frozensets of labels.  The translation
-is injective (off-index queries fall back to explicitly tagged
-label-space keys), so the hit/miss sequence of every query stream is
-exactly the one the label-keyed implementation produced.
+is injective, so the hit/miss sequence of every query stream is
+exactly the one the label-keyed implementation produced; a query that
+names a label outside the graph raises ``KeyError``.
 
 One oracle is meant to be shared by all protocol instances on the same
 graph — :class:`~repro.consensus.factory.ProtocolFactory` does exactly
@@ -84,24 +84,16 @@ class PathOracle:
     ):
         self.graph = graph
         self._index = graph.node_index()
-        # All four memos are keyed in index space: a node set is its
-        # strict bitmask, a node its bit position.  Queries the index
-        # cannot encode (off-graph labels) use ("raw", ...) tagged keys
-        # instead — the tag prevents any collision with bit positions,
-        # which are ints just like common node labels.
-        self._pruned: Dict[object, Graph] = {}
-        self._trees: Dict[Tuple[object, object], Dict[Hashable, Hashable]] = {}
-        self._paths: Dict[
-            Tuple[object, object, object], Optional[PathTuple]
-        ] = {}
+        # All memos are keyed in index space: a node set is its
+        # bitmask, a node its bit position.
+        self._pruned: Dict[int, Graph] = {}
+        self._trees: Dict[Tuple[int, int], Dict[Hashable, Hashable]] = {}
+        self._paths: Dict[Tuple[int, int, int], Optional[PathTuple]] = {}
         self._packings: Dict[
-            Tuple[object, object, object, int],
-            Optional[List[PathTuple]],
+            Tuple[int, int, int, int], Optional[List[PathTuple]]
         ] = {}
-        self._disjoint: Dict[
-            Tuple[object, object], List[PathTuple]
-        ] = {}
-        self._plans: Dict[Tuple[object, int], LocalizationPlan] = {}
+        self._disjoint: Dict[Tuple[int, int], List[PathTuple]] = {}
+        self._plans: Dict[Tuple[int, int], LocalizationPlan] = {}
         # Per-process observability: cache traffic lands on a private
         # registry so sweep merges can aggregate it, while the
         # ``hits``/``misses`` property shims keep the original int API.
@@ -158,22 +150,9 @@ class PathOracle:
         )
 
     # ------------------------------------------------------------------
-    def _set_key(self, nodes: FrozenSet[Hashable]) -> object:
-        """Index-space key for a node set: its strict bitmask, or the
-        tagged set itself when some member is off-index.  Injective in
-        both regimes, so distinct label-space keys never merge."""
-        mask = self._index.mask_of_strict(nodes)
-        return mask if mask is not None else ("raw", nodes)
-
-    def _node_key(self, v: Hashable) -> object:
-        """Index-space key for one node (bit position or tagged label)."""
-        idx = self._index.index_of.get(v)
-        return idx if idx is not None else ("raw", v)
-
-    # ------------------------------------------------------------------
     def pruned(self, removed: FrozenSet[Hashable]) -> Graph:
         """``G − removed``, computed once per distinct removal set."""
-        key = self._set_key(removed)
+        key = self._index.mask_of(removed)
         graph = self._pruned.get(key)
         if graph is None:
             graph = self.graph.remove_nodes(removed)
@@ -188,7 +167,7 @@ class PathOracle:
         Neighbors are visited in ``repr`` order, so the tree (and every
         path read from it) is deterministic.
         """
-        key = (self._set_key(removed), self._node_key(root))
+        key = (self._index.mask_of(removed), self._index.index_of[root])
         parents = self._trees.get(key)
         if parents is None:
             graph = self.pruned(removed)
@@ -216,20 +195,21 @@ class PathOracle:
         """One shortest ``u → v`` path with no internal node in
         ``excluded`` (endpoints may belong to it), or ``None``.
 
-        The pruned graph is ``G − (excluded − {u, v})``; a missing
-        endpoint or disconnection yields ``None``.
+        The pruned graph is ``G − (excluded − {u, v})``, which keeps
+        both endpoints; disconnection yields ``None``.
         """
-        key = (self._set_key(excluded), self._node_key(u), self._node_key(v))
+        index = self._index
+        key = (index.mask_of(excluded), index.index_of[u], index.index_of[v])
         if key in self._paths:
             self._c_hit_path()
             return self._paths[key]
         self._c_miss_path()
         removed = frozenset(excluded - {u, v})
-        graph = self.pruned(removed)
+        # Built even when u == v: the pruned-graph memo (shipped warm to
+        # sweep workers) holds every removal set a query has named.
+        self.pruned(removed)
         path: Optional[PathTuple]
-        if u not in graph.nodes or v not in graph.nodes:
-            path = None
-        elif u == v:
+        if u == v:
             path = (u,)
         else:
             parents = self._parents(removed, v)
@@ -258,15 +238,14 @@ class PathOracle:
         results, memo entries, and the hit/miss sequence are identical to
         ``[path_excluding(u, v, excluded) for u in sources]``.
         """
-        skey = self._set_key(excluded)
-        vkey = self._node_key(v)
-        paths = self._paths
         index_of = self._index.index_of
+        skey = self._index.mask_of(excluded)
+        vkey = index_of[v]
+        paths = self._paths
         hits = 0
         out: List[Optional[PathTuple]] = []
         for u in sources:
-            idx = index_of.get(u)
-            key = (skey, idx if idx is not None else ("raw", u), vkey)
+            key = (skey, index_of[u], vkey)
             if key in paths:
                 hits += 1
                 out.append(paths[key])
@@ -286,7 +265,10 @@ class PathOracle:
         """Memoized :func:`repro.graphs.disjoint_paths_excluding`."""
         fsources = frozenset(sources)
         fexclude = frozenset(exclude)
-        key = (self._set_key(fsources), self._node_key(v), self._set_key(fexclude), k)
+        index = self._index
+        key = (
+            index.mask_of(fsources), index.index_of[v], index.mask_of(fexclude), k
+        )
         if key in self._packings:
             self._c_hit_packing()
             return self._packings[key]
@@ -303,7 +285,8 @@ class PathOracle:
         graph and the endpoint pair.  Callers must not mutate the
         returned list.
         """
-        key = (self._node_key(u), self._node_key(v))
+        index_of = self._index.index_of
+        key = (index_of[u], index_of[v])
         paths = self._disjoint.get(key)
         if paths is not None:
             self._c_hit_disjoint()
@@ -319,7 +302,7 @@ class PathOracle:
         the ``repr``-sorted :meth:`disjoint_paths_between` family, each
         as its internal-node steps (paths with none are left out).
         Built once per oracle and shared by every node of every run."""
-        key = (self._node_key(w), k)
+        key = (self._index.index_of[w], k)
         plan = self._plans.get(key)
         if plan is not None:
             self._c_hit_plan()

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 
-from ..graphs import Graph, has_disjoint_mask_packing, has_disjoint_path_packing
+from ..graphs import Graph, has_disjoint_mask_packing
 from ..net.messages import FloodMessage, ValuePayload
 from ..obs import NULL_METRICS
 from .path_oracle import PathOracle
@@ -106,37 +106,25 @@ def reliable_value(
     return payload.value if isinstance(payload, ValuePayload) else None
 
 
-def _interior_masks(
+def _internal_masks(
     graph: Graph,
     paths: List[PathTuple],
     origin: Hashable,
     me: Hashable,
     path_mask: Optional[Callable[[PathTuple], int]],
-) -> Optional[List[int]]:
+) -> List[int]:
     """Internal-node bitmasks for a group of ``origin→me`` paths.
 
     With a ``path_mask`` lookup (the flood's full-path visited masks)
     this is two bit-clears per path; otherwise the masks are rebuilt
-    from the index.  Returns ``None`` when any path carries a node the
-    index does not know (possible only for hand-built ``delivered``
-    dicts) — the caller then falls back to the frozenset packing, so
-    the decision stays exactly equal to the legacy implementation.
+    from the index, which raises ``KeyError`` on a label outside the
+    graph (a flood never delivers one: rule (i) drops it).
     """
     index = graph.node_index()
-    index_of = index.index_of
-    if path_mask is not None:
-        o_idx = index_of.get(origin)
-        me_idx = index_of.get(me)
-        if o_idx is not None and me_idx is not None:
-            ends = (1 << o_idx) | (1 << me_idx)
-            return [path_mask(p) & ~ends for p in paths]
-    masks: List[int] = []
-    for p in paths:
-        mask = index.mask_of_strict(p[1:-1])
-        if mask is None:
-            return None
-        masks.append(mask)
-    return masks
+    if path_mask is None:
+        return [index.mask_of(p[1:-1]) for p in paths]
+    ends = index.bit(origin) | index.bit(me)
+    return [path_mask(p) & ~ends for p in paths]
 
 
 def reliable_payload(
@@ -199,15 +187,10 @@ def reliable_payload(
             return None
     for payload in sorted(groups, key=repr):
         metrics.inc("reliable.packing_checks")
-        # Disjointness runs over internal-node bitmasks (two paths
-        # conflict iff mask_a & mask_b != 0); the frozenset search is
-        # kept as the fallback for paths the index cannot encode.
-        masks = _interior_masks(graph, groups[payload], origin, me, path_mask)
-        if masks is not None:
-            packed = has_disjoint_mask_packing(masks, f + 1)
-        else:
-            packed = has_disjoint_path_packing(groups[payload], f + 1, mode="uv")
-        if packed:
+        # Disjointness runs over internal-node bitmasks: two paths
+        # conflict iff mask_a & mask_b != 0.
+        masks = _internal_masks(graph, groups[payload], origin, me, path_mask)
+        if has_disjoint_mask_packing(masks, f + 1):
             return payload
     return None
 
@@ -301,10 +284,12 @@ class ClaimIndex:
     once, however many paths delivered it, and the "subject on path"
     test is a bit test against the delivered path's node mask.
 
-    ``path_mask`` gives that mask, or ``None`` for a path with an
-    off-index label (no composite mask then); it defaults to
-    :meth:`~repro.graphs.index.NodeIndex.mask_of_strict`.  Algorithm 2
-    passes the flood's masks: a dict read instead of a bit sum.
+    ``path_mask`` gives that mask; it defaults to
+    :meth:`~repro.graphs.index.NodeIndex.mask_of`, which raises
+    ``KeyError`` on a label outside the graph (a flood never delivers
+    one: rule (i) drops it).  Algorithm 2 passes the flood's masks: a
+    dict read instead of a bit sum.  An entry about a subject outside
+    the graph is skipped like any other unattestable entry.
     """
 
     def __init__(
@@ -315,7 +300,7 @@ class ClaimIndex:
         bundle_deliveries: Dict[PathTuple, ReportBundle],
         own_transcripts: Dict[Hashable, Transcript],
         own_sent: Transcript = (),
-        path_mask: Optional[Callable[[PathTuple], Optional[int]]] = None,
+        path_mask: Optional[Callable[[PathTuple], int]] = None,
     ):
         self.graph = graph
         self.f = f
@@ -329,16 +314,16 @@ class ClaimIndex:
         # claimed that transcript; each composite path is (subject,) + path.
         self._evidence: Dict[Hashable, Dict[int, List[PathTuple]]] = {}
         # flood path -> internal-node bitmask of its composite paths,
-        # the path minus ``me`` whatever the subject (None if the index cannot
-        # encode it); the packing currency of both certificates.
-        self._path_masks: Dict[PathTuple, Optional[int]] = {}
+        # the path minus ``me`` whatever the subject; the packing
+        # currency of both certificates.
+        self._path_masks: Dict[PathTuple, int] = {}
         self._known_group: Dict[Hashable, Optional[int]] = {}
         self._claim_cache: Dict[Tuple[Hashable, object], bool] = {}
         index = graph.node_index()
         if path_mask is None:
-            path_mask = index.mask_of_strict
+            path_mask = index.mask_of
         bits = index.bits
-        me_bit = bits.get(me, 0)
+        me_bit = bits[me]
         neighbors = graph.neighbors
         transcripts = self._transcripts
         evidence = self._evidence
@@ -384,14 +369,7 @@ class ClaimIndex:
                         pinned.append(transcript)
                     entries.append((subject, bits[subject], group))
             on_path = path_mask(path)
-            if on_path is None:
-                # An off-index label: no composite mask, and the lax mask
-                # still tests "subject on path" exactly (subjects are
-                # graph nodes).
-                on_path = index.mask_of(path)
-                path_masks[path] = None
-            else:
-                path_masks[path] = on_path & ~me_bit
+            path_masks[path] = on_path & ~me_bit
             for subject, bit, group in entries:
                 if on_path & bit:
                     continue  # composite path (subject,)+path must stay simple
@@ -406,19 +384,14 @@ class ClaimIndex:
             )
         return rounds
 
-    def _packs(self, subject: Hashable, paths: List[PathTuple]) -> bool:
+    def _packs(self, paths: List[PathTuple]) -> bool:
         """``f + 1`` internally node-disjoint composite paths among
-        ``(subject,) + p`` for ``p`` in ``paths``?
-
-        Mask packing over the masks computed at build time; falls back
-        to the frozenset search iff some path carried an off-index node
-        (identical decision either way).
-        """
-        masks = [self._path_masks[p] for p in paths]
-        if all(m is not None for m in masks):
-            return has_disjoint_mask_packing(masks, self.f + 1)
-        composites = [(subject,) + p for p in paths]
-        return has_disjoint_path_packing(composites, self.f + 1, mode="uv")
+        ``(subject,) + p`` for ``p`` in ``paths``?  Mask packing over
+        the masks computed at build time."""
+        path_masks = self._path_masks
+        return has_disjoint_mask_packing(
+            [path_masks[p] for p in paths], self.f + 1
+        )
 
     def _reliable_group(self, subject: Hashable) -> Optional[int]:
         """Evidence group of ``subject``'s reliably known transcript."""
@@ -439,7 +412,7 @@ class ClaimIndex:
             # at most one transcript can ever pass the f+1 disjoint-path
             # certificate (single-valuedness), so order cannot matter.
             for candidate, paths in self._evidence.get(subject, {}).items():
-                if self._packs(subject, paths):
+                if self._packs(paths):
                     group = candidate
                     break
         self._known_group[subject] = group
@@ -481,7 +454,7 @@ class ClaimIndex:
                 if message in self._rounds(group)
                 for p in plist
             ]
-            result = self._packs(subject, paths)
+            result = self._packs(paths)
         self._claim_cache[key] = result
         return result
 

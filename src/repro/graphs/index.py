@@ -125,44 +125,22 @@ class NodeIndex:
         return 1 << self.index_of[node]
 
     def mask_of(self, nodes: Iterable[Node]) -> int:
-        """Bitmask of the given nodes; labels outside the graph are
-        ignored (removing an absent node from a graph is a no-op, which
-        is the semantics every pruning consumer wants).
+        """Bitmask of the given nodes (KeyError on a label outside the
+        graph, like :meth:`bit`).
 
-        Distinct graph nodes cost one C-level ``sum`` of ``bits``: a
-        repeated label always carries, so the sum has ``len(nodes)`` set
-        bits only when no label repeats; the rest take the loop."""
+        Distinct labels cost one C-level ``sum`` of ``bits``: a repeated
+        label always carries, so the sum has ``len(nodes)`` set bits
+        only when no label repeats; the rest take the loop."""
         if not hasattr(nodes, "__len__"):
             nodes = tuple(nodes)
-        try:
-            mask = sum(map(self.bits.__getitem__, nodes))
-        except KeyError:
-            pass
-        else:
-            if mask.bit_count() == len(nodes):
-                return mask
-        index_of = self.index_of
-        mask = 0
-        for v in nodes:
-            i = index_of.get(v)
-            if i is not None:
-                mask |= 1 << i
-        return mask
-
-    def mask_of_strict(self, nodes: Iterable[Node]) -> Optional[int]:
-        """Bitmask of the given nodes, or ``None`` if any label is not a
-        graph node (callers fall back to label-space keys there, keeping
-        distinct queries distinct).  :meth:`mask_of`'s fast path, inlined:
-        through a shared helper, short paths ran slower than the loop."""
-        if not hasattr(nodes, "__len__"):
-            nodes = tuple(nodes)
-        try:
-            mask = sum(map(self.bits.__getitem__, nodes))
-        except KeyError:
-            return None
+        mask = sum(map(self.bits.__getitem__, nodes))
         if mask.bit_count() == len(nodes):
             return mask
-        return self.mask_of(nodes)  # every label known, some repeated
+        bits = self.bits
+        mask = 0
+        for v in nodes:
+            mask |= bits[v]
+        return mask
 
     def members(self, mask: int) -> Tuple[Node, ...]:
         """The labels of a mask, in canonical (index) order."""
@@ -208,11 +186,6 @@ class NodeIndex:
             packed = (packed << shift) | (i + 1)
             prev = i
         return mask, packed, prev
-
-    def interior_mask(self, path: Sequence[Node]) -> int:
-        """Visited-set mask of a path's *internal* nodes (endpoints
-        excluded) — the disjointness currency of ``uv``-path packings."""
-        return self.mask_of(path[1:-1])
 
     # ------------------------------------------------------------------
     def __getstate__(self):

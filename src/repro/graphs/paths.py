@@ -11,9 +11,10 @@ The consensus algorithms reason about three path notions from Section 3:
 
 Step (c) of Algorithms 1/3 and Definition C.1 both ask: *among the paths
 that delivered value δ, are there ``f+1`` node-disjoint ones?*  Over an
-explicit path list that is a set-packing question; the thresholds are tiny
-(``f + 1``), so :func:`has_disjoint_path_packing` decides it exactly with
-a pruned depth-first search over conflict bitmasks.
+explicit path list that is a set-packing question over the paths' node
+bitmasks (:mod:`repro.graphs.index`); the thresholds are tiny
+(``f + 1``), so :func:`has_disjoint_mask_packing` decides it exactly with
+a greedy pass and a pruned depth-first search over conflict bitmasks.
 """
 
 from __future__ import annotations
@@ -128,51 +129,11 @@ def count_simple_paths(graph: Graph, u: Node, v: Node) -> int:
     return len(all_simple_paths(graph, u, v))
 
 
-def has_disjoint_path_packing(
-    paths: Sequence[Sequence[Node]],
-    k: int,
-    mode: str = "uv",
-) -> bool:
-    """Decide whether ``k`` pairwise node-disjoint paths exist in ``paths``.
-
-    ``mode="uv"``: paths share both endpoints; disjointness = no common
-    internal node.  ``mode="set"``: ``Uv``-paths sharing only the final
-    node ``v``; disjointness = no common node besides ``v``.
-
-    Exact decision via DFS over conflict bitmasks with two prunes:
-    (a) remaining candidates cannot reach ``k``; (b) candidate ordering by
-    conflict degree.  Thresholds in this library are ``f + 1`` (tiny), so
-    the search is fast even with hundreds of candidate paths.
-    """
-    if k <= 0:
-        return True
-    if mode not in ("uv", "set"):
-        raise GraphError(f"unknown packing mode {mode!r}")
-    items: list[frozenset] = []
-    for p in paths:
-        if mode == "uv":
-            items.append(frozenset(internal_nodes(p)))
-        else:
-            items.append(frozenset(p[:-1]))
-    if len(items) < k:
-        return False
-    # Conflict bitmask per path: bit j set iff path i conflicts with path j.
-    m = len(items)
-    conflict = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if items[i] & items[j]:
-                conflict[i] |= 1 << j
-                conflict[j] |= 1 << i
-    order = sorted(range(m), key=lambda i: conflict[i].bit_count())
-    return _packing_search(order, conflict, k, 0, 0, (1 << m) - 1)
-
-
 def _packing_search(
     order: Sequence[int], conflict: Sequence[int], k: int,
     start: int, chosen: int, alive: int,
 ) -> bool:
-    """The exact packing DFS shared by both packing deciders: can
+    """The exact packing DFS of :func:`has_disjoint_mask_packing`: can
     ``k - chosen`` more pairwise non-conflicting candidates be taken
     from ``alive``, trying them in ``order`` from position ``start``?
 
@@ -197,17 +158,16 @@ def _packing_search(
 def has_disjoint_mask_packing(masks: Sequence[int], k: int) -> bool:
     """Decide whether ``k`` pairwise-disjoint bitmasks exist in ``masks``.
 
-    The integer-set twin of :func:`has_disjoint_path_packing`: callers
-    encode whatever disjointness currency their mode needs (internal
-    nodes for ``uv``-paths, everything-but-the-sink for ``Uv``-paths) as
-    node bitmasks, and two paths conflict iff ``mask_a & mask_b != 0``.
+    Callers encode whatever disjointness currency their mode needs
+    (internal nodes for ``uv``-paths, everything-but-the-sink for
+    ``Uv``-paths) as node bitmasks, and two paths conflict iff
+    ``mask_a & mask_b != 0``.
 
     A greedy pass (fewest-bits-first, stable) answers the overwhelmingly
     common feasible case in one sweep; greedy success is always sound,
-    so only its failure falls back to the exact conflict-bitmask DFS —
-    the same search :func:`has_disjoint_path_packing` runs — keeping the
-    decision *exactly* equal to the frozenset implementation on every
-    input (property-tested against it).
+    so only its failure falls back to the exact conflict-bitmask DFS.
+    The decision is property-tested against a frozenset packing search
+    over the same paths' labels.
     """
     if k <= 0:
         return True
@@ -235,20 +195,6 @@ def has_disjoint_mask_packing(masks: Sequence[int], k: int) -> bool:
                 conflict[j] |= 1 << i
     order = sorted(range(m), key=lambda i: conflict[i].bit_count())
     return _packing_search(order, conflict, k, 0, 0, (1 << m) - 1)
-
-
-def max_disjoint_path_packing(
-    paths: Sequence[Sequence[Node]], mode: str = "uv"
-) -> int:
-    """The largest number of pairwise node-disjoint paths in ``paths``."""
-    lo, hi = 0, len(paths)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if has_disjoint_path_packing(paths, mid, mode=mode):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
 
 
 def concat_path(prefix: Sequence[Node], node: Node) -> Path:

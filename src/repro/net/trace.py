@@ -4,9 +4,6 @@ The trace is the simulator's ground truth.  It drives:
 
 * complexity accounting (rounds, transmissions, deliveries) for the
   Theorem 5.6 vs Algorithm 1 cost benchmarks;
-* the impossibility experiments, which record an execution ``E`` on the
-  covering network and *replay* faulty nodes' transmissions into the
-  executions ``E1, E2, E3`` (Appendices A and D);
 * the scheduler subsystem (:mod:`repro.net.sched`), whose delivery
   events carry virtual timestamps: every :class:`Transmission` records
   the virtual time it was sent (``sent_at``) and every per-recipient
@@ -14,6 +11,13 @@ The trace is the simulator's ground truth.  It drives:
   Under the default lockstep scheduler — the synchronous model —
   virtual time coincides with the round number;
 * debugging: a faithful log of who said what, when, to whom.
+
+The impossibility experiments (Appendices A and D) do not replay engine
+traces: they record an execution ``E`` on the covering network with
+:class:`~repro.lowerbounds.covering.CoveringSimulator` and replay faulty
+nodes' per-copy transcripts
+(:meth:`~repro.lowerbounds.covering.CopyTranscript.as_schedule`) into
+the executions ``E1, E2, E3``.
 
 A trace has two levels, chosen when the engine is built: *recorded*
 (per-message :class:`Transmission`/:class:`Delivery` logs plus the

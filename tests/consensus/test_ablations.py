@@ -5,9 +5,10 @@ import pytest
 from repro.consensus import (
     ablated_algorithm1_factory,
     algorithm1_factory,
+    reliable_value,
     run_consensus,
 )
-from repro.consensus.ablation import ReInitAdversary, reliable_value_with_threshold
+from repro.consensus.ablation import ReInitAdversary
 from repro.graphs import cycle_graph, paper_figure_1a
 from repro.net import ValuePayload
 
@@ -75,24 +76,18 @@ class TestDefinitionC1ThresholdAblation:
             (2, 1, 0): ValuePayload(0),   # forged by faulty node 1
         }
 
+    # ``reliable_value(graph, f, ...)`` requires f + 1 disjoint paths, so
+    # threshold k is f = k - 1.
     def test_paper_threshold_rejects_forgery(self, c4):
-        value = reliable_value_with_threshold(
-            c4, 2, 0, self._delivered_forged(), 2
+        value = reliable_value(
+            c4, 1, 0, self._delivered_forged(), 2
         )  # threshold f+1 = 2
         assert value is None  # conflict: nothing reliably received
 
     def test_lower_threshold_is_spoofable(self, c4):
-        value = reliable_value_with_threshold(
-            c4, 1, 0, self._delivered_forged(), 2
+        value = reliable_value(
+            c4, 0, 0, self._delivered_forged(), 2
         )  # threshold f = 1
         # With threshold 1 the forged value 0 qualifies (checked first):
         # a single faulty relay controls the outcome.
         assert value == 0
-
-    def test_threshold_matches_reference_implementation(self, c4):
-        from repro.consensus import reliable_value
-
-        delivered = {(2, 1, 0): ValuePayload(1), (2, 3, 0): ValuePayload(1)}
-        assert reliable_value(c4, 1, 0, delivered, 2) == (
-            reliable_value_with_threshold(c4, 2, 0, delivered, 2)
-        )

@@ -1,7 +1,7 @@
 """Property tests: the bitmask fast paths decide exactly like the
 label-space implementations they replaced.
 
-Three oracles are kept in this file, beside it, or in the shipped tree:
+Three oracles are kept in this file, beside it, or one directory up:
 
 * ``LegacyFlood`` below is the pre-refactor :class:`FloodInstance`
   acceptance logic (hash-and-walk ``is_path``, label-space rule-(ii)
@@ -11,8 +11,9 @@ Three oracles are kept in this file, beside it, or in the shipped tree:
 * ``path_walk_oracle.naive_deliveries_at`` (beside this file) is the
   enumerate-and-rewalk reference for :class:`PathFloodEngine`'s
   backward search;
-* :func:`has_disjoint_path_packing` is the frozenset twin of the mask
-  packing, and a fresh :func:`reliable_payload` call is the oracle for
+* ``packing_oracle.has_disjoint_path_packing`` (in ``tests/``) is the
+  frozenset reference for the mask packing, and a fresh
+  :func:`reliable_payload` call is the oracle for
   :class:`ReceiptTracker`'s incremental verdicts.
 """
 
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from packing_oracle import has_disjoint_path_packing, max_disjoint_path_packing
 from path_walk_oracle import naive_deliveries_at
 from repro.consensus import (
     FloodInstance,
@@ -32,9 +34,7 @@ from repro.graphs import (
     all_simple_paths,
     cycle_graph,
     has_disjoint_mask_packing,
-    has_disjoint_path_packing,
     is_path,
-    max_disjoint_path_packing,
     oneway_ring,
     paper_figure_1a,
     random_digraph,
@@ -466,7 +466,7 @@ class TestMaskPacking:
         # Drop a pseudo-random subset so pools of every shape appear.
         pool = [p for i, p in enumerate(pool) if (seed >> i) & 1 or i == 0]
         index = graph.node_index()
-        masks = [index.interior_mask(p) for p in pool]
+        masks = [index.mask_of(p[1:-1]) for p in pool]
         expected = has_disjoint_path_packing(pool, k, mode="uv")
         assert has_disjoint_mask_packing(masks, k) == expected
         best = max_disjoint_path_packing(pool, mode="uv")

@@ -4,7 +4,7 @@ exactly like a linear-scan reference.
 The reference below is the straightforward reading of the phase-2
 certificates: evidence grouped under each claimed transcript by value,
 claims checked by scanning transcripts with ``==``, disjointness by the
-frozenset packing.  The shipped code interns transcripts and looks
+frozenset packing of ``tests/packing_oracle.py``.  The shipped code interns transcripts and looks
 messages up in first-send-round tables; seeded random bundle floods —
 honest relays, equal re-encodings, tampered and late forwards, dropped
 entries and forged reporters — must get identical answers from both.
@@ -14,12 +14,12 @@ import random
 
 import pytest
 
+from packing_oracle import has_disjoint_path_packing
 from repro.consensus import ClaimIndex, PathOracle, ReportBundle
 from repro.consensus.reliable import detect_faults
 from repro.graphs import (
     all_simple_paths,
     cycle_graph,
-    has_disjoint_path_packing,
     max_disjoint_paths,
     wheel_graph,
 )

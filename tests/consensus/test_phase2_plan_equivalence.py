@@ -8,19 +8,23 @@ replaced:
   re-sorted and re-sliced each pair's disjoint-path family at every
   node;
 * :func:`detect_faults` with and without a shared oracle, and
-  :class:`ClaimIndex`'s bit-tested composite paths — including
-  deliveries that carry labels the node index cannot encode — against
-  the linear-scan reference of ``test_claim_index_equivalence``, with
-  the flood's masks and with the default ``mask_of_strict``;
+  :class:`ClaimIndex`'s bit-tested composite paths, against the
+  linear-scan reference of ``test_claim_index_equivalence``, with the
+  flood's masks and with the default ``mask_of``;
 * the per-object memos (the phase-2 bundle validator and the claim
   index's resolved entries) when one bundle object arrives under two
   claimed reporters, and when equal but distinct objects arrive.
+
+A label outside the graph never reaches a mask: flood rule (i) drops a
+path naming one and the claim index skips such a subject, while a
+hand-built delivery keyed by one raises ``KeyError``.
 """
 
 import pickle
 import random
 from functools import partial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,9 +40,11 @@ from test_claim_index_equivalence import (
 )
 from repro.consensus import (
     ClaimIndex,
+    FloodInstance,
     PathOracle,
     ReportBundle,
     algorithm2_factory,
+    reliable_value,
     run_consensus,
 )
 from repro.consensus.algorithm2 import _valid_bundle
@@ -55,7 +61,14 @@ from repro.graphs import (
     random_connected_graph,
     wheel_graph,
 )
-from repro.net import FloodMessage, ValuePayload, standard_adversaries
+from repro.net import (
+    Context,
+    FloodMessage,
+    ValuePayload,
+    local_broadcast_model,
+    standard_adversaries,
+)
+from repro.obs import MetricsRegistry
 
 #: Small graphs for f = 1 (κ ≥ 2) and f = 2 (κ ≥ 4).
 F1_GRAPHS = [cycle_graph(5), cycle_graph(6), wheel_graph(6), wheel_graph(7)]
@@ -133,8 +146,7 @@ class TestFactoryPickling:
 # ---------------------------------------------------------------------------
 def phase2_world(graph, f, seed):
     """``me``'s view after phase 2: honest and tampered bundle floods, up
-    to ``f`` misbehaving nodes, a few deliveries through a label the
-    node index does not know, and one bundle object replayed under a
+    to ``f`` misbehaving nodes, and one bundle object replayed under a
     reporter that did not build it."""
     rng = random.Random(seed)
     nodes = sorted(graph.nodes, key=repr)
@@ -165,8 +177,6 @@ def phase2_world(graph, f, seed):
             elif roll < 0.45 or any(z in path[1:-1] for z in faulty):
                 bundle = tamper_bundle(rng, bundle, graph)
             deliveries[tuple(path)] = bundle
-        if rng.random() < 0.3:
-            deliveries[(reporter, ("ghost", reporter), me)] = bundles[reporter]
     # One object, two claimed reporters: only its own reporter's path counts.
     reporter, other = rng.sample([v for v in nodes if v != me], 2)
     deliveries[(other, me)] = bundles[reporter]
@@ -337,3 +347,57 @@ class TestBundleMemo:
         claims = ClaimIndex(graph, 1, 3, honest, {})
         assert claims.reliable_transcript(0) == transcript
         assert claims.reliably_transmitted(0, m)
+
+
+class TestOffGraphLabels:
+    """Byzantine traffic naming a label outside the graph never reaches
+    the node index's ``KeyError``; only a hand-built delivery does."""
+
+    GHOST = ("ghost", 1)
+
+    def setup_method(self):
+        # me = 3 on C6; subject 0's neighbors 1 and 5 report it along
+        # the disjoint flood paths (1, 2, 3) and (5, 4, 3).
+        self.graph = cycle_graph(6)
+        self.m = FloodMessage(PHASE, ValuePayload(1), ())
+        self.transcript = ((1, self.m),)
+
+    def bundle(self, reporter, subjects):
+        return ReportBundle.build(
+            reporter, {s: list(self.transcript) for s in subjects}
+        )
+
+    def test_flood_rule_i_drops_an_off_graph_path(self):
+        metrics = MetricsRegistry()
+        flood = FloodInstance(self.graph, 3, phase="p2")
+        forged = FloodMessage("p2", self.bundle(1, [0, 2]), (1, self.GHOST))
+        ctx = Context(
+            node=3, graph=self.graph, round_no=3,
+            channel=local_broadcast_model(), inbox=[(2, forged)],
+            metrics=metrics,
+        )
+        assert metrics.counter("flood.rejected", phase="p2", rule="i") == 0
+        assert flood.process_round(ctx) == 0
+        assert flood.delivered == {}
+        assert ctx.outbox == []
+        assert metrics.counter("flood.rejected", phase="p2", rule="i") == 1
+
+    def test_claim_index_skips_an_off_graph_subject(self):
+        deliveries = {
+            (1, 2, 3): self.bundle(1, [0, 2, self.GHOST]),
+            (5, 4, 3): self.bundle(5, [0, 4, self.GHOST]),
+        }
+        claims = ClaimIndex(self.graph, 1, 3, deliveries, {})
+        assert self.GHOST not in claims._evidence
+        assert claims.reliable_transcript(0) == self.transcript
+        assert claims.reliably_transmitted(0, self.m)
+
+    def test_hand_built_off_graph_keys_raise(self):
+        with pytest.raises(KeyError):
+            ClaimIndex(
+                self.graph, 1, 3, {(1, self.GHOST, 3): self.bundle(1, [0])}, {}
+            )
+        with pytest.raises(KeyError):
+            reliable_value(
+                self.graph, 1, 3, {(0, self.GHOST, 3): ValuePayload(1)}, 0
+            )

@@ -73,11 +73,14 @@ class TestSetRepresentation:
         else:  # pragma: no cover - defends the strictness contract
             raise AssertionError("bit() must raise on unknown labels")
 
-    def test_mask_of_lenient_vs_strict(self):
+    def test_mask_of_unknown_raises(self):
+        """Like ``bit()``: a label outside the graph is a ``KeyError``,
+        on the fast path and on the repeated-label loop alike."""
         idx = cycle_graph(4).node_index()
-        assert idx.mask_of([0, 99]) == idx.bit(0)
-        assert idx.mask_of_strict([0, 99]) is None
-        assert idx.mask_of_strict([0, 1]) == idx.bit(0) | idx.bit(1)
+        assert idx.mask_of([0, 1]) == idx.bit(0) | idx.bit(1)
+        for labels in ([0, 99], [99], [0, 0, 99]):
+            with pytest.raises(KeyError):
+                idx.mask_of(labels)
 
     def test_members_round_trip(self):
         idx = paper_figure_1a().node_index()
@@ -87,15 +90,13 @@ class TestSetRepresentation:
             )
 
 
-def reference_mask(index, nodes, strict):
+def reference_mask(index, nodes):
     """Bit by bit, from ``index.nodes`` alone: the mask of ``nodes``,
-    skipping labels outside the graph (``None`` for them if strict)."""
+    or ``None`` if some label is outside the graph."""
     mask = 0
     for v in nodes:
         if v not in index.nodes:
-            if strict:
-                return None
-            continue
+            return None
         mask |= 1 << index.nodes.index(v)
     return mask
 
@@ -118,34 +119,32 @@ class TestMaskOfMatchesReference:
     def test_random_label_lists(self, seed, graph):
         """Distinct, repeated and unknown labels in every input shape:
         the word-level sum and its loop fallback agree with the bit-by-
-        bit reference, lenient and strict."""
+        bit reference, and an unknown label raises ``KeyError``."""
         idx = graph.node_index()
         rng = random.Random(seed)
         pool = list(idx.nodes) + [-1, "zz", (0, 0)]
         labels = [rng.choice(pool) for _ in range(rng.randrange(0, 80))]
         if rng.random() < 0.5:  # often all distinct and known: the fast path
             labels = rng.sample(idx.nodes, rng.randrange(0, idx.n + 1))
+        expected = reference_mask(idx, labels)
         for shape in SHAPES:
-            assert idx.mask_of(shape(labels)) == reference_mask(
-                idx, labels, strict=False
-            )
-            assert idx.mask_of_strict(shape(labels)) == reference_mask(
-                idx, labels, strict=True
-            )
+            if expected is None:
+                with pytest.raises(KeyError):
+                    idx.mask_of(shape(labels))
+            else:
+                assert idx.mask_of(shape(labels)) == expected
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_edge_cases(self, shape):
         idx = wheel_graph(70).node_index()
         top = idx.nodes[-1]
         assert idx.mask_of(shape([])) == 0
-        assert idx.mask_of_strict(shape([])) == 0
         full = (1 << 70) - 1
         assert idx.mask_of(shape(idx.nodes)) == full
-        assert idx.mask_of_strict(shape(idx.nodes)) == full
         assert idx.mask_of(shape([top, top, 0])) == idx.bit(top) | idx.bit(0)
-        assert idx.mask_of_strict(shape([top, top])) == idx.bit(top)
-        assert idx.mask_of(shape([top, 99])) == idx.bit(top)
-        assert idx.mask_of_strict(shape([top, 99])) is None
+        assert idx.mask_of(shape([top, top])) == idx.bit(top)
+        with pytest.raises(KeyError):
+            idx.mask_of(shape([top, 99]))
 
 
 class TestWalk:
@@ -165,12 +164,6 @@ class TestWalk:
         assert idx.walk((0, 1, 0)) is None
         assert idx.walk((0, 99)) is None
         assert idx.walk((0, 2)) is None  # not an edge of C5
-
-    def test_interior_mask(self):
-        g = cycle_graph(5)
-        idx = g.node_index()
-        assert idx.interior_mask((0, 1, 2, 3)) == idx.mask_of([1, 2])
-        assert idx.interior_mask((0, 1)) == 0
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 100_000), st.lists(st.integers(0, 8), max_size=6))

@@ -1,9 +1,14 @@
-"""Path objects, enumeration, and the disjoint-packing decision."""
+"""Path objects, enumeration, and the disjoint-packing decision.
+
+Every packing case is decided twice: by the shipped bitmask decider and
+by the frozenset reference in ``tests/packing_oracle.py``.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from packing_oracle import has_disjoint_path_packing, max_disjoint_path_packing
 from repro.graphs import (
     GraphError,
     all_simple_paths,
@@ -11,12 +16,11 @@ from repro.graphs import (
     concat_path,
     count_simple_paths,
     cycle_graph,
-    has_disjoint_path_packing,
+    has_disjoint_mask_packing,
     internal_nodes,
     internally_disjoint,
     is_fault_free,
     is_path,
-    max_disjoint_path_packing,
     max_disjoint_paths,
     paper_figure_1b,
     path_excludes,
@@ -118,26 +122,46 @@ class TestEnumeration:
         )
 
 
+def label_masks(paths, mode):
+    """Each path's packing currency (internal nodes for ``uv``, all but
+    the sink for ``set``) as a bitmask over a label table built here."""
+    bits = {}
+    masks = []
+    for p in paths:
+        mask = 0
+        for v in internal_nodes(p) if mode == "uv" else p[:-1]:
+            mask |= 1 << bits.setdefault(v, len(bits))
+        masks.append(mask)
+    return masks
+
+
+def packs(paths, k, mode="uv"):
+    """The reference decision, checked against the mask decider."""
+    expected = has_disjoint_path_packing(paths, k, mode=mode)
+    assert has_disjoint_mask_packing(label_masks(paths, mode), k) == expected
+    return expected
+
+
 class TestPacking:
     def test_threshold_trivial(self):
-        assert has_disjoint_path_packing([], 0)
-        assert not has_disjoint_path_packing([], 1)
+        assert packs([], 0)
+        assert not packs([], 1)
 
     def test_uv_mode(self):
         paths = [(0, 1, 2), (0, 3, 2), (0, 1, 3, 2)]
-        assert has_disjoint_path_packing(paths, 2, mode="uv")
-        assert not has_disjoint_path_packing(paths, 3, mode="uv")
+        assert packs(paths, 2, mode="uv")
+        assert not packs(paths, 3, mode="uv")
 
     def test_direct_edges_never_conflict(self):
         # Direct edges have no internal nodes: all mutually disjoint (uv mode).
         paths = [(0, 2)] * 4
-        assert has_disjoint_path_packing(paths, 4, mode="uv")
+        assert packs(paths, 4, mode="uv")
 
     def test_set_mode_counts_endpoints(self):
         paths = [(1, 9), (1, 2, 9)]  # share U-side endpoint 1
-        assert not has_disjoint_path_packing(paths, 2, mode="set")
+        assert not packs(paths, 2, mode="set")
         paths = [(1, 9), (2, 9), (3, 4, 9)]
-        assert has_disjoint_path_packing(paths, 3, mode="set")
+        assert packs(paths, 3, mode="set")
 
     def test_unknown_mode(self):
         with pytest.raises(GraphError):
@@ -155,8 +179,8 @@ class TestPacking:
             (0, 1, 9),
             (0, 2, 9),
         ]
-        assert has_disjoint_path_packing(paths, 2, mode="uv")
-        assert not has_disjoint_path_packing(paths, 3, mode="uv")
+        assert packs(paths, 2, mode="uv")
+        assert not packs(paths, 3, mode="uv")
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 1000))
@@ -166,5 +190,9 @@ class TestPacking:
         paths = all_simple_paths(g, nodes[0], nodes[-1])
         best = max_disjoint_path_packing(paths, mode="uv")
         for k in range(best + 1):
-            assert has_disjoint_path_packing(paths, k, mode="uv")
-        assert not has_disjoint_path_packing(paths, best + 1, mode="uv")
+            assert packs(paths, k, mode="uv")
+        assert not packs(paths, best + 1, mode="uv")
+        index = g.node_index()
+        masks = [index.mask_of(p[1:-1]) for p in paths]
+        assert has_disjoint_mask_packing(masks, best)
+        assert not has_disjoint_mask_packing(masks, best + 1)
