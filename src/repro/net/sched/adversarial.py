@@ -11,9 +11,10 @@ nodes persists as long as the information reconciling them is in
 flight, so the adversary stretches exactly the traffic that crosses the
 graph's sparsest information bottleneck:
 
-1. at :meth:`bind`, compute a minimum vertex cut and the two (or more)
-   sides it separates — the paper's feasibility conditions (Theorems
-   4.1/5.1) make the cut *the* place where consensus is fragile;
+1. at :meth:`bind`, take a minimum vertex cut and the two (or more)
+   sides it separates (computed once per graph by
+   :func:`bottleneck_sides`) — the paper's feasibility conditions
+   (Theorems 4.1/5.1) make the cut *the* place where consensus is fragile;
 2. every delivery whose sender and recipient lie on different sides, or
    that involves a cut node, takes ``max_delay`` ticks;
 3. traffic within one side is delivered at unit delay, so each side
@@ -44,7 +45,9 @@ inside its soundness envelope (``W ≤ max_delay`` is enforced).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Dict, Hashable, Mapping, Optional
 
 from ...graphs import Graph, GraphError, minimum_vertex_cut
 from ..channels import ChannelModel
@@ -84,7 +87,7 @@ class AdversarialScheduler(Scheduler):
 
     def bind(self, graph: Graph, channel: ChannelModel) -> None:
         super().bind(graph, channel)
-        self._side = self._partition(graph)
+        self._side = bottleneck_sides(graph)
 
     @staticmethod
     def _partition(graph: Graph) -> Dict[Hashable, int]:
@@ -149,3 +152,17 @@ class AdversarialScheduler(Scheduler):
             d = (1 - send.time) % self.window
             return d if d else self.window
         return self.max_delay
+
+
+@lru_cache(maxsize=512)
+def bottleneck_sides(graph: Graph) -> Mapping[Hashable, int]:
+    """The adversary's side labels for ``graph``, computed once per graph.
+
+    The partition is a pure function of the (immutable, hashable) graph,
+    and every run binds a fresh scheduler to it, so the minimum vertex
+    cut behind it is computed once, not once per run.  Memoized behind a
+    module-level LRU, like
+    :func:`~repro.graphs.connectivity.vertex_connectivity`; the mapping
+    is read-only because every scheduler bound to the graph shares it.
+    """
+    return MappingProxyType(AdversarialScheduler._partition(graph))

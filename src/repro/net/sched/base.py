@@ -40,6 +40,7 @@ lives inside protocols, adversaries and schedulers behind explicit seeds.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from math import inf
 from typing import Dict, Hashable, Mapping, Optional, Tuple
 
 from ...graphs import Graph
@@ -93,54 +94,81 @@ class Scheduler(ABC):
     #: and ``worst_case_delay = None``.
     bounded = False
     worst_case_delay: Optional[int] = None
-    #: Observability sink.  The engine points this at its own registry
-    #: when metrics are on; the default no-op keeps ``delay`` draws
-    #: free to observe unconditionally.
-    metrics = NULL_METRICS
 
     def bind(self, graph: Graph, channel: ChannelModel) -> None:
         """Attach to one run: reset link clocks and any per-run state."""
         self.graph = graph
         self.channel = channel
-        self._link_clock: Dict[Tuple[Hashable, Hashable], int] = {}
+        #: FIFO high-water marks: sender -> recipient -> latest tick.
+        self._link_clock: Dict[Hashable, Dict[Hashable, int]] = {}
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """Observability sink; the engine points this at its own registry.
+
+        Assigning it binds the ``sched.delay`` histogram cell once per
+        registry.  The default no-op keeps ``delay`` draws free to
+        observe unconditionally.
+        """
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, registry: MetricsRegistry) -> None:
+        self._metrics = registry
+        self._observe_delay = registry.hist_cell("sched.delay")
+
+    _metrics = NULL_METRICS
+    _observe_delay = staticmethod(NULL_METRICS.hist_cell("sched.delay"))
 
     @abstractmethod
     def delay(self, send: SendEvent, recipient: Hashable) -> int:
         """Raw latency (ticks ≥ 1) for delivering ``send`` to ``recipient``."""
 
     def schedule(self, send: SendEvent) -> Dict[Hashable, int]:
-        """Delivery instant per recipient, with all constraints applied."""
+        """Delivery instant per recipient, with all constraints applied.
+
+        One pass over the recipients: the declared bound, the sender's
+        link clocks and the ``sched.delay`` cell are read once per send,
+        and the clocks are written back with one ``update``.
+        """
+        sender = send.sender
+        now = send.time
+        delay = self.delay
+        observe = self._observe_delay
+        # A bounded declaration without a value admits no delay at all.
+        bound = (self.worst_case_delay or 0) if self.bounded else inf
+        clocks = self._link_clock.setdefault(sender, {})
         times: Dict[Hashable, int] = {}
         for recipient in send.recipients:
-            d = self.delay(send, recipient)
-            if d < 1:
-                raise SchedulingError(
-                    f"{self.name}: delay {d} < 1 for "
-                    f"{send.sender!r} -> {recipient!r}"
-                )
-            if self.bounded and d > (self.worst_case_delay or 0):
-                raise SchedulingError(
-                    f"{self.name}: delay {d} exceeds the declared "
-                    f"worst-case bound {self.worst_case_delay} for "
-                    f"{send.sender!r} -> {recipient!r}"
-                )
-            self.metrics.observe("sched.delay", d)
-            when = send.time + d
+            d = delay(send, recipient)
+            if d < 1 or d > bound:
+                self._reject(send, recipient, d)
+            observe(d)
+            when = now + d
             # FIFO per directed link: never undercut the link's latest
             # assigned delivery (ties keep send order via the delivery
             # index).
-            when = max(when, self._link_clock.get((send.sender, recipient), 0))
-            times[recipient] = when
-        if self.atomic_broadcast and send.is_broadcast and times:
-            shared = max(times.values())
-            # repro: allow[REPRO001] rebuilds `times` preserving its own
-            # deterministic (repr-sorted recipient) insertion order.
-            times = {recipient: shared for recipient in times}
-        # repro: allow[REPRO001] per-key _link_clock writes — commutative
-        # across recipients, so iteration order is immaterial.
-        for recipient, when in times.items():
-            self._link_clock[(send.sender, recipient)] = when
+            last = clocks.get(recipient, 0)
+            times[recipient] = when if when > last else last
+        if self.atomic_broadcast and send.target is None and times:
+            # Every recipient at the slowest one's instant, in the same
+            # (repr-sorted recipient) order.
+            times = dict.fromkeys(times, max(times.values()))
+        clocks.update(times)
         return times
+
+    def _reject(self, send: SendEvent, recipient: Hashable, d: int) -> None:
+        """Raise the :class:`SchedulingError` an out-of-range delay earns."""
+        if d < 1:
+            raise SchedulingError(
+                f"{self.name}: delay {d} < 1 for "
+                f"{send.sender!r} -> {recipient!r}"
+            )
+        raise SchedulingError(
+            f"{self.name}: delay {d} exceeds the declared "
+            f"worst-case bound {self.worst_case_delay} for "
+            f"{send.sender!r} -> {recipient!r}"
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"
@@ -208,8 +236,9 @@ class EventDrivenNetwork:
         # lands at the next tick, which no FIFO clamp can move.  An
         # overridden ``delay`` keeps the checked path of ``schedule``.
         self._unit_delay = type(scheduler).delay is LockstepScheduler.delay
-        #: Pending deliveries by delivery tick: that tick's inboxes, and
-        #: the index of the last delivery filed per recipient.
+        #: Pending deliveries by delivery tick: that tick's inboxes (one
+        #: list per node, all nodes present), and the index of the last
+        #: delivery filed per recipient.  ``step`` builds new ones inline.
         self._buckets: Dict[
             int, Tuple[Dict[Hashable, list], Dict[Hashable, int]]
         ] = {}
@@ -258,7 +287,7 @@ class EventDrivenNetwork:
         graph, channel, metrics = self.graph, self.channel, self.metrics
         protocols = self.protocols
         arrived = self._buckets.pop(now, None)
-        inboxes, cause_now = arrived if arrived else self._bucket()
+        inboxes, cause_now = arrived if arrived else ({v: [] for v in order}, {})
         delivered = sum(map(len, inboxes.values()))
         undecided = self._undecided
         decisions = trace.decisions
@@ -294,7 +323,9 @@ class EventDrivenNetwork:
         unit = self._unit_delay
         if unit and outboxes:
             later = now + 1
-            next_inboxes, next_cause = buckets[later] = self._bucket()
+            next_inboxes, next_cause = buckets[later] = (
+                {v: [] for v in order}, {}
+            )
         schedule = self.scheduler.schedule
         sorted_neighbors = graph.sorted_neighbors
         # Running positions in the (possibly unrecorded) send and
@@ -302,6 +333,9 @@ class EventDrivenNetwork:
         # so causes read the same at both trace levels.
         send_index = first_send = trace.transmission_count
         delivery_index = first_delivery = trace.delivery_count
+        # The latest delivery tick queued this step (``now``: none yet);
+        # it reaches ``trace.max_latency`` once, after the loop.
+        latest = now
         for node, outbox, ck, ci in outboxes:
             nbrs = sorted_neighbors(node)
             for message, target in outbox:
@@ -333,24 +367,34 @@ class EventDrivenNetwork:
                     times = schedule(
                         SendEvent(now, node, message, target, recipients)
                     )
+                    # Consecutive recipients mostly share a tick (all of
+                    # them under atomic broadcast): look its bucket up
+                    # only when the tick changes.
+                    at = None
                     for r in recipients:
                         when = times[r]
-                        if when <= now:
-                            raise SchedulingError(
-                                f"{self.scheduler.name}: delivery at {when} "
-                                f"not after send at {now} ({node!r} -> {r!r})"
-                            )
-                        if when - now > trace.max_latency:
-                            trace.max_latency = when - now
+                        if when != at:
+                            if when <= now:
+                                raise SchedulingError(
+                                    f"{self.scheduler.name}: delivery at "
+                                    f"{when} not after send at {now} "
+                                    f"({node!r} -> {r!r})"
+                                )
+                            if when > latest:
+                                latest = when
+                            pending = buckets.get(when)
+                            if pending is None:
+                                pending = buckets[when] = (
+                                    {v: [] for v in order}, {}
+                                )
+                            at_inboxes, at_cause = pending
+                            at = when
                         if record:
                             deliveries.append(
                                 Delivery(send_index, node, r, message, now, when)
                             )
-                        pending = buckets.get(when)
-                        if pending is None:
-                            pending = buckets[when] = self._bucket()
-                        pending[0][r].append(entry)
-                        pending[1][r] = delivery_index
+                        at_inboxes[r].append(entry)
+                        at_cause[r] = delivery_index
                         delivery_index += 1
                 send_index += 1
         queued = delivery_index - first_delivery
@@ -358,17 +402,15 @@ class EventDrivenNetwork:
             # Every delivery has delay exactly 1: one bulk observation
             # per tick covers them all.
             self._h_delay(1, queued)
-            trace.max_latency = max(trace.max_latency, 1)
+            latest = later
+        if latest - now > trace.max_latency:
+            trace.max_latency = latest - now
         self._in_flight += queued - delivered
         trace.transmission_count = send_index
         trace.delivery_count = delivery_index
         if trace.rounds < now:
             trace.rounds = now
         self._observe_tick(delivered, send_index - first_send)
-
-    def _bucket(self) -> Tuple[Dict[Hashable, list], Dict[Hashable, int]]:
-        """An empty tick: per-node inboxes and per-node primary causes."""
-        return {v: [] for v in self._order}, {}
 
     def _observe_tick(self, delivered: int, sent: int) -> None:
         """Per-tick network metrics, called at the end of :meth:`step`.

@@ -10,6 +10,11 @@ delivery sequence, recorded in the trace or not, and a tick's entries
 are drained in index order, which preserves FIFO among same-instant
 deliveries.
 
+A :class:`SendEvent` is a :class:`~typing.NamedTuple`, like
+:class:`~repro.net.messages.FloodMessage`, because the engine builds one
+per scheduled transmission.  It equals a bare tuple of its fields, so
+compare events by field, never by ``==`` against a tuple.
+
 Virtual time is integral.  Activations happen at ticks 1, 2, 3, …; a
 message sent at tick ``t`` may be delivered no earlier than ``t + 1``
 (no zero-latency links — the synchronous model's "next round" rule is
@@ -19,12 +24,10 @@ a :class:`SendEvent` at all).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Optional, Tuple
+from typing import Hashable, NamedTuple, Optional, Tuple
 
 
-@dataclass(frozen=True, slots=True)
-class SendEvent:
+class SendEvent(NamedTuple):
     """One transmission as the scheduler sees it.
 
     ``time`` is the virtual send instant; ``target`` is ``None`` for a

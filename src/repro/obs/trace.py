@@ -72,6 +72,13 @@ class FlightReplayError(FlightError):
 # ---------------------------------------------------------------------------
 
 
+#: One encoder for every flight line: ``json.dumps`` with keyword
+#: arguments builds a fresh encoder per call.
+_CANONICAL_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=repr
+)
+
+
 def canonical_json(obj: object) -> str:
     """Sorted-key, compact JSON — the one serialization flights use.
 
@@ -79,7 +86,7 @@ def canonical_json(obj: object) -> str:
     (e.g. span label objects); node labels never rely on it — they go
     through :func:`encode_label` so tuples survive the round trip.
     """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=repr)
+    return _CANONICAL_ENCODER.encode(obj)
 
 
 def encode_label(label: object) -> object:

@@ -180,6 +180,34 @@ class TestAdversarial:
         assert set(side) == set(g.nodes)
         assert -1 in side.values()  # a real cut still labels boundaries
 
+    def test_partition_is_computed_once_per_graph(self, monkeypatch):
+        """Repeated binds on one graph — and on an equal rebuild of it —
+        share one memoized partition that no scheduler can mutate."""
+        from repro.net.sched import adversarial
+
+        calls = []
+        real_cut = adversarial.minimum_vertex_cut
+
+        def counting_cut(graph):
+            calls.append(graph)
+            return real_cut(graph)
+
+        monkeypatch.setattr(adversarial, "minimum_vertex_cut", counting_cut)
+        adversarial.bottleneck_sides.cache_clear()
+        first, second = AdversarialScheduler(), AdversarialScheduler(window=2)
+        run_network(cycle_graph(5), first)
+        run_network(cycle_graph(5), second)
+        run_network(cycle_graph(5), AdversarialScheduler(max_delay=4))
+        assert len(calls) == 1
+        assert first._side is second._side
+        before = dict(second._side)
+        with pytest.raises(TypeError):
+            first._side[0] = 99
+        with pytest.raises(AttributeError):
+            first._side.clear()
+        assert dict(second._side) == before
+        assert adversarial.bottleneck_sides.cache_info().hits == 2
+
     def test_window_targeting_lands_on_alpha_boundaries(self):
         """With ``window=W``, every stretched delivery arrives exactly on
         an α-schedule activation tick ``(r − 1)·W + 1``."""
@@ -242,6 +270,36 @@ class TestSchedulerErrors:
         g = cycle_graph(4)
         with pytest.raises(SchedulingError):
             run_network(g, Cheater(), rounds=2)
+
+    def test_over_bound_delay_is_rejected(self):
+        class Overshoot(SeededAsyncScheduler):
+            def delay(self, send, recipient):
+                return self.max_delay + 1
+
+        g = cycle_graph(4)
+        with pytest.raises(SchedulingError, match="exceeds the declared"):
+            run_network(g, Overshoot(max_delay=3), rounds=2)
+
+    def test_bounded_without_a_value_admits_no_delay(self):
+        class Undeclared(LockstepScheduler):
+            worst_case_delay = None
+
+            def delay(self, send, recipient):
+                return 1
+
+        with pytest.raises(SchedulingError, match="bound None"):
+            run_network(cycle_graph(4), Undeclared(), rounds=2)
+
+    def test_unbounded_declaration_never_rejects_a_large_delay(self):
+        class Glacial(SeededAsyncScheduler):
+            def delay(self, send, recipient):
+                return 10**9
+
+        net = run_network(
+            cycle_graph(4), Glacial(max_delay=3, declare_bound=False), rounds=3
+        )
+        assert net.trace.max_latency == 10**9
+        assert net.in_flight == net.trace.delivery_count > 0
 
 
 class TestSchedulerSpec:
