@@ -36,7 +36,7 @@ adjacency-bit test, rule (iii) a single ``mask & me_bit``, and rule (ii)
 keys on ``(sender, Π)`` packed injectively into one integer.  Per-``Π``
 walk results are memoized (the same annotation arrives once per sender),
 ``delivered`` is mirrored into a per-origin sub-index at accept time so
-:meth:`paths_from` and the reliable-receipt layer stop scanning the
+:meth:`origin_view` and the reliable-receipt layer stop scanning the
 whole dict, and the full-path visited masks are retained for the
 disjoint-path packing downstream.  None of this changes the external
 shape: ``delivered`` insertion order, metric counts, and forwarded
@@ -335,25 +335,14 @@ class FloodInstance:
     # ------------------------------------------------------------------
     # Read-side helpers used by steps (b)/(c) and Definition C.1
     # ------------------------------------------------------------------
-    def value_along(self, path: PathTuple) -> Optional[Payload]:
-        """The payload delivered along a specific path ending here."""
-        return self.delivered.get(path)
-
-    def paths_from(self, origin: Hashable) -> Dict[PathTuple, Payload]:
-        """All delivered paths whose *origin* (first node) is ``origin``.
-
-        Served from the per-origin sub-index maintained at accept time —
-        same dict shape and same insertion order as filtering
-        ``delivered`` itself, without the O(|delivered|) scan.
-        """
-        return dict(self._by_origin.get(origin, _NO_PATHS))
-
     def origin_view(self, origin: Hashable) -> Mapping[PathTuple, Payload]:
         """Read-only view of one origin's deliveries (no copy).
 
-        The live sub-index, shared for speed on the hot read paths
-        (reliable receipt, step (c)); callers must not mutate it — use
-        :meth:`paths_from` for an owned copy.
+        The live sub-index maintained at accept time: the same paths in
+        the same insertion order as filtering ``delivered`` by origin,
+        without the O(|delivered|) scan.  It is shared for speed on the
+        hot read paths (reliable receipt, step (c)); callers must not
+        mutate it.
         """
         return self._by_origin.get(origin, _NO_PATHS)
 

@@ -18,8 +18,9 @@ per phase).
   ``(sources, v, excluded, k)``;
 * maximum disjoint-path families from :func:`repro.graphs
   .max_disjoint_paths`, keyed by ``(u, v)`` — a pure function of the
-  static graph; the underlying routine stays as the oracle the
-  property tests compare against;
+  static graph, so a miss is served by the per-graph
+  :func:`disjoint_families` cache that every oracle on an equal graph
+  shares;
 * localization plans, keyed by ``(w, k)`` — the walk order of
   Algorithm 2's phase-2 fault localization from origin ``w``, built
   from those families once per oracle instead of re-sorted and
@@ -53,6 +54,7 @@ history.
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
 
 from ..graphs import Graph, disjoint_paths_excluding, max_disjoint_paths
@@ -66,6 +68,18 @@ LocalizationPlan = Tuple[Tuple[Tuple[Hashable, PathTuple, PathTuple, int], ...],
 
 #: Query kinds the ``oracle.hits``/``oracle.misses`` counters split by.
 _KINDS = ("path", "packing", "disjoint", "plan")
+
+
+@lru_cache(maxsize=4096)
+def disjoint_families(
+    graph: Graph, u: Hashable, v: Hashable
+) -> Tuple[PathTuple, ...]:
+    """The :func:`repro.graphs.max_disjoint_paths` family of ``uv``-paths,
+    computed once per graph (a module-level LRU, like
+    :func:`~repro.net.sched.adversarial.bottleneck_sides`) and shared,
+    as a tuple, by every oracle on an equal graph."""
+    _count, paths = max_disjoint_paths(graph, u, v, want_paths=True)
+    return tuple(paths)
 
 
 class PathOracle:
@@ -92,7 +106,7 @@ class PathOracle:
         self._packings: Dict[
             Tuple[int, int, int, int], Optional[List[PathTuple]]
         ] = {}
-        self._disjoint: Dict[Tuple[int, int], List[PathTuple]] = {}
+        self._disjoint: Dict[Tuple[int, int], Tuple[PathTuple, ...]] = {}
         self._plans: Dict[Tuple[int, int], LocalizationPlan] = {}
         # Per-process observability: cache traffic lands on a private
         # registry so sweep merges can aggregate it, while the
@@ -277,13 +291,15 @@ class PathOracle:
         self._packings[key] = result
         return result
 
-    def disjoint_paths_between(self, u: Hashable, v: Hashable) -> List[PathTuple]:
+    def disjoint_paths_between(
+        self, u: Hashable, v: Hashable
+    ) -> Tuple[PathTuple, ...]:
         """A maximum family of internally node-disjoint ``uv``-paths.
 
-        Memoized :func:`repro.graphs.max_disjoint_paths` (``want_paths``
-        form, count dropped): the answer depends only on the static
-        graph and the endpoint pair.  Callers must not mutate the
-        returned list.
+        Memoized :func:`disjoint_families`: the answer depends only on
+        the static graph and the endpoint pair.  A miss here is served
+        by that per-graph cache, so a fresh oracle on an equal graph
+        runs no max-flow; the hit/miss counters count this memo only.
         """
         index_of = self._index.index_of
         key = (index_of[u], index_of[v])
@@ -292,8 +308,7 @@ class PathOracle:
             self._c_hit_disjoint()
             return paths
         self._c_miss_disjoint()
-        _count, paths = max_disjoint_paths(self.graph, u, v, want_paths=True)
-        self._disjoint[key] = paths
+        paths = self._disjoint[key] = disjoint_families(self.graph, u, v)
         return paths
 
     def localization_plan(self, w: Hashable, k: int) -> LocalizationPlan:

@@ -33,8 +33,8 @@ on its path, so honest downstream nodes are never blamed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Tuple
 
 from ..graphs import Graph, has_disjoint_mask_packing
 from ..net.messages import FloodMessage, ValuePayload
@@ -46,13 +46,48 @@ TimedMessage = Tuple[int, object]  # (send round, message)
 Transcript = Tuple[TimedMessage, ...]  # one node's transmissions, in order
 
 
+class SendTable(NamedTuple):
+    """What fault localization reads from one timed transcript."""
+
+    #: message -> the earliest round it was sent
+    rounds: Dict[object, int]
+    #: flood phase -> the earliest round of a forward (non-empty path)
+    #: of that phase
+    forwards: Dict[Hashable, int]
+
+
+def send_table(transcript: Transcript) -> SendTable:
+    """The :class:`SendTable` of ``transcript``."""
+    rounds: Dict[object, int] = {}
+    for r, m in transcript:
+        if rounds.setdefault(m, r) > r:
+            rounds[m] = r
+    forwards: Dict[Hashable, int] = {}
+    # repro: allow[REPRO001] a per-phase minimum: order cannot matter.
+    for m, r in rounds.items():
+        if isinstance(m, FloodMessage) and len(m.path) > 0:
+            if forwards.setdefault(m.phase, r) > r:
+                forwards[m.phase] = r
+    return SendTable(rounds, forwards)
+
+
 @dataclass(frozen=True, slots=True)
 class ReportBundle:
     """Phase-2 payload: ``reporter``'s view of each neighbor's phase-1
-    transcript.  ``entries`` is sorted by subject for canonical equality."""
+    transcript.  ``entries`` is sorted by subject for canonical equality.
+
+    The :class:`SendTable` of each entry is built on first use and kept
+    on the bundle.  It is a pure function of the immutable bundle, and
+    honest relays hand every node the same bundle object, so every node
+    holding it reads one table, freed with the bundle.  The cache takes
+    no part in equality, hashing, ``repr`` or pickling.
+    """
 
     reporter: Hashable
     entries: Tuple[Tuple[Hashable, Transcript], ...]
+    _tables: Optional[List[Optional[SendTable]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def build(
@@ -65,6 +100,20 @@ class ReportBundle:
             )
         )
         return cls(reporter, entries)
+
+    def __reduce__(self):
+        return (type(self), (self.reporter, self.entries))
+
+    def send_table(self, pos: int) -> SendTable:
+        """The :class:`SendTable` of ``entries[pos]``'s transcript."""
+        tables = self._tables
+        if tables is None:
+            tables = [None] * len(self.entries)
+            object.__setattr__(self, "_tables", tables)
+        table = tables[pos]
+        if table is None:
+            table = tables[pos] = send_table(self.entries[pos][1])
+        return table
 
 
 def reliable_value(
@@ -253,15 +302,6 @@ class ReceiptTracker:
         return result
 
 
-def _first_send_rounds(transcript: Transcript) -> Dict[object, int]:
-    """Each message of ``transcript`` → the earliest round it was sent."""
-    rounds: Dict[object, int] = {}
-    for r, m in transcript:
-        if rounds.setdefault(m, r) > r:
-            rounds[m] = r
-    return rounds
-
-
 class ClaimIndex:
     """Reliable knowledge about *other nodes' transmissions*, from bundles.
 
@@ -270,12 +310,17 @@ class ClaimIndex:
     the bundle of ``reporter`` (a neighbor of ``z``) carried ``z``'s
     claimed transcript to ``me`` along the flood path ``reporter … me``.
     Reliability = direct observation (``z`` adjacent or ``z == me``) or
-    ``f + 1`` internally node-disjoint composite paths agreeing.
+    ``f + 1`` internally node-disjoint composite paths agreeing.  Claims
+    about a directly observed subject are never read, so they are never
+    stored: on a wheel the hub keeps no claim evidence at all.
 
     Claimed transcripts are interned by value into *evidence groups* (a
     directly observed transcript gets a group of its own); a group's
-    messages are looked up through a table of their first send rounds,
-    built on first use.  Honest forwarders relay one bundle object, so
+    messages are looked up through its :class:`SendTable`.  A claimed
+    group reads the table kept on the bundle entry it was first seen in
+    (:meth:`ReportBundle.send_table`), so every node holding that bundle
+    object shares one table; a directly observed group builds its own.
+    Honest forwarders relay one bundle object, so
     most entries repeat a transcript object already interned: those are
     found by identity, and a transcript tuple is compared or hashed only
     the first time its object is seen.  Equal copies (a Byzantine
@@ -307,9 +352,11 @@ class ClaimIndex:
         self.me = me
         self.own_transcripts = dict(own_transcripts)
         self.own_sent = own_sent
-        # evidence group -> its transcript, and its send-round table
+        # evidence group -> its transcript, and the bundle entry that
+        # holds its send table: the entry it was first claimed in, or a
+        # one-entry bundle of its own when observed directly
         self._transcripts: List[Transcript] = []
-        self._send_rounds: Dict[int, Dict[object, int]] = {}
+        self._sources: List[Tuple[ReportBundle, int]] = []
         # subject -> group -> flood paths ``reporter … me`` whose bundle
         # claimed that transcript; each composite path is (subject,) + path.
         self._evidence: Dict[Hashable, Dict[int, List[PathTuple]]] = {}
@@ -324,8 +371,12 @@ class ClaimIndex:
             path_mask = index.mask_of
         bits = index.bits
         me_bit = bits[me]
+        # ``me`` and the nodes it hears: subjects whose claims are
+        # never read (see _reliable_group).
+        observed = me_bit | index.in_masks[index.index_of[me]]
         neighbors = graph.neighbors
         transcripts = self._transcripts
+        sources = self._sources
         evidence = self._evidence
         path_masks = self._path_masks
         group_of: Dict[Transcript, int] = {}
@@ -349,8 +400,11 @@ class ClaimIndex:
             if entries is None:
                 entries = entries_of_id[id(bundle)] = []
                 pinned.append(bundle)
-                for subject, transcript in bundle.entries:
-                    if subject not in bits or reporter not in neighbors(subject):
+                for pos, (subject, transcript) in enumerate(bundle.entries):
+                    bit = bits.get(subject)
+                    if bit is None or bit & observed:
+                        continue  # outside the graph, or observed directly
+                    if reporter not in neighbors(subject):
                         continue  # a reporter can only attest about its neighbors
                     group = group_of_id.get(id(transcript))
                     if group is None:
@@ -365,9 +419,10 @@ class ClaimIndex:
                             group = group_of.setdefault(transcript, len(transcripts))
                             if group == len(transcripts):
                                 transcripts.append(transcript)
+                                sources.append((bundle, pos))
                         group_of_id[id(transcript)] = group
                         pinned.append(transcript)
-                    entries.append((subject, bits[subject], group))
+                    entries.append((subject, bit, group))
             on_path = path_mask(path)
             path_masks[path] = on_path & ~me_bit
             for subject, bit, group in entries:
@@ -376,13 +431,9 @@ class ClaimIndex:
                 evidence.setdefault(subject, {}).setdefault(group, []).append(path)
 
     # ------------------------------------------------------------------
-    def _rounds(self, group: int) -> Dict[object, int]:
-        rounds = self._send_rounds.get(group)
-        if rounds is None:
-            rounds = self._send_rounds[group] = _first_send_rounds(
-                self._transcripts[group]
-            )
-        return rounds
+    def _table(self, group: int) -> SendTable:
+        bundle, pos = self._sources[group]
+        return bundle.send_table(pos)
 
     def _packs(self, paths: List[PathTuple]) -> bool:
         """``f + 1`` internally node-disjoint composite paths among
@@ -393,20 +444,27 @@ class ClaimIndex:
             [path_masks[p] for p in paths], self.f + 1
         )
 
+    def _observed(self, subject: Hashable) -> bool:
+        """Does ``me`` observe ``subject``'s transmissions directly?"""
+        return subject == self.me or self.me in self.graph.neighbors(subject)
+
     def _reliable_group(self, subject: Hashable) -> Optional[int]:
         """Evidence group of ``subject``'s reliably known transcript."""
         if subject in self._known_group:
             return self._known_group[subject]
         group: Optional[int] = None
-        if subject == self.me or self.me in self.graph.neighbors(subject):
+        if self._observed(subject):
             # Observed directly, never merged with claims: a group of its
             # own, so the transcript is never hashed.
             group = len(self._transcripts)
-            self._transcripts.append(
+            transcript = (
                 self.own_sent
                 if subject == self.me
                 else self.own_transcripts.get(subject, ())
             )
+            self._transcripts.append(transcript)
+            own = ReportBundle(self.me, ((subject, transcript),))
+            self._sources.append((own, 0))
         else:
             # repro: allow[REPRO001] insertion order is deterministic and
             # at most one transcript can ever pass the f+1 disjoint-path
@@ -426,11 +484,11 @@ class ClaimIndex:
         group = self._reliable_group(subject)
         return None if group is None else self._transcripts[group]
 
-    def send_rounds(self, subject: Hashable) -> Optional[Mapping[object, int]]:
-        """``message → earliest send round`` over :meth:`reliable_transcript`
-        of ``subject``, or ``None`` when no transcript is reliably known."""
+    def send_table(self, subject: Hashable) -> Optional[SendTable]:
+        """The :class:`SendTable` of :meth:`reliable_transcript` of
+        ``subject``, or ``None`` when no transcript is reliably known."""
         group = self._reliable_group(subject)
-        return None if group is None else self._rounds(group)
+        return None if group is None else self._table(group)
 
     def reliably_transmitted(self, subject: Hashable, message: object) -> bool:
         """Did ``me`` reliably learn that ``subject`` transmitted
@@ -443,15 +501,15 @@ class ClaimIndex:
         key = (subject, message)
         if key in self._claim_cache:
             return self._claim_cache[key]
-        if subject == self.me or self.me in self.graph.neighbors(subject):
-            result = message in self.send_rounds(subject)
+        if self._observed(subject):
+            result = message in self.send_table(subject).rounds
         else:
             paths = [
                 p
                 # repro: allow[REPRO001] deterministic insertion order; the
                 # consumer only checks packing *existence*.
                 for group, plist in self._evidence.get(subject, {}).items()
-                if message in self._rounds(group)
+                if message in self._table(group).rounds
                 for p in plist
             ]
             result = self._packs(paths)
@@ -513,26 +571,13 @@ def detect_faults(
     the static graph and ``w``: a shared
     :class:`~repro.consensus.path_oracle.PathOracle` serves it as a
     per-origin localization plan built once per oracle; without one, a
-    private oracle builds the plans for this call only.
+    private oracle builds the plans for this call only.  Both transcript
+    checks read ``z``'s :class:`SendTable` from ``claims``: the first
+    send round of ``(b, Π)`` and the earliest ``phase1_tag`` forward.
+    For a claimed transcript that table lives on the report bundle, so
+    it is built once per bundle entry, not once per node.
     """
     detected: set[Hashable] = set()
-    # Depends only on z's transcript — memoized so the quadruple loop
-    # scans each node's send table once, not once per (origin, path, slot).
-    _early_cache: Dict[Hashable, bool] = {}
-
-    def forwards_in_initiation_round(
-        z: Hashable, rounds: Mapping[object, int]
-    ) -> bool:
-        if z not in _early_cache:
-            _early_cache[z] = any(
-                r <= first_round
-                and isinstance(m, FloodMessage)
-                and m.phase == phase1_tag
-                and len(m.path) > 0
-                for m, r in rounds.items()
-            )
-        return _early_cache[z]
-
     if oracle is None:
         oracle = PathOracle(graph)  # plans for this call only
     for w in sorted(reliable_values, key=repr):
@@ -553,16 +598,16 @@ def detect_faults(
                         z, FloodMessage(phase1_tag, wrong, prefix)
                     )
                     if not suspicious:
-                        rounds = claims.send_rounds(z)
-                        if rounds is not None:
-                            first = rounds.get(
+                        table = claims.send_table(z)
+                        if table is not None:
+                            first = table.rounds.get(
                                 FloodMessage(phase1_tag, right, prefix)
                             )
-                            on_time = first is not None and (
-                                first <= first_round + idx
-                            )
-                            suspicious = not on_time or (
-                                forwards_in_initiation_round(z, rounds)
+                            early = table.forwards.get(phase1_tag)
+                            suspicious = (
+                                first is None
+                                or first > first_round + idx
+                                or (early is not None and early <= first_round)
                             )
                     verdicts[slot] = suspicious
                 if suspicious:

@@ -593,10 +593,3 @@ class Graph(Digraph):
     def from_edges(cls, edges: Iterable[Edge]) -> "Graph":
         """Build a graph from an edge list alone (nodes inferred)."""
         return cls((), edges)
-
-    @classmethod
-    def from_adjacency(cls, adjacency: dict[Node, Iterable[Node]]) -> "Graph":
-        """Build a graph from an adjacency mapping (symmetrized)."""
-        items = sorted(adjacency.items(), key=lambda kv: repr(kv[0]))
-        edges = [(u, v) for u, nbrs in items for v in nbrs]
-        return cls([u for u, _ in items], edges)

@@ -38,7 +38,6 @@ from ..graphs import Graph
 from .channels import ChannelModel
 from .messages import DecisionPayload, FloodMessage, ValuePayload
 from .node import Context, Outgoing, Protocol
-from .trace import Transmission
 
 HonestFactory = Callable[[Hashable, int], Protocol]
 """Builds the honest protocol for (node, input_value)."""
@@ -407,22 +406,6 @@ class ReplayAdversary(Adversary):
         schedules: Dict[Hashable, Dict[int, Outgoing]],
     ):
         self.schedules = schedules
-
-    @classmethod
-    def from_transmissions(
-        cls,
-        per_node: Dict[Hashable, List[Transmission]],
-        retarget: Optional[Callable[[Transmission], Optional[Hashable]]] = None,
-    ) -> "ReplayAdversary":
-        """Build schedules straight from recorded trace transmissions."""
-        schedules: Dict[Hashable, Dict[int, Outgoing]] = {}
-        for node, txs in sorted(per_node.items(), key=lambda kv: repr(kv[0])):
-            per_round: Dict[int, Outgoing] = {}
-            for t in txs:
-                target = retarget(t) if retarget else t.target
-                per_round.setdefault(t.round_no, []).append((t.message, target))
-            schedules[node] = per_round
-        return cls(schedules)
 
     class _Replay(Protocol):
         def __init__(self, schedule):

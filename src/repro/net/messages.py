@@ -40,10 +40,6 @@ class FloodMessage(NamedTuple):
     payload: Payload
     path: Tuple[Hashable, ...]
 
-    def extended_by(self, sender: Hashable) -> Tuple[Hashable, ...]:
-        """The path ``Π - u``: this message's path plus its transmitter."""
-        return self.path + (sender,)
-
 
 class _ValueFields(NamedTuple):
     value: int

@@ -41,7 +41,3 @@ class SendEvent(NamedTuple):
     message: object
     target: Optional[Hashable]
     recipients: Tuple[Hashable, ...]
-
-    @property
-    def is_broadcast(self) -> bool:
-        return self.target is None

@@ -212,28 +212,3 @@ class Trace:
     def sent_by(self, node: Hashable) -> list[Transmission]:
         """All transmissions made by ``node``, in order."""
         return [t for t in self.transmissions if t.sender == node]
-
-    def received_by(self, node: Hashable) -> list[Transmission]:
-        """All transmissions delivered to ``node``, in order."""
-        return [t for t in self.transmissions if node in t.recipients]
-
-    def per_round(self, round_no: int) -> list[Transmission]:
-        return [t for t in self.transmissions if t.round_no == round_no]
-
-    def deliveries_on_link(
-        self, sender: Hashable, recipient: Hashable
-    ) -> list[Delivery]:
-        """All deliveries over one directed link, in send (FIFO) order."""
-        return [
-            d
-            for d in self.deliveries
-            if d.sender == sender and d.recipient == recipient
-        ]
-
-    def replay_schedule(self, node: Hashable) -> dict[int, list[Transmission]]:
-        """``node``'s transmissions grouped by round — the exact shape a
-        :class:`~repro.net.adversary.ReplayAdversary` consumes."""
-        schedule: dict[int, list[Transmission]] = {}
-        for t in self.sent_by(node):
-            schedule.setdefault(t.round_no, []).append(t)
-        return schedule

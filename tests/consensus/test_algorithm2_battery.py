@@ -13,14 +13,30 @@ pattern, synchronous.  Two things are pinned per run:
 * every run ends at round ``2n + 1`` (all honest nodes are type B and
   decide as phase 3 starts) or ``3n`` — 13 or 18 on C6 and W6 — never
   above the ``predicted_costs`` budget.
+
+A third test runs the battery plus the report and decision attacks,
+under lockstep and seeded-async timing, once with the shipped protocol
+(whose nodes share the relayed bundle objects and their send tables)
+and once with :class:`ReferenceAlgorithm2` (linear-scan phase 2, each
+node on its own deep copies of the bundles): every node's reliable
+values, detected set, type and output must agree.
 """
 
 import pytest
 
+from test_claim_index_equivalence import ReferenceAlgorithm2, isolated_detection
 from repro.analysis import input_patterns, predicted_costs
 from repro.consensus import algorithm2_factory, majority, run_consensus
 from repro.graphs import cycle_graph, wheel_graph
-from repro.net import DecisionPayload, ValuePayload, standard_adversaries
+from repro.net import (
+    DecisionForgeAdversary,
+    DecisionPayload,
+    LyingReporterAdversary,
+    SchedulerSpec,
+    SilentReporterAdversary,
+    ValuePayload,
+    standard_adversaries,
+)
 
 F = 1
 GRAPHS = {"C6": cycle_graph(6), "W6": wheel_graph(6), "W8": wheel_graph(8)}
@@ -62,8 +78,8 @@ def fault_free_values(protocol):
 class Recording:
     """Algorithm 2 factory that keeps the protocols it builds."""
 
-    def __init__(self, graph):
-        self.inner = algorithm2_factory(graph, F)
+    def __init__(self, graph, inner=None):
+        self.inner = inner or algorithm2_factory(graph, F)
         self.built = []
 
     def __call__(self, node, input_value):
@@ -121,3 +137,65 @@ def test_rounds_end_at_2n_plus_1_or_3n(battery):
     rounds = {r for r, _type_a in runs}
     assert rounds <= {2 * n + 1, 3 * n}
     assert max(rounds) <= budget
+
+
+SCHEDULERS = {
+    "lockstep": SchedulerSpec(kind="lockstep"),
+    "seeded-async": SchedulerSpec(kind="seeded-async", seed=7, max_delay=2),
+}
+ATTACKS = [
+    LyingReporterAdversary(),
+    SilentReporterAdversary(),
+    DecisionForgeAdversary(),
+]
+
+
+def node_states(protocols):
+    return [
+        (p.me, p.reliable_values, p.detected, p.node_type, p.output())
+        for p in protocols
+    ]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_every_node_matches_the_linear_scan_reference(name, scheduler):
+    """Every placement x the battery and the three attacks x the input
+    patterns: all four patterns on C6 and W6; on W8 one pattern per
+    (placement, adversary), rotating through the four, which keeps W8's
+    share of the test near the others'."""
+    graph = GRAPHS[name]
+    shipped = Recording(graph)
+    oracle = shipped.inner.oracle
+    reference = Recording(
+        graph,
+        lambda node, value: ReferenceAlgorithm2(graph, node, F, value, oracle),
+    )
+    patterns = list(input_patterns(graph).values())
+    pairs = [
+        (faulty, adversary)
+        for faulty in sorted(graph.nodes, key=repr)
+        for adversary in standard_adversaries() + ATTACKS
+    ]
+    scenarios = [
+        (faulty, adversary, inputs)
+        for j, (faulty, adversary) in enumerate(pairs)
+        for k, inputs in enumerate(patterns)
+        if name != "W8" or k == j % len(patterns)
+    ]
+    assert len(scenarios) == graph.n * 10 * (1 if name == "W8" else 4)
+    for faulty, adversary, inputs in scenarios:
+        states = []
+        for factory in (shipped, reference):
+            factory.built.clear()
+            run_consensus(
+                graph, factory, inputs, f=F, faulty=(faulty,),
+                adversary=adversary, scheduler=SCHEDULERS[scheduler],
+            )
+            states.append(node_states(factory.built))
+        assert states[0] == states[1], (faulty, adversary.name, inputs)
+        # The shipped code on each node's private copies agrees too.
+        for p in shipped.built:
+            if p.node_type is not None:
+                assert isolated_detection(p) == p.detected

@@ -110,7 +110,7 @@ class LegacyFlood:
 
     def _accept(self, ctx, sender, message):
         metrics = ctx.metrics
-        extended = message.extended_by(sender)
+        extended = message.path + (sender,)
         if not is_path(self.graph, extended):
             metrics.inc("flood.rejected", phase=self.phase, rule="i")
             return False
@@ -220,8 +220,9 @@ class TestFloodEquivalence:
         assert list(new.delivered) == list(old.delivered)
         assert new_metrics.snapshot() == old_metrics.snapshot()
         for origin in sorted(graph.nodes, key=repr):
-            assert new.paths_from(origin) == old.paths_from(origin)
-            assert list(new.paths_from(origin)) == list(old.paths_from(origin))
+            view = new.origin_view(origin)
+            assert dict(view) == old.paths_from(origin)
+            assert list(view) == list(old.paths_from(origin))
             assert new.origin_count(origin) == len(old.paths_from(origin))
 
     @settings(max_examples=60, deadline=None)
@@ -426,7 +427,7 @@ class TestReceiptTracker:
             round_no += 1
             for origin in nodes:
                 fresh = reliable_payload(
-                    graph, 1, me, flood.paths_from(origin), origin
+                    graph, 1, me, dict(flood.origin_view(origin)), origin
                 )
                 metrics = MetricsRegistry()
                 assert tracker.payload_from(origin, metrics=metrics) == fresh

@@ -4,18 +4,35 @@ exactly like a linear-scan reference.
 The reference below is the straightforward reading of the phase-2
 certificates: evidence grouped under each claimed transcript by value,
 claims checked by scanning transcripts with ``==``, disjointness by the
-frozenset packing of ``tests/packing_oracle.py``.  The shipped code interns transcripts and looks
-messages up in first-send-round tables; seeded random bundle floods —
-honest relays, equal re-encodings, tampered and late forwards, dropped
-entries and forged reporters — must get identical answers from both.
+frozenset packing of ``tests/packing_oracle.py``.  The shipped code
+interns transcripts, skips claims about subjects it observes directly,
+and looks messages up in send tables held by the report bundles; seeded
+random bundle floods — honest relays, equal re-encodings, tampered and
+late forwards, dropped entries and forged reporters — must get identical
+answers from both.
+
+Whole runs are checked too: :class:`ReferenceAlgorithm2` concludes
+phase 2 through these references, each node on its own deep copies of
+the bundles it was delivered, and the Algorithm 2 battery
+(``test_algorithm2_battery.py``) compares it node by node with the
+shipped protocol, whose nodes share the relayed bundle objects.
 """
 
+import pickle
 import random
+from functools import lru_cache
 
 import pytest
 
 from packing_oracle import has_disjoint_path_packing
-from repro.consensus import ClaimIndex, PathOracle, ReportBundle
+from repro.consensus import (
+    Algorithm2Protocol,
+    ClaimIndex,
+    PathOracle,
+    ReportBundle,
+    algorithm2_factory,
+    run_consensus,
+)
 from repro.consensus.reliable import detect_faults
 from repro.graphs import (
     all_simple_paths,
@@ -29,7 +46,13 @@ PHASE = "p1"
 
 
 class LinearScanClaims:
-    """Reference claim index: value-keyed evidence, linear scans."""
+    """Reference claim index: value-keyed evidence, linear scans.
+
+    Answers are memoized per query, and a transcript's messages are
+    collected into a set the first time one is looked up in it (all
+    pure functions of the deliveries): whole-run tests ask the same
+    questions at many slots.
+    """
 
     def __init__(self, graph, f, me, bundle_deliveries, own_transcripts, own_sent=()):
         self.graph = graph
@@ -38,6 +61,8 @@ class LinearScanClaims:
         self.own_transcripts = dict(own_transcripts)
         self.own_sent = own_sent
         self.evidence = {}  # subject -> transcript -> [composite paths]
+        self.answers = {}
+        self.message_sets = {}  # id(transcript) -> (transcript, its messages)
         for path, bundle in bundle_deliveries.items():
             reporter = path[0]
             if bundle.reporter != reporter:
@@ -57,6 +82,18 @@ class LinearScanClaims:
         return has_disjoint_path_packing(paths, self.f + 1, mode="uv")
 
     def reliable_transcript(self, subject):
+        key = ("transcript", subject)
+        if key not in self.answers:
+            self.answers[key] = self._reliable_transcript(subject)
+        return self.answers[key]
+
+    def reliably_transmitted(self, subject, message):
+        key = ("transmitted", subject, message)
+        if key not in self.answers:
+            self.answers[key] = self._reliably_transmitted(subject, message)
+        return self.answers[key]
+
+    def _reliable_transcript(self, subject):
         if subject == self.me:
             return self.own_sent
         if self.me in self.graph.neighbors(subject):
@@ -66,59 +103,86 @@ class LinearScanClaims:
                 return transcript
         return None
 
-    def reliably_transmitted(self, subject, message):
-        if subject == self.me:
-            return any(m == message for _, m in self.own_sent)
-        if self.me in self.graph.neighbors(subject):
-            return any(
-                m == message for _, m in self.own_transcripts.get(subject, ())
+    def _contains(self, transcript, message):
+        held = self.message_sets.get(id(transcript))
+        if held is None:
+            held = self.message_sets[id(transcript)] = (
+                transcript, frozenset(m for _, m in transcript)
             )
+        return message in held[1]
+
+    def _reliably_transmitted(self, subject, message):
+        if subject == self.me:
+            return self._contains(self.own_sent, message)
+        if self.me in self.graph.neighbors(subject):
+            return self._contains(self.own_transcripts.get(subject, ()), message)
         paths = [
             p
             for transcript, plist in self.evidence.get(subject, {}).items()
-            if any(m == message for _, m in transcript)
+            if self._contains(transcript, message)
             for p in plist
         ]
         return self._packs(paths)
 
 
-def reference_detect_faults(graph, f, me, reliable_values, claims, first_round=1):
-    """Phase-2 fault localization, scanning each transcript per slot."""
+@lru_cache(maxsize=None)
+def sorted_family(graph, w, u):
+    """``max_disjoint_paths``' ``wu``-family in ``repr`` order (computed
+    here, not through the shipped oracle or its per-graph cache)."""
+    _count, paths = max_disjoint_paths(graph, w, u, want_paths=True)
+    return tuple(sorted(paths, key=repr))
+
+
+def reference_detect_faults(
+    graph, f, me, reliable_values, claims, first_round=1, phase=PHASE
+):
+    """Phase-2 fault localization, scanning each transcript per slot
+    (a slot's verdict, a pure function of ``b`` and the slot, is kept
+    for the slot's next visit)."""
     detected = set()
+    verdicts = {}
     for w in sorted(reliable_values, key=repr):
         b = reliable_values[w]
         for u in sorted(graph.nodes, key=repr):
             if u == w:
                 continue
-            _count, paths = max_disjoint_paths(graph, w, u, want_paths=True)
-            for path in sorted(paths, key=repr)[: 2 * f]:
+            for path in sorted_family(graph, w, u)[: 2 * f]:
                 for idx in range(1, len(path) - 1):
                     z = path[idx]
                     if z == me:
                         continue
-                    prefix = path[:idx]
-                    tampered = FloodMessage(PHASE, ValuePayload(1 - b), prefix)
-                    honest_fwd = FloodMessage(PHASE, ValuePayload(b), prefix)
-                    suspicious = claims.reliably_transmitted(z, tampered)
-                    if not suspicious:
-                        transcript = claims.reliable_transcript(z)
-                        if transcript is not None:
-                            on_time = any(
-                                r <= first_round + idx and m == honest_fwd
-                                for r, m in transcript
-                            )
-                            early = any(
-                                r <= first_round
-                                and isinstance(m, FloodMessage)
-                                and m.phase == PHASE
-                                and len(m.path) > 0
-                                for r, m in transcript
-                            )
-                            suspicious = not on_time or early
-                    if suspicious:
+                    key = (b, path[: idx + 1])
+                    if key not in verdicts:
+                        verdicts[key] = slot_suspicious(
+                            claims, b, z, path[:idx], first_round, phase
+                        )
+                    if verdicts[key]:
                         detected.add(z)
                         break
     return detected
+
+
+def slot_suspicious(claims, b, z, prefix, first_round, phase):
+    """Did ``z`` provably misbehave on its slot after ``prefix``?"""
+    tampered = FloodMessage(phase, ValuePayload(1 - b), prefix)
+    if claims.reliably_transmitted(z, tampered):
+        return True
+    transcript = claims.reliable_transcript(z)
+    if transcript is None:
+        return False
+    honest_fwd = FloodMessage(phase, ValuePayload(b), prefix)
+    on_time = any(
+        r <= first_round + len(prefix) and m == honest_fwd
+        for r, m in transcript
+    )
+    early = any(
+        r <= first_round
+        and isinstance(m, FloodMessage)
+        and m.phase == phase
+        and len(m.path) > 0
+        for r, m in transcript
+    )
+    return not on_time or early
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +330,18 @@ def test_claims_and_detection_match_linear_scan(seed):
     for subject in sorted(graph.nodes, key=repr):
         transcript = reference.reliable_transcript(subject)
         assert claims.reliable_transcript(subject) == transcript
-        rounds = claims.send_rounds(subject)
+        table = claims.send_table(subject)
         if transcript is None:
-            assert rounds is None
+            assert table is None
         else:
-            assert rounds == {
+            assert table.rounds == {
                 m: min(r for r, x in transcript if x == m) for _, m in transcript
             }
+            forwards = {}
+            for r, m in transcript:
+                if m.path:
+                    forwards[m.phase] = min(r, forwards.get(m.phase, r))
+            assert table.forwards == forwards
         for message in ordered:
             assert claims.reliably_transmitted(subject, message) == (
                 reference.reliably_transmitted(subject, message)
@@ -287,3 +356,135 @@ def test_claims_and_detection_match_linear_scan(seed):
     assert detect_faults(
         graph, f, me, reliable_values, again, phase1_tag=PHASE, oracle=shared
     ) == expected
+
+
+# ---------------------------------------------------------------------------
+# Whole runs: phase 2 concluded by the references, on private copies
+# ---------------------------------------------------------------------------
+def reference_reliable_value(graph, f, me, delivered, origin):
+    """Definition C.1 read literally over phase-1 value deliveries: the
+    node's own or a neighbor's direct value, else the ``repr``-least
+    value carried by ``f + 1`` internally disjoint paths."""
+    values = {p: v for p, v in delivered.items() if isinstance(v, ValuePayload)}
+    if origin == me:
+        payload = values.get((me,))
+    elif (origin, me) in values:
+        payload = values[(origin, me)]
+    else:
+        groups = {}
+        for path, value in values.items():
+            if len(path) >= 3 and path[0] == origin:
+                groups.setdefault(value, []).append(path)
+        payload = next(
+            (
+                value
+                for value in sorted(groups, key=repr)
+                if has_disjoint_path_packing(groups[value], f + 1, mode="uv")
+            ),
+            None,
+        )
+    return None if payload is None else payload.value
+
+
+def delivered_bundles(protocol):
+    """The phase-2 bundles ``protocol`` was delivered by other nodes."""
+    return {
+        path: bundle
+        for path, bundle in protocol._flood2.delivered.items()
+        if isinstance(bundle, ReportBundle) and len(path) >= 2
+    }
+
+
+def own_transcripts(protocol):
+    return {nbr: tuple(msgs) for nbr, msgs in protocol._transcripts.items()}
+
+
+def private_copies(bundles):
+    """A deep copy of ``bundles`` (a pickle round trip: fast, and a
+    bundle delivered on several paths stays one object in the copy)."""
+    return pickle.loads(pickle.dumps(bundles))
+
+
+class ReferenceAlgorithm2(Algorithm2Protocol):
+    """Algorithm 2 whose phase 2 concludes through the references of
+    this module: literal reliable receipt, :class:`LinearScanClaims`
+    and :func:`reference_detect_faults`, none of which reads a send
+    table or relies on object identity."""
+
+    def _conclude_phase2(self):
+        for origin in sorted(self.graph.nodes, key=repr):
+            value = reference_reliable_value(
+                self.graph, self.f, self.me, self._flood1.delivered, origin
+            )
+            if value is not None:
+                self.reliable_values[origin] = value
+        claims = LinearScanClaims(
+            self.graph, self.f, self.me,
+            delivered_bundles(self),
+            own_transcripts(self),
+            own_sent=tuple(self._own_sent),
+        )
+        self.detected = reference_detect_faults(
+            self.graph, self.f, self.me, self.reliable_values, claims,
+            phase=self.PHASE1,
+        )
+        self.node_type = "A" if len(self.detected) == self.f else "B"
+
+
+def isolated_detection(protocol):
+    """The shipped phase-2 localization re-run for ``protocol``'s node on
+    its own deep copies of its bundles: tables built for this node
+    alone, shared with no other node."""
+    graph, f = protocol.graph, protocol.f
+    claims = ClaimIndex(
+        graph, f, protocol.me,
+        private_copies(delivered_bundles(protocol)),
+        own_transcripts(protocol),
+        own_sent=tuple(protocol._own_sent),
+        path_mask=protocol._flood2.path_mask,
+    )
+    return detect_faults(
+        graph, f, protocol.me, protocol.reliable_values, claims,
+        phase1_tag=protocol.PHASE1, oracle=PathOracle(graph),
+    )
+
+
+@pytest.mark.parametrize("graph", [cycle_graph(6), wheel_graph(8)], ids=["C6", "W8"])
+def test_private_bundle_copies_answer_like_shared_objects(graph):
+    """Every node of a real run, re-indexed on its own deep copies of the
+    bundles, answers each claim as it did on the relayed objects that
+    all nodes share."""
+    from repro.net import LyingReporterAdversary
+
+    factory = algorithm2_factory(graph, 1)
+    built = []
+
+    def keep(node, value):
+        built.append(factory(node, value))
+        return built[-1]
+
+    run_consensus(
+        graph, keep, {v: v % 2 for v in graph.nodes}, f=1,
+        faulty=(1,), adversary=LyingReporterAdversary(),
+    )
+    concluded = [p for p in built if p.node_type is not None]
+    assert len(concluded) == graph.n
+    for p in concluded:
+        args = (graph, 1, p.me)
+        own = own_transcripts(p)
+        sent = tuple(p._own_sent)
+        shared = ClaimIndex(*args, delivered_bundles(p), own, own_sent=sent)
+        private = ClaimIndex(
+            *args, private_copies(delivered_bundles(p)), own, own_sent=sent
+        )
+        messages = sorted(
+            {m for t in own.values() for _, m in t} | {m for _, m in sent},
+            key=repr,
+        )
+        for subject in sorted(graph.nodes, key=repr):
+            assert private.send_table(subject) == shared.send_table(subject)
+            for message in messages:
+                assert private.reliably_transmitted(subject, message) == (
+                    shared.reliably_transmitted(subject, message)
+                )
+        assert isolated_detection(p) == p.detected

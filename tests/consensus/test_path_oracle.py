@@ -5,15 +5,25 @@ from itertools import combinations
 
 import pytest
 
-from repro.consensus import KINDS, PathOracle, ProtocolFactory, algorithm1_factory
+from repro.consensus import (
+    KINDS,
+    PathOracle,
+    ProtocolFactory,
+    algorithm1_factory,
+    algorithm2_factory,
+)
+from repro.consensus import path_oracle
+from repro.consensus.path_oracle import disjoint_families
 from repro.consensus.runner import run_consensus
 from repro.graphs import (
     cycle_graph,
     disjoint_paths_excluding,
     harary_graph,
+    max_disjoint_paths,
     petersen_graph,
     wheel_graph,
 )
+from repro.net import TamperForwardAdversary
 
 
 def uncached_path_excluding(graph, u, v, excluded):
@@ -193,6 +203,59 @@ class TestSharing:
         assert shared.honest_outputs == fresh.honest_outputs
         assert shared.rounds == fresh.rounds
         assert shared.transmissions == fresh.transmissions
+
+
+class TestDisjointFamilies:
+    """Maximum disjoint-path families are computed once per graph and
+    shared by every oracle on an equal graph."""
+
+    #: One factory's oracle after two Algorithm 2 runs on W8 (below),
+    #: the same as when every factory ran its own max-flows: the
+    #: per-graph cache sits behind the oracle's own memo and counters.
+    COUNTERS = {
+        "oracle.hits{kind=plan}": 120,
+        "oracle.misses{kind=disjoint}": 56,
+        "oracle.misses{kind=plan}": 8,
+    }
+
+    def test_second_factory_on_an_equal_graph_runs_no_max_flow(
+        self, monkeypatch
+    ):
+        calls = []
+
+        def counting(graph, u, v, **kwargs):
+            calls.append((u, v))
+            return max_disjoint_paths(graph, u, v, **kwargs)
+
+        monkeypatch.setattr(path_oracle, "max_disjoint_paths", counting)
+        disjoint_families.cache_clear()
+        graphs = [wheel_graph(8), wheel_graph(8)]
+        assert graphs[0] == graphs[1] and graphs[0] is not graphs[1]
+        seen = []
+        for graph in graphs:
+            factory = algorithm2_factory(graph, 1)
+            for faulty in (3, 0):
+                run_consensus(
+                    graph, factory, {v: v % 2 for v in graph.nodes}, f=1,
+                    faulty=(faulty,), adversary=TamperForwardAdversary(),
+                )
+            seen.append(len(calls))
+            assert factory.oracle.metrics.snapshot()["counters"] == self.COUNTERS
+        # Every ordered pair of W8 once, all during the first factory.
+        assert seen == [56, 56]
+        assert len(set(calls)) == 56
+
+    def test_families_are_shared_tuples(self):
+        one, two = PathOracle(wheel_graph(8)), PathOracle(wheel_graph(8))
+        family = one.disjoint_paths_between(0, 3)
+        assert isinstance(family, tuple)
+        assert two.disjoint_paths_between(0, 3) is family
+        count, paths = max_disjoint_paths(wheel_graph(8), 0, 3, want_paths=True)
+        assert list(family) == paths and len(family) == count
+        # Each oracle still counts its own memo's traffic.
+        assert one.misses == two.misses == 1
+        assert two.disjoint_paths_between(0, 3) is family
+        assert two.hits == 1
 
 
 class TestObsCounters:

@@ -193,7 +193,7 @@ def claim_answers(claims, graph, messages):
     return [
         (
             claims.reliable_transcript(subject),
-            claims.send_rounds(subject),
+            claims.send_table(subject),
             [claims.reliably_transmitted(subject, m) for m in messages],
         )
         for subject in sorted(graph.nodes, key=repr)

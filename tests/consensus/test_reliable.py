@@ -1,11 +1,20 @@
 """Definition C.1 machinery: reliable values, claims, fault detection."""
 
+import copy
+import pickle
+
 import pytest
 
-from repro.consensus import ClaimIndex, ReportBundle, reliable_value
-from repro.consensus.reliable import detect_faults
+from repro.consensus import (
+    ClaimIndex,
+    ReportBundle,
+    algorithm2_factory,
+    reliable_value,
+    run_consensus,
+)
+from repro.consensus.reliable import SendTable, detect_faults, send_table
 from repro.graphs import Graph, complete_graph, cycle_graph
-from repro.net import FloodMessage, ValuePayload
+from repro.net import FloodMessage, LyingReporterAdversary, ValuePayload
 
 
 def vp(x):
@@ -195,8 +204,9 @@ class TestClaimIndexInterning:
         other = FloodMessage("p1", vp(0), ())
         sent = ((3, m), (1, other), (2, m))
         idx = ClaimIndex(self.graph, 1, 4, {}, {}, own_sent=sent)
-        assert idx.send_rounds(4) == {m: 2, other: 1}
-        assert idx.send_rounds(0) is None
+        assert idx.send_table(4).rounds == {m: 2, other: 1}
+        assert idx.send_table(4).forwards == {"p1": 2}
+        assert idx.send_table(0) is None
 
 
 class TestDetectFaults:
@@ -236,6 +246,30 @@ class TestDetectFaults:
         )
         assert detected == set()
 
+    def test_initiation_round_forwards_count_per_phase(self, k4):
+        """Only a phase-1 forward in the initiation round is impossible
+        for an honest node: one tagged with another flood's phase is
+        not, and an early phase-1 forward is."""
+        phase = "p1"
+
+        def transcripts(extra):
+            out = {}
+            for v in [1, 2, 3]:
+                msgs = [(1, FloodMessage(phase, vp(1), ()))]
+                for other in [1, 2, 3]:
+                    if other != v:
+                        msgs.append((2, FloodMessage(phase, vp(1), (other,))))
+                out[v] = tuple(msgs + (extra if v == 2 else []))
+            return out
+
+        values = {1: 1, 2: 1, 3: 1}
+        other_phase = [(1, FloodMessage("p2", vp(1), (3,)))]
+        claims = self._claims_with_transcripts(k4, 0, transcripts(other_phase))
+        assert detect_faults(k4, 1, 0, values, claims, phase1_tag=phase) == set()
+        early = [(1, FloodMessage(phase, vp(1), (3, 1)))]
+        claims = self._claims_with_transcripts(k4, 0, transcripts(early))
+        assert detect_faults(k4, 1, 0, values, claims, phase1_tag=phase) == {2}
+
     def test_never_suspects_self(self, k4):
         phase = "p1"
         claims = self._claims_with_transcripts(k4, 0, {})
@@ -253,3 +287,117 @@ class TestReportBundle:
     def test_hashable(self):
         b = ReportBundle.build(0, {1: [(1, "x")]})
         assert len({b, ReportBundle.build(0, {1: [(1, "x")]})}) == 1
+
+
+def timed(phase, sends):
+    """A transcript of ``(round, value, path)`` sends in ``phase``."""
+    return tuple((r, FloodMessage(phase, vp(b), path)) for r, b, path in sends)
+
+
+class TestSendTable:
+    def test_first_rounds_and_earliest_forward_per_phase(self):
+        t = timed("p1", [(3, 1, (2,)), (1, 0, ()), (2, 1, (2,)), (4, 0, (5, 2))])
+        t += timed("p2", [(1, 1, (7,))]) + ((1, "not a flood message"),)
+        table = send_table(t)
+        assert table.rounds == {
+            FloodMessage("p1", vp(1), (2,)): 2,
+            FloodMessage("p1", vp(0), ()): 1,
+            FloodMessage("p1", vp(0), (5, 2)): 4,
+            FloodMessage("p2", vp(1), (7,)): 1,
+            "not a flood message": 1,
+        }
+        # Initiations (empty path) are not forwards.
+        assert table.forwards == {"p1": 2, "p2": 1}
+
+    def test_no_forward_no_entry(self):
+        assert send_table(timed("p1", [(1, 1, ())])).forwards == {}
+        assert send_table(()) == SendTable({}, {})
+
+
+class TestReportBundleTables:
+    """Send tables are built once per bundle entry and kept on the
+    bundle, invisible to equality, hashing, ``repr`` and pickling."""
+
+    def bundle(self):
+        return ReportBundle.build(0, {
+            1: list(timed("p1", [(1, 1, ()), (2, 0, (2,))])),
+            2: list(timed("p1", [(1, 0, ()), (3, 1, (1,)), (1, 1, (1,))])),
+        })
+
+    def test_tables_are_built_once_and_match_the_entry(self):
+        b = self.bundle()
+        first = b.send_table(1)
+        assert b.send_table(1) is first
+        assert first == send_table(b.entries[1][1])
+        assert first.forwards == {"p1": 1}
+        assert b._tables[0] is None  # only the entry asked for
+
+    def test_filled_cache_changes_no_observable(self):
+        b, twin = self.bundle(), self.bundle()
+        blob = pickle.dumps(twin)
+        for pos in range(len(b.entries)):
+            b.send_table(pos)
+        assert b == twin and hash(b) == hash(twin)
+        assert repr(b) == repr(twin)
+        assert "_tables" not in repr(b)
+        assert pickle.dumps(b) == blob
+        for clone in (pickle.loads(pickle.dumps(b)), copy.deepcopy(b)):
+            assert clone == b
+            assert clone._tables is None  # a copy builds its own
+
+    def test_equal_bundles_keep_separate_tables(self):
+        b, twin = self.bundle(), self.bundle()
+        b.send_table(0)
+        assert twin._tables is None
+        assert twin.send_table(0) == b.send_table(0)
+        assert twin.send_table(0) is not b.send_table(0)
+
+    def test_claims_read_the_table_of_the_bundle_they_came_from(self):
+        """An honest and a forged report about subject 0 reach node 4 of
+        C6: each claimed transcript's table lives on its own bundle."""
+        graph = cycle_graph(6)
+        honest_t = timed("p1", [(1, 1, ()), (2, 1, (5,))])
+        forged_t = timed("p1", [(2, 0, ()), (1, 1, (5,))])
+        honest = ReportBundle.build(5, {0: list(honest_t)})
+        forged = ReportBundle.build(1, {0: list(forged_t)})
+        claims = ClaimIndex(
+            graph, 1, 3, {(5, 4, 3): honest, (1, 2, 3): forged}, {}
+        )
+        # Only the honest claim holds the initiation: one path, refused.
+        assert not claims.reliably_transmitted(0, honest_t[0][1])
+        assert honest._tables[0] == send_table(honest_t)
+        assert forged._tables[0] == send_table(forged_t)
+        assert forged._tables[0].forwards == {"p1": 1}
+        assert honest._tables[0].forwards == {"p1": 2}
+
+    def test_forged_bundles_of_a_run_hold_their_own_tables(self):
+        """In a run against a lying reporter, every table any bundle
+        holds is its own entry's, and no two bundles share one."""
+        graph = cycle_graph(6)
+        factory = algorithm2_factory(graph, 1)
+        built = []
+
+        def keep(node, value):
+            built.append(factory(node, value))
+            return built[-1]
+
+        run_consensus(
+            graph, keep, {v: v % 2 for v in graph.nodes}, f=1,
+            faulty=(1,), adversary=LyingReporterAdversary(),
+        )
+        bundles = {
+            id(b): b
+            for p in built if p._flood2 is not None
+            for b in p._flood2.delivered.values()
+            if isinstance(b, ReportBundle)
+        }
+        owner = {}
+        forged_filled = 0
+        for b in bundles.values():
+            for pos, table in enumerate(b._tables or ()):
+                if table is None:
+                    continue
+                assert table == send_table(b.entries[pos][1])
+                assert owner.setdefault(id(table), b) is b
+                forged_filled += b.reporter == 1
+        assert forged_filled > 0

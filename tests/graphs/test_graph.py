@@ -31,12 +31,6 @@ class TestConstruction:
         g = Graph.from_edges([(1, 2), (2, 1), (1, 2)])
         assert g.edge_count == 1
 
-    def test_from_adjacency(self):
-        g = Graph.from_adjacency({0: [1, 2], 1: [0], 2: []})
-        assert g.has_edge(0, 1)
-        assert g.has_edge(0, 2)
-        assert g.edge_count == 2
-
     def test_string_and_tuple_nodes(self):
         g = Graph.from_edges([("a", ("b", 1))])
         assert g.has_edge("a", ("b", 1))

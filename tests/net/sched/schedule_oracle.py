@@ -49,7 +49,7 @@ def schedule_reference(
         # index).
         when = max(when, link_clock.get((send.sender, recipient), 0))
         times[recipient] = when
-    if scheduler.atomic_broadcast and send.is_broadcast and times:
+    if scheduler.atomic_broadcast and send.target is None and times:
         shared = max(times.values())
         # repro: allow[REPRO001] rebuilds `times` preserving its own
         # deterministic (repr-sorted recipient) insertion order.

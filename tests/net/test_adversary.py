@@ -16,7 +16,6 @@ from repro.net import (
     ReplayAdversary,
     SilentAdversary,
     TamperForwardAdversary,
-    Transmission,
     ValuePayload,
     WrongInputAdversary,
     hybrid_model,
@@ -37,6 +36,15 @@ def make_spec(graph, node, input_value=1, f=1, faulty=None, channel=None):
         faulty=frozenset(faulty or {node}),
         honest_factory=algorithm1_factory(graph, f),
     )
+
+
+def schedule_of(transmissions):
+    """Recorded transmissions as the ``round -> [(message, target)]``
+    schedule a :class:`ReplayAdversary` consumes."""
+    schedule = {}
+    for t in transmissions:
+        schedule.setdefault(t.round_no, []).append((t.message, t.target))
+    return schedule
 
 
 def run_with(graph, adversary, node, rounds, channel=None, input_value=1):
@@ -155,15 +163,16 @@ class TestReplay:
         assert [(t.round_no, t.message) for t in sent] == [(1, "hello"), (3, "bye")]
 
     def test_replay_from_transmissions(self, c5):
-        txs = {
-            2: [
-                Transmission(1, 2, "m1", None, (1, 3)),
-                Transmission(2, 2, "m2", None, (1, 3)),
-            ]
-        }
-        adv = ReplayAdversary.from_transmissions(txs)
-        net = run_with(c5, adv, node=2, rounds=3)
-        assert [t.message for t in net.trace.sent_by(2)] == ["m1", "m2"]
+        """A recorded node's transmissions, replayed, are sent again as
+        recorded."""
+        recorded = run_with(c5, LyingInitAdversary(), node=2, rounds=4)
+        sent = recorded.trace.sent_by(2)
+        assert sent
+        adv = ReplayAdversary({2: schedule_of(sent)})
+        replayed = run_with(c5, adv, node=2, rounds=4).trace.sent_by(2)
+        assert [(t.round_no, t.message, t.target) for t in replayed] == [
+            (t.round_no, t.message, t.target) for t in sent
+        ]
 
     def test_split_replay_targets_groups(self, c5):
         ch = hybrid_model({2})

@@ -15,14 +15,6 @@ from repro.net.messages import VotePayload
 
 
 class TestFloodMessage:
-    def test_extended_by(self):
-        m = FloodMessage(phase=1, payload=ValuePayload(0), path=(1, 2))
-        assert m.extended_by(3) == (1, 2, 3)
-
-    def test_empty_path_extension(self):
-        m = FloodMessage(1, ValuePayload(1), ())
-        assert m.extended_by(5) == (5,)
-
     def test_hashable_and_equal(self):
         a = FloodMessage(1, ValuePayload(0), (1,))
         b = FloodMessage(1, ValuePayload(0), (1,))

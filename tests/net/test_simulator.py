@@ -212,13 +212,5 @@ class TestLifecycle:
         net.run(2)
         sent = net.trace.sent_by(0)
         assert [t.round_no for t in sent] == [1, 2]
-        received = net.trace.received_by(1)
-        assert all(1 in t.recipients for t in received)
-
-    def test_replay_schedule_shape(self):
-        g = cycle_graph(3)
-        net = build(g, {v: Echo(v) for v in g.nodes})
-        net.run(2)
-        schedule = net.trace.replay_schedule(1)
-        assert set(schedule) == {1, 2}
-        assert schedule[1][0].message == (1, 1)
+        received = [t for t in net.trace.transmissions if 1 in t.recipients]
+        assert sorted({t.sender for t in received}) == [0, 2]

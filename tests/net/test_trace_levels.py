@@ -187,10 +187,6 @@ class TestEngineLevels:
             lambda: trace.transmissions,
             lambda: trace.deliveries,
             lambda: trace.sent_by(0),
-            lambda: trace.received_by(0),
-            lambda: trace.per_round(1),
-            lambda: trace.deliveries_on_link(0, 1),
-            lambda: trace.replay_schedule(0),
         ):
             with pytest.raises(TraceLevelError, match="flight=True"):
                 query()
