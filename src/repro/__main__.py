@@ -741,13 +741,15 @@ def cmd_trace(args: argparse.Namespace) -> int:
     """Forensics on a flight recording; exit codes are the contract.
 
     ``summary``/``critical-path`` exit 0 when the causal record is
-    internally consistent, 1 otherwise.  ``blame`` exits 0 when the
+    consistent, 1 on :meth:`~repro.obs.CausalDag.check` violations or
+    failed tick accounting.  ``blame`` exits 0 when the
     anomaly is attributed to faulty nodes, 1 when the run was clean
     (nothing to blame), 2 when an anomaly could not be attributed —
     blaming an honest node is a bug in the model, never an exit code.
     ``replay`` exits 0 on byte-identical re-execution, 1 on divergence,
     2 when the recording is not replayable.  Every action exits 2 with a
-    one-line message when the file is malformed.
+    one-line message when the file breaks the flight schema
+    (:meth:`~repro.obs.FlightRecord.loads`).
     """
     from .obs import FlightError
 
@@ -807,11 +809,12 @@ def _trace_action(args: argparse.Namespace) -> int:
             print(f"critical path: {data['length']} events, "
                   f"span={data['span']} ticks "
                   f"(latency sum={data['latency_sum']}, "
-                  f"consistent={data['consistent']})")
+                  f"consistent={data['consistent']}, "
+                  f"causal_violations={data['causal_violations']})")
             print(f"  root cause: {data['root_cause']}")
             for hop in data["hops"]:
                 print(f"  {hop}")
-        return 0 if data["consistent"] else 1
+        return 0 if data["consistent"] and not data["causal_violations"] else 1
 
     if args.action == "blame":
         data = blame(record)

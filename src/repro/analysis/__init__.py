@@ -19,11 +19,9 @@ from .requirements import (
 from .replay import (
     ReplayOutcome,
     adversary_from_flight,
-    channel_from_flight,
     factory_from_flight,
     graph_from_flight,
     replay_flight,
-    scheduler_from_flight,
 )
 from .sweep import (
     HybridEquivocatorPolicy,
@@ -46,12 +44,10 @@ __all__ = [
     "SweepReport",
     "SweepTask",
     "adversary_from_flight",
-    "channel_from_flight",
     "consensus_sweep",
     "factory_from_flight",
     "graph_from_flight",
     "replay_flight",
-    "scheduler_from_flight",
     "equivocation_price",
     "expected_flood_deliveries",
     "expected_wheel_deliveries_at_rim",

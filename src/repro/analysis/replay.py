@@ -22,7 +22,7 @@ differing line localizes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional
+from typing import List, Optional
 
 from ..consensus.factory import ProtocolFactory
 from ..consensus.runner import ConsensusResult, run_consensus
@@ -42,11 +42,9 @@ def graph_from_flight(header: dict) -> Graph:
     whose edge list is read as ordered arcs; legacy headers (no flag)
     reconstruct the symmetric :class:`Graph` exactly as before.
     """
-    spec = header.get("graph") or {}
-    nodes = [decode_label(enc) for enc in spec.get("nodes", [])]
-    edges = [
-        (decode_label(u), decode_label(v)) for u, v in spec.get("edges", [])
-    ]
+    spec = header["graph"]
+    nodes = [decode_label(enc) for enc in spec["nodes"]]
+    edges = [(decode_label(u), decode_label(v)) for u, v in spec["edges"]]
     if spec.get("directed"):
         return Digraph(nodes, edges)
     return Graph(nodes, edges)
@@ -85,9 +83,8 @@ def adversary_from_flight(spec: Optional[dict]) -> Optional[Adversary]:
     name = spec["name"]
     if name == "crash" and spec.get("crash_round") is not None:
         return CrashAdversary(spec["crash_round"])
-    seed = spec.get("seed")
     battery: List[Adversary] = standard_adversaries(
-        seed if seed is not None else 7
+        7 if spec["seed"] is None else spec["seed"]
     )
     battery.append(EquivocatingAdversary())
     for adversary in battery:
@@ -95,17 +92,6 @@ def adversary_from_flight(spec: Optional[dict]) -> Optional[Adversary]:
             return adversary
     names = [adversary.name for adversary in battery]
     raise FlightReplayError(f"unknown adversary {name!r}; choose from {names}")
-
-
-def channel_from_flight(spec: dict) -> ChannelModel:
-    return ChannelModel(
-        spec["kind"],
-        frozenset(decode_label(enc) for enc in spec.get("equivocators", [])),
-    )
-
-
-def scheduler_from_flight(spec: Optional[dict]) -> Optional[SchedulerSpec]:
-    return None if spec is None else SchedulerSpec(**spec)
 
 
 @dataclass
@@ -126,30 +112,32 @@ def replay_flight(record: FlightRecord) -> ReplayOutcome:
 
     Raises :class:`~repro.obs.FlightReplayError` when the recording is
     not replayable (opaque factory, display-only labels, unknown
-    adversary).  Otherwise the run itself always completes; a
+    adversary, or a recipe no run can be built from, say ``|faulty| >
+    f``).  Otherwise the run itself always completes; a
     non-identical outcome is reported, not raised — disagreement between
     record and replay is a *finding*.
     """
     header = record.header
-    graph = graph_from_flight(header)
-    factory = factory_from_flight(graph, header.get("factory") or {})
-    inputs: Dict[Hashable, int] = {
-        decode_label(enc): value for enc, value in header.get("inputs", [])
-    }
-    result = run_consensus(
-        graph,
-        factory,
-        inputs,
-        f=header["f"],
-        faulty=[decode_label(enc) for enc in header.get("faulty", [])],
-        adversary=adversary_from_flight(header.get("adversary")),
-        channel=channel_from_flight(header.get("channel") or {}),
-        scheduler=scheduler_from_flight(header.get("scheduler")),
-        max_rounds=header["max_rounds"],
-        metrics=bool(header.get("metered")),
-        flight=True,
-        run_spec=header.get("spec") or None,
-    )
+    channel, scheduler = header["channel"], header["scheduler"]
+    try:
+        graph = graph_from_flight(header)
+        result = run_consensus(
+            graph,
+            factory_from_flight(graph, header["factory"]),
+            {decode_label(enc): value for enc, value in header["inputs"]},
+            f=header["f"],
+            faulty=[decode_label(enc) for enc in header["faulty"]],
+            adversary=adversary_from_flight(header["adversary"]),
+            channel=ChannelModel(channel["kind"], frozenset(
+                decode_label(enc) for enc in channel["equivocators"])),
+            scheduler=scheduler and SchedulerSpec(**scheduler),
+            max_rounds=header["max_rounds"],
+            metrics=header["metered"],
+            flight=True,
+            run_spec=header["spec"] or None,
+        )
+    except (TypeError, ValueError) as exc:  # a FlightReplayError, too
+        raise FlightReplayError(str(exc)) from None
     assert result.flight is not None
     original = record.to_ndjson()
     replayed = result.flight.to_ndjson()

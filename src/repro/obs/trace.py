@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 #: Must equal ``repro.net.trace.CAUSE_*`` (asserted by the test suite);
 #: re-declared so the obs layer stays import-pure.
@@ -54,8 +54,8 @@ FLIGHT_VERSION = 1
 #: emit (rank 1), then the decisions they reach (rank 2).  Within one
 #: rank the record index — itself deterministic — breaks ties, so the
 #: order is total and every happened-before edge points strictly
-#: backwards in it (acyclicity by construction; re-checked by
-#: :meth:`CausalDag.check`).
+#: backwards in it (acyclicity by construction; checked at load by
+#: :meth:`FlightRecord.loads`, delivery edges by :meth:`CausalDag.check`).
 _RANK = {"deliver": 0, "send": 1, "decide": 2}
 
 
@@ -104,14 +104,12 @@ def decode_label(obj: object) -> object:
     """Inverse of :func:`encode_label`; raises
     :class:`FlightReplayError` on display-only (``__r``) labels."""
     if isinstance(obj, dict):
-        if "__t" in obj:
-            return tuple(decode_label(x) for x in obj["__t"])
         if "__r" in obj:
             raise FlightReplayError(
                 f"label {obj['__r']} was recorded by repr only and cannot "
                 "be reconstructed for replay"
             )
-        raise FlightError(f"unrecognized label encoding {obj!r}")
+        return tuple(decode_label(x) for x in obj["__t"])
     return obj
 
 
@@ -132,6 +130,83 @@ def label_text(enc: object) -> str:
 def event_order(event: dict) -> Tuple[int, int, int]:
     """The canonical total order of the event stream (see :data:`_RANK`)."""
     return (event["t"], _RANK[event["type"]], event["i"])
+
+
+#: The flight format, checked by :meth:`FlightRecord.loads`.  A type is
+#: an exact JSON type (``int`` rejects ``bool``; ``object`` is anything);
+#: ``(None, X)`` is X or null; ``[X]`` an array of X, ``[X, Y]`` a pair;
+#: a dict an object with exactly its fields (``"name?"`` optional, ``"*"``
+#: admits others).  ``NODE`` is an encoded label (:func:`encode_label`)
+#: naming a node of the header's graph, whose ``GRAPH_NODE`` list is read
+#: first.
+GRAPH_NODE, NODE = "a label", "a node of the graph"
+_CAUSE = {"kind": str, "i": (None, int)}
+SCHEMA: Dict[str, dict] = {
+    "header": {
+        "type": str, "version": int, "f": int, "max_rounds": int,
+        "graph": {"nodes": [GRAPH_NODE], "edges": [[NODE, NODE]],
+                  "directed?": bool},
+        "faulty": [NODE], "inputs": [[NODE, int]],
+        "adversary": (None, {"name": str, "seed": (None, int),
+                             "crash_round?": int}),
+        "channel": {"kind": str, "equivocators": [NODE]},
+        "scheduler": (None, {"kind": str, "*": object}),
+        "factory": {"kind": str, "*": object}, "metered": bool, "spec": dict,
+        "spans?": [{"name": str, "start": int, "end": int, "labels": dict}],
+    },
+    "send": {"type": str, "i": int, "t": int, "node": NODE, "msg": str,
+             "target": (None, NODE), "to": [NODE], "cause": _CAUSE},
+    "deliver": {"type": str, "i": int, "t": int, "sent": int, "send": int,
+                "from": NODE, "to": NODE, "msg": str},
+    "decide": {"type": str, "i": int, "t": int, "node": NODE, "value": int,
+               "cause": _CAUSE},
+    "outcome": {"type": str, "outcome": str, "stalled": bool, "rounds": int,
+                "outputs": [[NODE, (None, int)]]},
+}
+
+
+def _is_label(v: object) -> bool:
+    if type(v) is dict and len(v) == 1:
+        return type(v.get("__r")) is str or (
+            type(v.get("__t")) is list and all(map(_is_label, v["__t"])))
+    return v is None or type(v) in (int, str, bool)
+
+
+def _conform(value: object, spec: object, where: str, nodes: Set[str]) -> None:
+    """Raise :class:`FlightError` at the first part of ``value`` (named
+    by ``where``) that breaks ``spec``; collect ``GRAPH_NODE`` labels."""
+    if isinstance(spec, tuple) and value is None:
+        return
+    want = spec[1] if isinstance(spec, tuple) else spec
+    if isinstance(want, str):
+        ok = _is_label(value) and (want == GRAPH_NODE or label_key(value) in nodes)
+    elif isinstance(want, (dict, list)):
+        ok = type(value) is type(want) and (
+            type(value) is dict or len(want) in (1, len(value)))
+    else:
+        ok = want is object or type(value) is want
+    if not ok:
+        what = {dict: "an object", list: "an array"}.get(type(want), want)
+        null = " or null" if isinstance(spec, tuple) else ""
+        raise FlightError(f"{where} is not {getattr(what, '__name__', what)}"
+                          f"{null} (got {_clip(canonical_json(value), 40)})")
+    at = where if where.endswith(" ") else f"{where}."  # a line's fields
+    if isinstance(want, dict):
+        # repro: allow[REPRO001] SCHEMA order: graph nodes before labels.
+        for key, sub in want.items():
+            name = key.rstrip("?")
+            if name in value:
+                _conform(value[name], sub, at + name, nodes)
+            elif key[-1] not in "?*":
+                raise FlightError(f"{at}{name} is missing")
+        extra = sorted(value.keys() - {k.rstrip("?") for k in want})
+        if extra and "*" not in want:
+            raise FlightError(f"{at}{extra[0]} is not declared")
+    elif isinstance(want, list):
+        for k, item in enumerate(value):
+            _conform(item, want[k % len(want)], f"{where}[{k}]", nodes)
+    elif want == GRAPH_NODE:
+        nodes.add(label_key(value))
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +260,9 @@ class FlightRecord:
 
     @classmethod
     def loads(cls, text: str) -> "FlightRecord":
-        """Parse NDJSON; malformed input raises :class:`FlightError`
-        naming the offending line by its 1-based number."""
+        """Parse NDJSON and check it against :data:`SCHEMA` and
+        :func:`event_order` (event ids unique); the first problem raises
+        :class:`FlightError` naming its 1-based line and field."""
         numbers: List[int] = []
         rows: List[dict] = []
         for number, line in enumerate(text.splitlines(), 1):
@@ -218,13 +294,22 @@ class FlightRecord:
                 f"unsupported flight version {version!r} "
                 f"(this reader speaks {FLIGHT_VERSION})"
             )
-        events = rows[1:-1]
-        for number, event in zip(numbers[1:], events):
-            if event.get("type") not in _RANK:
-                raise FlightError(
-                    f"line {number}: unknown event type {event.get('type')!r}"
-                )
-        return cls(header=header, events=events, outcome=outcome)
+        nodes: Set[str] = set()
+        seen: Set[Tuple[str, int]] = set()  # event ids
+        for index, (number, row) in enumerate(zip(numbers, rows)):
+            kind = row.get("type")
+            if 0 < index < len(rows) - 1 and (
+                    type(kind) is not str or kind not in _RANK):
+                raise FlightError(f"line {number}: unknown event type {kind!r}")
+            _conform(row, SCHEMA[kind], f"line {number}: field ", nodes)
+            if kind in _RANK:
+                if _eid(row) in seen or index > 1 and (
+                    event_order(rows[index - 1]) >= event_order(row)
+                ):
+                    raise FlightError(f"line {number}: {kind} {row['i']} repeats "
+                                      "an id or breaks the canonical event order")
+                seen.add(_eid(row))
+        return cls(header=header, events=rows[1:-1], outcome=outcome)
 
     @classmethod
     def load(cls, path: str) -> "FlightRecord":
@@ -339,7 +424,6 @@ class CausalDag:
         self.record = record
         self.send_by_i: Dict[int, dict] = {}
         self.deliver_by_i: Dict[int, dict] = {}
-        self.decide_by_i: Dict[int, dict] = {}
         #: (label_key(node), tick) → the deliveries drained into that
         #: activation's inbox, in drain order (record-index ascending).
         self.inbox: Dict[Tuple[str, int], List[dict]] = {}
@@ -355,8 +439,6 @@ class CausalDag:
                 self.deliver_by_i[event["i"]] = event
                 key = (label_key(event["to"]), event["t"])
                 self.inbox.setdefault(key, []).append(event)
-            else:
-                self.decide_by_i[event["i"]] = event
             node_key = label_key(
                 event["to"] if kind == "deliver" else event["node"]
             )
@@ -401,21 +483,15 @@ class CausalDag:
 
     # -- validation ----------------------------------------------------
     def check(self) -> List[str]:
-        """Structural violations (empty list = a well-formed causal DAG).
+        """Causal-law violations (empty list = a well-formed causal DAG).
 
-        Every parent edge must point strictly backwards in the canonical
-        event order — which simultaneously proves acyclicity (the order
-        is a topological witness) and the timestamp law
-        ``cause.t < effect.t`` for cross-tick (delivery) edges.
+        The canonical order is checked at load (and holds by construction
+        in :func:`flight_from_trace`), so inbox edges point backwards; a
+        delivery must still follow and agree with its send, and a primary
+        cause must be the last delivery of its own activation inbox.
         """
         problems: List[str] = []
-        events = self.record.events
-        for prev, event in zip(events, events[1:]):
-            if event_order(prev) >= event_order(event):
-                problems.append(
-                    f"event stream out of canonical order at {_eid(event)}"
-                )
-        for event in events:
+        for event in self.record.events:
             kind = event["type"]
             if kind == "deliver":
                 send = self.send_by_i.get(event["send"])
@@ -444,8 +520,7 @@ class CausalDag:
                         f"in send {send['i']}'s recipient set"
                     )
                 continue
-            cause = event.get("cause") or {}
-            ck, ci = cause.get("kind"), cause.get("i")
+            ck, ci = event["cause"]["kind"], event["cause"]["i"]
             inbox = self.parents(event)
             if ck == CAUSE_DELIVERY:
                 primary = self.deliver_by_i.get(ci)
@@ -486,12 +561,6 @@ class CausalDag:
                     )
             else:
                 problems.append(f"{kind} {event['i']} has no cause link")
-            for parent in inbox:
-                if event_order(parent) >= event_order(event):
-                    problems.append(
-                        f"edge {_eid(parent)} -> {_eid(event)} does not "
-                        "point backwards in canonical order"
-                    )
         return problems
 
     # -- longest causal chain ------------------------------------------
@@ -512,16 +581,18 @@ class CausalDag:
         events = self.record.events
         if not events:
             return {
-                "target": None, "length": 0, "span": 0,
-                "latency_sum": 0, "consistent": True, "hops": [],
+                "target": None, "length": 0, "span": 0, "latency_sum": 0,
+                "consistent": True, "root_cause": None, "hops": [],
+                "causal_violations": 0,
             }
         depth: Dict[Tuple[str, int], int] = {}
         pred: Dict[Tuple[str, int], Optional[dict]] = {}
         for event in events:  # canonical order is topological
             best: Optional[dict] = None
             best_rank = (-1, (-1, -1, -1))
+            # A send after its delivery (a causal violation) ranks last.
             for parent in self.parents(event):
-                rank = (depth[_eid(parent)], event_order(parent))
+                rank = (depth.get(_eid(parent), -2), event_order(parent))
                 if rank > best_rank:
                     best, best_rank = parent, rank
             eid = _eid(event)
@@ -547,8 +618,9 @@ class CausalDag:
             "span": span,
             "latency_sum": latency_sum,
             "consistent": span == latency_sum,
-            "root_cause": (chain[0].get("cause") or {}).get("kind"),
+            "root_cause": hops[0].get("cause"),
             "hops": hops,
+            "causal_violations": len(self.check()),
         }
 
     @staticmethod
@@ -560,7 +632,7 @@ class CausalDag:
             brief["latency"] = event["t"] - event["sent"]
         else:
             brief["node"] = event["node"]
-            brief["cause"] = (event.get("cause") or {}).get("kind")
+            brief["cause"] = event["cause"]["kind"]
         if event["type"] == "decide":
             brief["value"] = event["value"]
         else:
@@ -580,67 +652,48 @@ def _clip(text: str, width: int = 64) -> str:
 def summarize(record: FlightRecord) -> dict:
     """Per-node timelines plus a run digest (the ``trace summary`` view)."""
     header = record.header
-    faulty_keys = {label_key(x) for x in header.get("faulty", [])}
+    faulty_keys = {label_key(x) for x in header["faulty"]}
     rows: Dict[str, dict] = {}
-    for enc in header.get("graph", {}).get("nodes", []):
+    for enc in header["graph"]["nodes"]:
         rows[label_key(enc)] = {
-            "node": enc,
-            "faulty": label_key(enc) in faulty_keys,
-            "sends": 0,
-            "deliveries": 0,
-            "first_send": None,
-            "last_send": None,
-            "last_delivery": None,
-            "decided_at": None,
-            "decision": None,
-            "decision_cause": None,
+            "node": enc, "faulty": label_key(enc) in faulty_keys,
+            "sends": 0, "deliveries": 0, "first_send": None,
+            "last_send": None, "last_delivery": None,
+            "decided_at": None, "decision": None, "decision_cause": None,
             "causes": {CAUSE_DELIVERY: 0, CAUSE_INPUT: 0, CAUSE_TIMER: 0},
         }
 
-    def row(enc: object) -> dict:
-        return rows.setdefault(
-            label_key(enc),
-            {
-                "node": enc, "faulty": label_key(enc) in faulty_keys,
-                "sends": 0, "deliveries": 0, "first_send": None,
-                "last_send": None, "last_delivery": None,
-                "decided_at": None, "decision": None,
-                "decision_cause": None,
-                "causes": {CAUSE_DELIVERY: 0, CAUSE_INPUT: 0, CAUSE_TIMER: 0},
-            },
-        )
-
     for event in record.events:
         if event["type"] == "send":
-            r = row(event["node"])
+            r = rows[label_key(event["node"])]
             r["sends"] += 1
             if r["first_send"] is None:
                 r["first_send"] = event["t"]
             r["last_send"] = event["t"]
-            kind = (event.get("cause") or {}).get("kind")
+            kind = event["cause"]["kind"]
             if kind in r["causes"]:
                 r["causes"][kind] += 1
         elif event["type"] == "deliver":
-            r = row(event["to"])
+            r = rows[label_key(event["to"])]
             r["deliveries"] += 1
             r["last_delivery"] = event["t"]
         else:
-            r = row(event["node"])
+            r = rows[label_key(event["node"])]
             r["decided_at"] = event["t"]
             r["decision"] = event["value"]
-            r["decision_cause"] = (event.get("cause") or {}).get("kind")
+            r["decision_cause"] = event["cause"]["kind"]
 
     dag = CausalDag(record)
     return {
         "run": {
-            "outcome": record.outcome.get("outcome"),
-            "rounds": record.outcome.get("rounds"),
-            "n": len(header.get("graph", {}).get("nodes", [])),
-            "f": header.get("f"),
-            "faulty": header.get("faulty", []),
-            "scheduler": header.get("scheduler"),
-            "factory": header.get("factory", {}).get("kind"),
-            "adversary": (header.get("adversary") or {}).get("name"),
+            "outcome": record.outcome["outcome"],
+            "rounds": record.outcome["rounds"],
+            "n": len(header["graph"]["nodes"]),
+            "f": header["f"],
+            "faulty": header["faulty"],
+            "scheduler": header["scheduler"],
+            "factory": header["factory"]["kind"],
+            "adversary": header["adversary"] and header["adversary"]["name"],
             "sends": len(record.sends),
             "deliveries": len(record.delivers),
             "decisions": len(record.decides),
@@ -681,9 +734,9 @@ def blame(record: FlightRecord) -> dict:
       suspects (exit 2).
     """
     header = record.header
-    outcome = record.outcome.get("outcome")
-    faulty_enc = {label_key(x): x for x in header.get("faulty", [])}
-    node_enc = {label_key(x): x for x in header.get("graph", {}).get("nodes", [])}
+    outcome = record.outcome["outcome"]
+    faulty_enc = {label_key(x): x for x in header["faulty"]}
+    node_enc = {label_key(x): x for x in header["graph"]["nodes"]}
     honest_keys = sorted(k for k in node_enc if k not in faulty_enc)
     decides = record.decides
     honest_decides = [
@@ -711,7 +764,7 @@ def blame(record: FlightRecord) -> dict:
         values = sorted({e["value"] for e in honest_decides}, key=repr)
         honest_inputs = {
             value
-            for enc, value in header.get("inputs", [])
+            for enc, value in header["inputs"]
             if label_key(enc) not in faulty_enc
         }
         invalid = [
@@ -760,10 +813,8 @@ def blame(record: FlightRecord) -> dict:
         prev = dag.process_parent(event)
         if prev is not None and tainted[_eid(prev)]:
             return True
-        for parent in dag.parents(event):
-            if tainted[_eid(parent)]:
-                return True
-        return False
+        # A delivery before its send (a causal violation) has no taint yet.
+        return any(tainted.get(_eid(parent)) for parent in dag.parents(event))
 
     # Taint propagation in canonical (topological) order: an event is
     # tainted iff a faulty transmission lies in its causal past.  The
@@ -849,17 +900,17 @@ def export_chrome(record: FlightRecord) -> dict:
     span data (metered runs), the spans are overlaid as slices on the
     track of the node they name — or a dedicated ``spans`` track.
     """
-    nodes = record.header.get("graph", {}).get("nodes", [])
-    keys = sorted(label_key(enc) for enc in nodes)
+    by_key = {label_key(enc): enc for enc in record.header["graph"]["nodes"]}
+    keys = sorted(by_key)
     tids = {k: i for i, k in enumerate(keys)}
-    by_key = {label_key(enc): enc for enc in nodes}
+    faulty = {label_key(x) for x in record.header["faulty"]}
     events: List[dict] = [
         {"ph": "M", "pid": 0, "tid": 0, "name": "process_name",
          "args": {"name": "repro flight"}},
     ]
     for k in keys:
         name = label_text(by_key[k])
-        if k in {label_key(x) for x in record.header.get("faulty", [])}:
+        if k in faulty:
             name += " (faulty)"
         events.append(
             {"ph": "M", "pid": 0, "tid": tids[k], "name": "thread_name",
@@ -871,16 +922,16 @@ def export_chrome(record: FlightRecord) -> dict:
             events.append(
                 {
                     "ph": "X", "pid": 0,
-                    "tid": tids.get(label_key(event["node"]), len(keys)),
+                    "tid": tids[label_key(event["node"])],
                     "ts": ts, "dur": _TICK_US // 4,
                     "name": f"send {_clip(event['msg'], 40)}",
                     "cat": "send",
-                    "args": {"i": event["i"], "cause": event.get("cause")},
+                    "args": {"i": event["i"], "cause": event["cause"]},
                 }
             )
         elif event["type"] == "deliver":
-            src = tids.get(label_key(event["from"]), len(keys))
-            dst = tids.get(label_key(event["to"]), len(keys))
+            src = tids[label_key(event["from"])]
+            dst = tids[label_key(event["to"])]
             events.append(
                 {
                     "ph": "X", "pid": 0, "tid": dst, "ts": ts,
@@ -902,35 +953,35 @@ def export_chrome(record: FlightRecord) -> dict:
             events.append(
                 {
                     "ph": "i", "pid": 0,
-                    "tid": tids.get(label_key(event["node"]), len(keys)),
+                    "tid": tids[label_key(event["node"])],
                     "ts": ts, "s": "t",
                     "name": f"decide {event['value']}",
                     "cat": "decide",
-                    "args": {"cause": (event.get("cause") or {}).get("kind")},
+                    "args": {"cause": event["cause"]["kind"]},
                 }
             )
-    spans = record.header.get("spans") or []
+    spans = record.header["spans"] if "spans" in record.header else []
     if spans:
         events.append(
             {"ph": "M", "pid": 0, "tid": len(keys), "name": "thread_name",
              "args": {"name": "spans"}}
         )
     for span in spans:
-        labels = span.get("labels") or {}
+        labels = span["labels"]
         owner = None
         for field_name in ("origin", "node"):
             if field_name in labels:
                 owner = tids.get(label_key(encode_label(labels[field_name])))
                 if owner is not None:
                     break
-        start, end = span.get("start", 0), span.get("end", 0)
+        start, end = span["start"], span["end"]
         events.append(
             {
                 "ph": "X", "pid": 0,
                 "tid": owner if owner is not None else len(keys),
                 "ts": start * _TICK_US,
                 "dur": max((end - start) * _TICK_US, 1),
-                "name": span.get("name", "span"),
+                "name": span["name"],
                 "cat": "span",
                 "args": {"labels": labels},
             }

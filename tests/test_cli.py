@@ -915,6 +915,34 @@ class TestTraceCommand:
         assert out.startswith("not replayable: factory spec ")
         assert fragment in out
 
+    @pytest.mark.parametrize("edit,fragment", [
+        (lambda header: header.update(f=-1), "|faulty| = 1 exceeds f = -1"),
+        (lambda header: header.update(inputs=[]),
+         "missing inputs for [0, 1, 2, 3, 4]"),
+        (lambda header: header["scheduler"].update(extra=1),
+         "unexpected keyword argument 'extra'"),
+        (lambda header: header["scheduler"].update(max_delay=0),
+         "max_delay must be >= 1"),
+        (lambda header: header["channel"].update(kind="radio"),
+         "unknown channel kind 'radio'"),
+    ], ids=["faulty-exceeds-f", "missing-inputs", "scheduler-extra-field",
+            "scheduler-bad-value", "unknown-channel"])
+    def test_unbuildable_recipe_is_not_replayable(
+        self, tmp_path, capsys, edit, fragment
+    ):
+        """A well-typed header that describes no buildable run is not
+        replayable (exit 2), not a traceback."""
+        lines = self._record(tmp_path, capsys).read_text().splitlines()
+        header = json.loads(lines[0])
+        edit(header)
+        lines[0] = json.dumps(header, sort_keys=True)
+        path = tmp_path / "recipe.ndjson"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["trace", "replay", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("not replayable: ")
+        assert fragment in out
+
     def test_opaque_factory_flights_match_across_workers(
         self, tmp_path, capsys
     ):
