@@ -279,7 +279,6 @@ class _SweepContext:
     f: int
     adversaries: Tuple[Adversary, ...]
     patterns: Dict[str, Dict[Hashable, int]]
-    channel: Optional[ChannelModel]
     schedulers: Tuple[SchedulerAxisEntry, ...] = (None,)
     channel_policy: Optional[ChannelPolicy] = None
     #: Metered sweep: every task runs with a fresh metrics registry and
@@ -340,9 +339,8 @@ def _execute_task(
     """
     adversary = context.adversaries[task.adversary_index]
     scheduler = context.schedulers[task.scheduler_index]
-    channel = context.channel
-    if context.channel_policy is not None:
-        channel = context.channel_policy(task.faulty)
+    policy = context.channel_policy
+    channel = policy(task.faulty) if policy is not None else None
     capture = context.capture
     result = run_consensus(
         context.graph,
@@ -438,7 +436,6 @@ def consensus_sweep(
     honest_factory: HonestFactory,
     f: int,
     adversaries: Optional[Sequence[Adversary]] = None,
-    channel: Optional[ChannelModel] = None,
     fault_limit: Optional[int] = None,
     patterns: Optional[Iterable[str]] = None,
     seed: int = 0,
@@ -461,10 +458,11 @@ def consensus_sweep(
     every ``(faulty, adversary, pattern)`` scenario runs once per entry.
     Defaults to ``(None,)`` — existing sweeps are unchanged.
 
-    ``channel_policy`` (exclusive with ``channel``) derives each task's
-    channel model from its fault tuple — required by the hybrid model,
-    where the equivocator set *is* a subset of the faulty set (see
-    :class:`HybridEquivocatorPolicy`).
+    ``channel_policy`` derives each task's channel model from its fault
+    tuple — required by the hybrid model, where the equivocator set *is*
+    a subset of the faulty set (see :class:`HybridEquivocatorPolicy`).
+    Without one, every task runs on :func:`run_consensus`'s
+    local-broadcast default.
 
     ``metrics=True`` meters every task: each record carries its run's
     canonical snapshot, the report carries their canonical merge
@@ -487,8 +485,6 @@ def consensus_sweep(
         raise ValueError(
             f"capture must be None, 'anomalies' or 'all', not {capture!r}"
         )
-    if channel is not None and channel_policy is not None:
-        raise ValueError("pass either channel or channel_policy, not both")
     adversaries = (
         list(adversaries) if adversaries is not None else standard_adversaries(seed)
     )
@@ -516,7 +512,6 @@ def consensus_sweep(
         f=f,
         adversaries=tuple(adversaries),
         patterns=chosen,
-        channel=channel,
         schedulers=scheduler_axis,
         channel_policy=channel_policy,
         metered=metrics,

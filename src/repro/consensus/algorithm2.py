@@ -6,11 +6,12 @@ Three flooding phases of ``n`` rounds each (Theorem 5.6):
   the rules of Section 5.1;
 * **phase 2** (rounds ``n+1..2n``) — every node floods a *report*: the
   complete timed transcript of everything each neighbor transmitted in
-  phase 1 (under local broadcast a node hears all of it).  From the
-  reports, each node runs the fault-localization rule of Appendix C: on
-  ``2f`` node-disjoint paths from every reliably-received origin, the
-  first provable deviator per path is faulty.  A node that has localized
-  all ``f`` faults becomes **type A**; everyone else is **type B**;
+  phase 1 (under local broadcast a node hears all of it, so its own
+  report is its one record of what it heard).  From the reports, each
+  node runs the fault-localization rule of Appendix C: on ``2f``
+  node-disjoint paths from every reliably-received origin, the first
+  provable deviator per path is faulty.  A node that has localized all
+  ``f`` faults becomes **type A**; everyone else is **type B**;
 * **phase 3** (rounds ``2n+1..3n``) — type-B nodes decide the majority
   of the values they reliably received and flood that decision; type-A
   nodes adopt any decision arriving from a non-faulty node over a
@@ -99,7 +100,6 @@ class Algorithm2Protocol(Protocol):
         self._flood2: Optional[FloodInstance] = None
         self._flood3: Optional[FloodInstance] = None
         self._transcripts: Dict[Hashable, List[Tuple[int, object]]] = {}
-        self._own_sent: List[Tuple[int, object]] = []
         self.reliable_values: Dict[Hashable, int] = {}
         self.detected: Set[Hashable] = set()
         self.node_type: Optional[str] = None  # "A" or "B" after phase 2
@@ -115,9 +115,6 @@ class Algorithm2Protocol(Protocol):
         n = self.n
         if r > self.total_rounds:
             return
-        # A synchronizer's shadow context shares the outbox of the tick
-        # driving it, which may already hold earlier logical rounds.
-        sent_from = len(ctx.outbox)
         # Phase-1 transcript recording: transmissions of rounds 1..n are
         # heard in rounds 2..n+1.  Everything a neighbor sends is on the
         # record — that is the local broadcast advantage.
@@ -151,11 +148,6 @@ class Algorithm2Protocol(Protocol):
             self._flood3.process_round(ctx)
             if r == 3 * n and self.node_type == "A":
                 self._decide_type_a()
-
-        if r <= n:
-            self._own_sent.extend(
-                (r, message) for message, _ in ctx.outbox[sent_from:]
-            )
 
     def output(self) -> Optional[int]:
         return self._output
@@ -207,24 +199,13 @@ class Algorithm2Protocol(Protocol):
             )
             if value is not None:
                 self.reliable_values[origin] = value
-        bundles = {
-            path: payload
-            # repro: allow[REPRO001] delivered's insertion order is the
-            # deterministic flood-processing order, preserved verbatim.
-            for path, payload in self._flood2.delivered.items()
-            if isinstance(payload, ReportBundle) and len(path) >= 2
-        }
+        # ``delivered`` holds this node's own report at ``(me,)``: the
+        # claim index reads what the node heard from it.
         claims = ClaimIndex(
             self.graph,
             self.f,
             self.me,
-            bundle_deliveries=bundles,
-            own_transcripts={
-                # repro: allow[REPRO001] keyed by neighbor in deterministic
-                # arrival-processing order; consumers look up by key only.
-                nbr: tuple(msgs) for nbr, msgs in self._transcripts.items()
-            },
-            own_sent=tuple(self._own_sent),
+            self._flood2.delivered,
             path_mask=self._flood2.path_mask,
         )
         self.detected = detect_faults(

@@ -29,6 +29,10 @@ localization therefore checks the schedule slot, which closes a timing
 attack: a faulty node that forwards correct bits *late* (visible to
 reporters, useless to the flood) is still the first detected deviator
 on its path, so honest downstream nodes are never blamed.
+
+A node's own report is its one record of what it heard: the flood keeps
+it at the trivial path ``(me,)``, and :class:`ClaimIndex` reads every
+subject the node hears from it.
 """
 
 from __future__ import annotations
@@ -305,21 +309,27 @@ class ReceiptTracker:
 class ClaimIndex:
     """Reliable knowledge about *other nodes' transmissions*, from bundles.
 
-    Built once per node after phase 2.  Evidence for a claim about
-    subject ``z`` is a composite simple path ``(z, reporter, …, me)``:
-    the bundle of ``reporter`` (a neighbor of ``z``) carried ``z``'s
-    claimed transcript to ``me`` along the flood path ``reporter … me``.
-    Reliability = direct observation (``z`` adjacent or ``z == me``) or
-    ``f + 1`` internally node-disjoint composite paths agreeing.  Claims
-    about a directly observed subject are never read, so they are never
-    stored: on a wheel the hub keeps no claim evidence at all.
+    Built once per node after phase 2 from the flood's ``delivered``
+    map as it is.  A subject ``z`` that ``me`` hears is read from
+    ``me``'s own report, the bundle the flood keeps at the trivial path
+    ``(me,)``: under local broadcast that report *is* the direct
+    observation.  For any other ``z``, evidence is a composite simple
+    path ``(z, reporter, …, me)``: the bundle of ``reporter`` (a
+    neighbor of ``z``) carried ``z``'s claimed transcript to ``me``
+    along the flood path ``reporter … me``, and ``f + 1`` internally
+    node-disjoint composite paths must agree.  Claims about ``me`` or a
+    subject it hears are never read, so they are never stored: on a
+    wheel the hub keeps no claim evidence at all.  The index answers
+    nothing about ``me`` itself (:func:`detect_faults` never suspects
+    it): ``send_table(me)`` is ``None`` and ``reliably_transmitted(me,
+    …)`` is ``False``.
 
-    Claimed transcripts are interned by value into *evidence groups* (a
-    directly observed transcript gets a group of its own); a group's
-    messages are looked up through its :class:`SendTable`.  A claimed
-    group reads the table kept on the bundle entry it was first seen in
-    (:meth:`ReportBundle.send_table`), so every node holding that bundle
-    object shares one table; a directly observed group builds its own.
+    Transcripts are interned by value into *evidence groups* (an own
+    report's entry gets a group of its own); a group's messages are
+    looked up through the :class:`SendTable` kept on the bundle entry it
+    was read from (:meth:`ReportBundle.send_table`): the own report's
+    entry, or the entry a claim was first seen in.  Every node holding
+    that bundle object shares one table, the reporter included.
     Honest forwarders relay one bundle object, so
     most entries repeat a transcript object already interned: those are
     found by identity, and a transcript tuple is compared or hashed only
@@ -343,20 +353,18 @@ class ClaimIndex:
         f: int,
         me: Hashable,
         bundle_deliveries: Dict[PathTuple, ReportBundle],
-        own_transcripts: Dict[Hashable, Transcript],
-        own_sent: Transcript = (),
         path_mask: Optional[Callable[[PathTuple], int]] = None,
     ):
         self.graph = graph
         self.f = f
         self.me = me
-        self.own_transcripts = dict(own_transcripts)
-        self.own_sent = own_sent
         # evidence group -> its transcript, and the bundle entry that
-        # holds its send table: the entry it was first claimed in, or a
-        # one-entry bundle of its own when observed directly
+        # holds its send table: the own report's entry for a subject
+        # ``me`` hears, else the entry it was first claimed in
         self._transcripts: List[Transcript] = []
         self._sources: List[Tuple[ReportBundle, int]] = []
+        # subject ``me`` hears -> the group of its own report's entry
+        self._heard: Dict[Hashable, int] = {}
         # subject -> group -> flood paths ``reporter … me`` whose bundle
         # claimed that transcript; each composite path is (subject,) + path.
         self._evidence: Dict[Hashable, Dict[int, List[PathTuple]]] = {}
@@ -371,14 +379,26 @@ class ClaimIndex:
             path_mask = index.mask_of
         bits = index.bits
         me_bit = bits[me]
+        hears = index.in_masks[index.index_of[me]]
         # ``me`` and the nodes it hears: subjects whose claims are
         # never read (see _reliable_group).
-        observed = me_bit | index.in_masks[index.index_of[me]]
+        observed = me_bit | hears
         neighbors = graph.neighbors
         transcripts = self._transcripts
         sources = self._sources
         evidence = self._evidence
         path_masks = self._path_masks
+        # What ``me`` heard is its own report, which the flood keeps at
+        # the trivial path: a group per entry, never merged with claims
+        # (so never hashed), its table shared with every node the
+        # report reached.
+        own = bundle_deliveries.get((me,))
+        if own is not None:
+            for pos, (subject, transcript) in enumerate(own.entries):
+                if bits.get(subject, 0) & hears:
+                    self._heard[subject] = len(transcripts)
+                    transcripts.append(transcript)
+                    sources.append((own, pos))
         group_of: Dict[Transcript, int] = {}
         # Identity keys are valid only while their objects live: ``pinned``
         # holds every transcript and bundle whose id() is a key, so none
@@ -444,28 +464,12 @@ class ClaimIndex:
             [path_masks[p] for p in paths], self.f + 1
         )
 
-    def _observed(self, subject: Hashable) -> bool:
-        """Does ``me`` observe ``subject``'s transmissions directly?"""
-        return subject == self.me or self.me in self.graph.neighbors(subject)
-
     def _reliable_group(self, subject: Hashable) -> Optional[int]:
         """Evidence group of ``subject``'s reliably known transcript."""
         if subject in self._known_group:
             return self._known_group[subject]
-        group: Optional[int] = None
-        if self._observed(subject):
-            # Observed directly, never merged with claims: a group of its
-            # own, so the transcript is never hashed.
-            group = len(self._transcripts)
-            transcript = (
-                self.own_sent
-                if subject == self.me
-                else self.own_transcripts.get(subject, ())
-            )
-            self._transcripts.append(transcript)
-            own = ReportBundle(self.me, ((subject, transcript),))
-            self._sources.append((own, 0))
-        else:
+        group = self._heard.get(subject)
+        if group is None:
             # repro: allow[REPRO001] insertion order is deterministic and
             # at most one transcript can ever pass the f+1 disjoint-path
             # certificate (single-valuedness), so order cannot matter.
@@ -501,8 +505,9 @@ class ClaimIndex:
         key = (subject, message)
         if key in self._claim_cache:
             return self._claim_cache[key]
-        if self._observed(subject):
-            result = message in self.send_table(subject).rounds
+        heard = self._heard.get(subject)
+        if heard is not None:
+            result = message in self._table(heard).rounds
         else:
             paths = [
                 p
@@ -574,8 +579,8 @@ def detect_faults(
     private oracle builds the plans for this call only.  Both transcript
     checks read ``z``'s :class:`SendTable` from ``claims``: the first
     send round of ``(b, Π)`` and the earliest ``phase1_tag`` forward.
-    For a claimed transcript that table lives on the report bundle, so
-    it is built once per bundle entry, not once per node.
+    That table lives on a report bundle (the node's own for a subject it
+    hears), so it is built once per bundle entry, not once per node.
     """
     detected: set[Hashable] = set()
     if oracle is None:

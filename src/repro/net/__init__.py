@@ -42,7 +42,6 @@ from .messages import (
     DecisionPayload,
     DirectMessage,
     FloodMessage,
-    ReportPayload,
     ValuePayload,
 )
 from .node import Context, Inbox, Outgoing, Protocol
@@ -84,7 +83,6 @@ __all__ = [
     "Protocol",
     "RandomAdversary",
     "ReplayAdversary",
-    "ReportPayload",
     "Scheduler",
     "SchedulerSpec",
     "SchedulingError",

@@ -1,12 +1,12 @@
 """Message types exchanged by the protocols.
 
-The flooding hot path's records — :class:`FloodMessage`,
-:class:`ValuePayload`, :class:`ReportPayload` — are ``NamedTuple``
-records: built, hashed and compared in C, with the ``repr`` of the frozen
-dataclasses they replaced (flights encode messages by ``repr``).  A
-record equals a bare tuple of its fields, so the flooding rules gate on
-``isinstance``; :class:`ValuePayload` alone compares type-exactly, so it
-never equals another 1-field payload such as ``DecisionPayload(1)``.
+The flooding hot path's records — :class:`FloodMessage` and
+:class:`ValuePayload` — are ``NamedTuple`` records: built, hashed and
+compared in C, with the ``repr`` of the frozen dataclasses they replaced
+(flights encode messages by ``repr``).  A record equals a bare tuple of
+its fields, so the flooding rules gate on ``isinstance``;
+:class:`ValuePayload` alone compares type-exactly, so it never equals
+another 1-field payload such as ``DecisionPayload(1)``.
 The rarer messages are frozen dataclasses.  All are immutable, pickle to
 their own type, and are hashable (the phase-2 claim index interns
 reported transcripts by them).  Rule (ii) of the flooding procedure does
@@ -64,21 +64,6 @@ class ValuePayload(_ValueFields):
         return not self.__eq__(other)
 
     __hash__ = tuple.__hash__
-
-
-class ReportPayload(NamedTuple):
-    """Phase 2 of Algorithm 2: node ``reporter`` attests that its neighbor
-    ``subject`` transmitted flood message ``(payload, path)`` in phase 1.
-
-    The report itself is then flooded (with its own path annotation), so
-    the full on-wire shape is ``FloodMessage(phase=2,
-    payload=ReportPayload(...), path=Π)``.
-    """
-
-    reporter: Hashable
-    subject: Hashable
-    payload: Payload
-    path: Tuple[Hashable, ...]
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,11 +2,13 @@
 exactly like a linear-scan reference.
 
 The reference below is the straightforward reading of the phase-2
-certificates: evidence grouped under each claimed transcript by value,
-claims checked by scanning transcripts with ``==``, disjointness by the
-frozenset packing of ``tests/packing_oracle.py``.  The shipped code
-interns transcripts, skips claims about subjects it observes directly,
-and looks messages up in send tables held by the report bundles; seeded
+certificates: a subject ``me`` hears read from ``me``'s own report (the
+bundle at the trivial path ``(me,)``), evidence grouped under each
+claimed transcript by value, claims checked by scanning transcripts with
+``==``, disjointness by the frozenset packing of
+``tests/packing_oracle.py``.  The shipped code interns transcripts,
+skips claims about subjects it observes directly, and looks messages up
+in send tables held by the report bundles; seeded
 random bundle floods — honest relays, equal re-encodings, tampered and
 late forwards, dropped entries and forged reporters — must get identical
 answers from both.
@@ -45,21 +47,38 @@ from repro.net import FloodMessage, ValuePayload
 PHASE = "p1"
 
 
+def own_report(graph, me, transcripts):
+    """``me``'s phase-2 report as Algorithm 2 builds it: one entry per
+    node ``me`` hears, empty where ``transcripts`` has none."""
+    return ReportBundle.build(
+        me,
+        {s: list(transcripts.get(s, ())) for s in graph.sorted_in_neighbors(me)},
+    )
+
+
+def with_own_report(graph, me, deliveries, transcripts=None):
+    """``deliveries`` as a phase-2 flood holds them: ``me``'s own report
+    at the trivial path ``(me,)``, first."""
+    return {(me,): own_report(graph, me, transcripts or {}), **deliveries}
+
+
 class LinearScanClaims:
     """Reference claim index: value-keyed evidence, linear scans.
 
+    A subject ``me`` hears is read from ``me``'s own report, the bundle
+    delivered at ``(me,)``; nothing is answered about ``me`` itself.
     Answers are memoized per query, and a transcript's messages are
     collected into a set the first time one is looked up in it (all
     pure functions of the deliveries): whole-run tests ask the same
     questions at many slots.
     """
 
-    def __init__(self, graph, f, me, bundle_deliveries, own_transcripts, own_sent=()):
+    def __init__(self, graph, f, me, bundle_deliveries):
         self.graph = graph
         self.f = f
         self.me = me
-        self.own_transcripts = dict(own_transcripts)
-        self.own_sent = own_sent
+        own = bundle_deliveries.get((me,))
+        self.heard = dict(own.entries) if own is not None else {}
         self.evidence = {}  # subject -> transcript -> [composite paths]
         self.answers = {}
         self.message_sets = {}  # id(transcript) -> (transcript, its messages)
@@ -95,9 +114,9 @@ class LinearScanClaims:
 
     def _reliable_transcript(self, subject):
         if subject == self.me:
-            return self.own_sent
+            return None
         if self.me in self.graph.neighbors(subject):
-            return self.own_transcripts.get(subject, ())
+            return self.heard.get(subject)
         for transcript, paths in self.evidence.get(subject, {}).items():
             if self._packs(paths):
                 return transcript
@@ -113,9 +132,9 @@ class LinearScanClaims:
 
     def _reliably_transmitted(self, subject, message):
         if subject == self.me:
-            return self._contains(self.own_sent, message)
+            return False
         if self.me in self.graph.neighbors(subject):
-            return self._contains(self.own_transcripts.get(subject, ()), message)
+            return self._contains(self.heard.get(subject, ()), message)
         paths = [
             p
             for transcript, plist in self.evidence.get(subject, {}).items()
@@ -292,7 +311,7 @@ def random_world(seed):
         )
         for r in nodes
     }
-    deliveries = {}
+    deliveries = {(me,): bundles[me]}
     for reporter in nodes:
         if reporter == me:
             continue
@@ -309,21 +328,20 @@ def random_world(seed):
             elif roll < 0.5 or faulty in path[1:-1]:
                 bundle = tamper_bundle(rng, bundle, graph)
             deliveries[tuple(path)] = bundle
-    own = {s: truth[s] for s in graph.sorted_neighbors(me)}
     reliable_values = {
         w: values[w] if rng.random() < 0.9 else 1 - values[w]
         for w in nodes
         if rng.random() < 0.8
     }
-    return graph, me, deliveries, own, truth[me], reliable_values, truth
+    return graph, me, deliveries, reliable_values, truth
 
 
 @pytest.mark.parametrize("seed", range(24))
 def test_claims_and_detection_match_linear_scan(seed):
-    graph, me, deliveries, own, own_sent, reliable_values, truth = random_world(seed)
+    graph, me, deliveries, reliable_values, truth = random_world(seed)
     f = 1
-    claims = ClaimIndex(graph, f, me, deliveries, own, own_sent=own_sent)
-    reference = LinearScanClaims(graph, f, me, deliveries, own, own_sent=own_sent)
+    claims = ClaimIndex(graph, f, me, deliveries)
+    reference = LinearScanClaims(graph, f, me, deliveries)
     messages = {m for t in truth.values() for _, m in t}
     messages |= {flipped(m) for m in messages}
     ordered = sorted(messages, key=repr)
@@ -347,12 +365,12 @@ def test_claims_and_detection_match_linear_scan(seed):
                 reference.reliably_transmitted(subject, message)
             ), (subject, message)
     expected = reference_detect_faults(graph, f, me, reliable_values, reference)
-    fresh = ClaimIndex(graph, f, me, deliveries, own, own_sent=own_sent)
+    fresh = ClaimIndex(graph, f, me, deliveries)
     assert detect_faults(
         graph, f, me, reliable_values, fresh, phase1_tag=PHASE
     ) == expected
     shared = PathOracle(graph)
-    again = ClaimIndex(graph, f, me, deliveries, own, own_sent=own_sent)
+    again = ClaimIndex(graph, f, me, deliveries)
     assert detect_faults(
         graph, f, me, reliable_values, again, phase1_tag=PHASE, oracle=shared
     ) == expected
@@ -386,19 +404,6 @@ def reference_reliable_value(graph, f, me, delivered, origin):
     return None if payload is None else payload.value
 
 
-def delivered_bundles(protocol):
-    """The phase-2 bundles ``protocol`` was delivered by other nodes."""
-    return {
-        path: bundle
-        for path, bundle in protocol._flood2.delivered.items()
-        if isinstance(bundle, ReportBundle) and len(path) >= 2
-    }
-
-
-def own_transcripts(protocol):
-    return {nbr: tuple(msgs) for nbr, msgs in protocol._transcripts.items()}
-
-
 def private_copies(bundles):
     """A deep copy of ``bundles`` (a pickle round trip: fast, and a
     bundle delivered on several paths stays one object in the copy)."""
@@ -419,10 +424,7 @@ class ReferenceAlgorithm2(Algorithm2Protocol):
             if value is not None:
                 self.reliable_values[origin] = value
         claims = LinearScanClaims(
-            self.graph, self.f, self.me,
-            delivered_bundles(self),
-            own_transcripts(self),
-            own_sent=tuple(self._own_sent),
+            self.graph, self.f, self.me, self._flood2.delivered
         )
         self.detected = reference_detect_faults(
             self.graph, self.f, self.me, self.reliable_values, claims,
@@ -433,14 +435,12 @@ class ReferenceAlgorithm2(Algorithm2Protocol):
 
 def isolated_detection(protocol):
     """The shipped phase-2 localization re-run for ``protocol``'s node on
-    its own deep copies of its bundles: tables built for this node
-    alone, shared with no other node."""
+    its own deep copies of its bundles (its own report included): tables
+    built for this node alone, shared with no other node."""
     graph, f = protocol.graph, protocol.f
     claims = ClaimIndex(
         graph, f, protocol.me,
-        private_copies(delivered_bundles(protocol)),
-        own_transcripts(protocol),
-        own_sent=tuple(protocol._own_sent),
+        private_copies(protocol._flood2.delivered),
         path_mask=protocol._flood2.path_mask,
     )
     return detect_faults(
@@ -470,16 +470,14 @@ def test_private_bundle_copies_answer_like_shared_objects(graph):
     concluded = [p for p in built if p.node_type is not None]
     assert len(concluded) == graph.n
     for p in concluded:
-        args = (graph, 1, p.me)
-        own = own_transcripts(p)
-        sent = tuple(p._own_sent)
-        shared = ClaimIndex(*args, delivered_bundles(p), own, own_sent=sent)
-        private = ClaimIndex(
-            *args, private_copies(delivered_bundles(p)), own, own_sent=sent
-        )
+        delivered = p._flood2.delivered
+        shared = ClaimIndex(graph, 1, p.me, delivered)
+        private = ClaimIndex(graph, 1, p.me, private_copies(delivered))
+        # Every message any report delivered to p names: what p heard,
+        # and what its neighbors heard p send.
+        bundles = {id(b): b for b in delivered.values()}.values()
         messages = sorted(
-            {m for t in own.values() for _, m in t} | {m for _, m in sent},
-            key=repr,
+            {m for b in bundles for _, t in b.entries for _, m in t}, key=repr
         )
         for subject in sorted(graph.nodes, key=repr):
             assert private.send_table(subject) == shared.send_table(subject)

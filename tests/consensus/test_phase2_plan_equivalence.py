@@ -37,6 +37,7 @@ from test_claim_index_equivalence import (
     reencode,
     reference_detect_faults,
     tamper_bundle,
+    with_own_report,
 )
 from repro.consensus import (
     ClaimIndex,
@@ -160,7 +161,7 @@ def phase2_world(graph, f, seed):
         r: ReportBundle.build(r, {s: list(truth[s]) for s in graph.sorted_neighbors(r)})
         for r in nodes
     }
-    deliveries = {}
+    deliveries = {(me,): bundles[me]}
     for reporter in nodes:
         if reporter == me:
             continue
@@ -180,13 +181,12 @@ def phase2_world(graph, f, seed):
     # One object, two claimed reporters: only its own reporter's path counts.
     reporter, other = rng.sample([v for v in nodes if v != me], 2)
     deliveries[(other, me)] = bundles[reporter]
-    own = {s: truth[s] for s in graph.sorted_neighbors(me)}
     reliable_values = {
         w: values[w] if rng.random() < 0.9 else 1 - values[w]
         for w in nodes
         if rng.random() < 0.8
     }
-    return me, deliveries, own, truth, reliable_values
+    return me, deliveries, truth, reliable_values
 
 
 def claim_answers(claims, graph, messages):
@@ -211,12 +211,11 @@ class TestClaimsAndDetection:
     )
     def test_oracle_does_not_change_answers(self, case, seed):
         graph, f = case
-        me, deliveries, own, truth, reliable_values = phase2_world(graph, f, seed)
-        own_sent = truth[me]
+        me, deliveries, truth, reliable_values = phase2_world(graph, f, seed)
         sent = sorted({m for t in truth.values() for _, m in t}, key=repr)
         sample = random.Random(seed).sample(sent, min(len(sent), 40))
         messages = sample + [flipped(m) for m in sample]
-        reference = LinearScanClaims(graph, f, me, deliveries, own, own_sent=own_sent)
+        reference = LinearScanClaims(graph, f, me, deliveries)
         expected_claims = [
             (
                 reference.reliable_transcript(subject),
@@ -228,7 +227,7 @@ class TestClaimsAndDetection:
         oracle = PathOracle(graph)
         answers = []
         for shared in (None, oracle):
-            claims = ClaimIndex(graph, f, me, deliveries, own, own_sent=own_sent)
+            claims = ClaimIndex(graph, f, me, deliveries)
             assert detect_faults(
                 graph, f, me, reliable_values, claims,
                 phase1_tag=PHASE, oracle=shared,
@@ -253,13 +252,10 @@ class TestClaimsAndDetection:
             built.clear()
             run_consensus(graph, keep, inputs, f=1, faulty=(2,), adversary=adversary)
             for p in built:
-                bundles = {
-                    path: b for path, b in p._flood2.delivered.items()
-                    if isinstance(b, ReportBundle) and len(path) >= 2
-                }
-                flood = ClaimIndex(graph, 1, p.me, bundles, {},
+                bundles = p._flood2.delivered
+                flood = ClaimIndex(graph, 1, p.me, bundles,
                                    path_mask=p._flood2.path_mask)
-                default = ClaimIndex(graph, 1, p.me, bundles, {})
+                default = ClaimIndex(graph, 1, p.me, bundles)
                 assert flood._path_masks == default._path_masks
                 assert flood._evidence == default._evidence
                 assert flood._transcripts == default._transcripts
@@ -275,7 +271,7 @@ class TestClaimsAndDetection:
             (2, 1, 3, 0): ReportBundle.build(2, {1: [(1, m)]}),
             (4, 5, 0): ReportBundle.build(4, {1: [(1, m)]}),
         }
-        claims = ClaimIndex(graph, 1, 0, deliveries, {})
+        claims = ClaimIndex(graph, 1, 0, with_own_report(graph, 0, deliveries))
         assert claims.reliable_transcript(1) is None
         assert not claims.reliably_transmitted(1, m)
 
@@ -341,10 +337,10 @@ class TestBundleMemo:
             (1, 2, 3): bundle,
             (5, 4, 3): ReportBundle.build(5, {0: list(reencode(transcript))}),
         }
-        claims = ClaimIndex(graph, 1, 3, replayed, {})
+        claims = ClaimIndex(graph, 1, 3, with_own_report(graph, 3, replayed))
         assert claims.reliable_transcript(0) is None
         assert not claims.reliably_transmitted(0, m)
-        claims = ClaimIndex(graph, 1, 3, honest, {})
+        claims = ClaimIndex(graph, 1, 3, with_own_report(graph, 3, honest))
         assert claims.reliable_transcript(0) == transcript
         assert claims.reliably_transmitted(0, m)
 
@@ -387,16 +383,18 @@ class TestOffGraphLabels:
             (1, 2, 3): self.bundle(1, [0, 2, self.GHOST]),
             (5, 4, 3): self.bundle(5, [0, 4, self.GHOST]),
         }
-        claims = ClaimIndex(self.graph, 1, 3, deliveries, {})
+        claims = ClaimIndex(
+            self.graph, 1, 3, with_own_report(self.graph, 3, deliveries)
+        )
         assert self.GHOST not in claims._evidence
         assert claims.reliable_transcript(0) == self.transcript
         assert claims.reliably_transmitted(0, self.m)
 
     def test_hand_built_off_graph_keys_raise(self):
         with pytest.raises(KeyError):
-            ClaimIndex(
-                self.graph, 1, 3, {(1, self.GHOST, 3): self.bundle(1, [0])}, {}
-            )
+            ClaimIndex(self.graph, 1, 3, with_own_report(
+                self.graph, 3, {(1, self.GHOST, 3): self.bundle(1, [0])}
+            ))
         with pytest.raises(KeyError):
             reliable_value(
                 self.graph, 1, 3, {(0, self.GHOST, 3): ValuePayload(1)}, 0

@@ -13,8 +13,9 @@ from repro.consensus import (
     run_consensus,
 )
 from repro.consensus.reliable import SendTable, detect_faults, send_table
-from repro.graphs import Graph, complete_graph, cycle_graph
+from repro.graphs import Graph, complete_graph, cycle_graph, wheel_graph
 from repro.net import FloodMessage, LyingReporterAdversary, ValuePayload
+from test_claim_index_equivalence import with_own_report
 
 
 def vp(x):
@@ -65,17 +66,40 @@ class TestClaimIndex:
         m = FloodMessage("p1", vp(1), ())
         idx = ClaimIndex(
             c4, 1, 0,
-            bundle_deliveries={},
-            own_transcripts={1: ((1, m),)},
+            bundle_deliveries=with_own_report(c4, 0, {}, {1: ((1, m),)}),
         )
         assert idx.reliably_transmitted(1, m)
         assert idx.reliable_transcript(1) == ((1, m),)
+        # Node 3 is heard too; the report holds nothing from it.
+        assert idx.reliable_transcript(3) == ()
+        assert not idx.reliably_transmitted(3, m)
 
-    def test_own_transcript(self, c4):
+    def test_heard_subject_needs_an_own_report_entry(self, k4):
+        """A heard subject is read from the own report alone: claims
+        about it are not evidence, even on f + 1 disjoint paths."""
+        m = FloodMessage("p1", vp(1), ())
+        claims = {(2, 0): make_bundle(2, 1, ((1, m),)),
+                  (3, 0): make_bundle(3, 1, ((1, m),))}
+        for deliveries in (claims, {(0,): make_bundle(0, 3, ()), **claims}):
+            idx = ClaimIndex(k4, 1, 0, deliveries)
+            assert idx.reliable_transcript(1) is None
+            assert idx.send_table(1) is None
+            assert not idx.reliably_transmitted(1, m)
+        assert idx.reliable_transcript(3) == ()
+
+    def test_nothing_about_me(self, c4):
+        """A node never suspects itself, so the index answers nothing
+        about ``me``: neither its own report nor claims about it count."""
         m = FloodMessage("p1", vp(0), ())
-        idx = ClaimIndex(c4, 1, 0, {}, {}, own_sent=((1, m),))
-        assert idx.reliably_transmitted(0, m)
-        assert not idx.reliably_transmitted(0, FloodMessage("p1", vp(1), ()))
+        deliveries = with_own_report(c4, 0, {
+            (1, 0): make_bundle(1, 0, ((1, m),)),
+            (3, 0): make_bundle(3, 0, ((1, m),)),
+        }, {1: ((1, m),), 3: ((1, m),)})
+        idx = ClaimIndex(c4, 1, 0, deliveries)
+        assert idx.reliable_transcript(0) is None
+        assert idx.send_table(0) is None
+        assert not idx.reliably_transmitted(0, m)
+        assert idx.reliably_transmitted(1, m)
 
     def test_remote_claim_needs_f_plus_1_disjoint(self, c4):
         m = FloodMessage("p1", vp(1), ())
@@ -84,8 +108,7 @@ class TestClaimIndex:
         b3 = make_bundle(3, 2, transcript)
         idx = ClaimIndex(
             c4, 1, 0,
-            bundle_deliveries={(1, 0): b1, (3, 0): b3},
-            own_transcripts={},
+            bundle_deliveries=with_own_report(c4, 0, {(1, 0): b1, (3, 0): b3}),
         )
         assert idx.reliably_transmitted(2, m)
         assert idx.reliable_transcript(2) == transcript
@@ -93,21 +116,21 @@ class TestClaimIndex:
     def test_single_remote_report_insufficient(self, c4):
         m = FloodMessage("p1", vp(1), ())
         b1 = make_bundle(1, 2, ((1, m),))
-        idx = ClaimIndex(c4, 1, 0, {(1, 0): b1}, {})
+        idx = ClaimIndex(c4, 1, 0, with_own_report(c4, 0, {(1, 0): b1}))
         assert not idx.reliably_transmitted(2, m)
 
     def test_mismatched_reporter_origin_rejected(self, c4):
         m = FloodMessage("p1", vp(1), ())
         bundle = make_bundle(3, 2, ((1, m),))  # claims reporter 3
         # ... but the flood path says it came from node 1.
-        idx = ClaimIndex(c4, 1, 0, {(1, 0): bundle}, {})
+        idx = ClaimIndex(c4, 1, 0, with_own_report(c4, 0, {(1, 0): bundle}))
         assert not idx.reliably_transmitted(2, m)
 
     def test_reporter_must_neighbor_subject(self, c4):
         m = FloodMessage("p1", vp(1), ())
         # Node 0 and 2 are NOT adjacent in C4: 0 cannot attest about 2.
         bundle = make_bundle(0, 2, ((1, m),))
-        idx = ClaimIndex(c4, 1, 1, {(0, 1): bundle}, {})
+        idx = ClaimIndex(c4, 1, 1, with_own_report(c4, 1, {(0, 1): bundle}))
         assert not idx.reliably_transmitted(2, m)
 
     def test_disagreeing_transcripts_can_agree_per_message(self):
@@ -122,7 +145,8 @@ class TestClaimIndex:
             (1, 0): make_bundle(1, 2, t_a),
             (3, 0): make_bundle(3, 2, t_b),
         }
-        idx = ClaimIndex(cycle_graph(4), 1, 0, bundles, {})
+        c4 = cycle_graph(4)
+        idx = ClaimIndex(c4, 1, 0, with_own_report(c4, 0, bundles))
         assert idx.reliably_transmitted(2, m)
         # The *full transcript* is not reliable: claims disagree.
         assert idx.reliable_transcript(2) is None
@@ -159,7 +183,7 @@ class TestClaimIndexInterning:
             (reporter, 4): ReportBundle(reporter, ((0, claimed),))
             for reporter, claimed in claims.items()
         }
-        return ClaimIndex(self.graph, 1, 4, bundles, {})
+        return ClaimIndex(self.graph, 1, 4, with_own_report(self.graph, 4, bundles))
 
     def test_equal_distinct_copies_certify(self):
         t = self.transcript()
@@ -199,20 +223,10 @@ class TestClaimIndexInterning:
         assert not idx.reliably_transmitted(0, tampered[1][1])
 
 
-    def test_send_rounds_keep_the_earliest_send(self):
-        m = FloodMessage("p1", vp(1), (2,))
-        other = FloodMessage("p1", vp(0), ())
-        sent = ((3, m), (1, other), (2, m))
-        idx = ClaimIndex(self.graph, 1, 4, {}, {}, own_sent=sent)
-        assert idx.send_table(4).rounds == {m: 2, other: 1}
-        assert idx.send_table(4).forwards == {"p1": 2}
-        assert idx.send_table(0) is None
-
-
 class TestDetectFaults:
     def _claims_with_transcripts(self, graph, me, transcripts):
         """Direct-neighbor transcripts only (me adjacent to everyone)."""
-        return ClaimIndex(graph, 1, me, {}, transcripts)
+        return ClaimIndex(graph, 1, me, with_own_report(graph, me, {}, transcripts))
 
     def test_detects_wrong_value_forwarder(self, k4):
         """Node 2 forwarded (0, (1,)) while 1 flooded 1: detected."""
@@ -309,6 +323,13 @@ class TestSendTable:
         # Initiations (empty path) are not forwards.
         assert table.forwards == {"p1": 2, "p2": 1}
 
+    def test_send_rounds_keep_the_earliest_send(self):
+        m = FloodMessage("p1", vp(1), (2,))
+        other = FloodMessage("p1", vp(0), ())
+        table = send_table(((3, m), (1, other), (2, m)))
+        assert table.rounds == {m: 2, other: 1}
+        assert table.forwards == {"p1": 2}
+
     def test_no_forward_no_entry(self):
         assert send_table(timed("p1", [(1, 1, ())])).forwards == {}
         assert send_table(()) == SendTable({}, {})
@@ -360,9 +381,9 @@ class TestReportBundleTables:
         forged_t = timed("p1", [(2, 0, ()), (1, 1, (5,))])
         honest = ReportBundle.build(5, {0: list(honest_t)})
         forged = ReportBundle.build(1, {0: list(forged_t)})
-        claims = ClaimIndex(
-            graph, 1, 3, {(5, 4, 3): honest, (1, 2, 3): forged}, {}
-        )
+        claims = ClaimIndex(graph, 1, 3, with_own_report(
+            graph, 3, {(5, 4, 3): honest, (1, 2, 3): forged}
+        ))
         # Only the honest claim holds the initiation: one path, refused.
         assert not claims.reliably_transmitted(0, honest_t[0][1])
         assert honest._tables[0] == send_table(honest_t)
@@ -401,3 +422,33 @@ class TestReportBundleTables:
                 assert owner.setdefault(id(table), b) is b
                 forged_filled += b.reporter == 1
         assert forged_filled > 0
+
+    def test_heard_subjects_read_the_own_reports_tables(self):
+        """After a W8 run, every node's claim index reads a subject it
+        hears through the very table its own report holds for it: the
+        one every node holding that report object reads."""
+        graph = wheel_graph(8)
+        factory = algorithm2_factory(graph, 1)
+        built = []
+
+        def keep(node, value):
+            built.append(factory(node, value))
+            return built[-1]
+
+        run_consensus(
+            graph, keep, {v: v % 2 for v in graph.nodes}, f=1,
+            faulty=(1,), adversary=LyingReporterAdversary(),
+        )
+        honest = [p for p in built if p.me != 1]
+        assert len(honest) == graph.n - 1
+        for p in honest:
+            delivered = p._flood2.delivered
+            own = delivered[(p.me,)]
+            claims = ClaimIndex(
+                graph, 1, p.me, delivered, path_mask=p._flood2.path_mask
+            )
+            subjects = [z for z, _ in own.entries]
+            assert sorted(subjects) == sorted(graph.in_neighbors(p.me))
+            for pos, z in enumerate(subjects):
+                assert claims.send_table(z) is own.send_table(pos)
+            assert claims.send_table(p.me) is None

@@ -311,9 +311,9 @@ class TestAckMode:
     def test_shared_outbox_keeps_own_transcripts_exact(self):
         """The inner protocol's shadow context shares the tick's outbox,
         which already holds earlier logical rounds when the handshake
-        advances several rounds in one tick.  Algorithm 2's record of its
-        own phase-1 transmissions must still equal the synchronous
-        run's, round for round."""
+        advances several rounds in one tick.  Each node's own report —
+        its record of every neighbor's phase-1 transmissions — must
+        still equal the synchronous run's, round for round."""
         g = cycle_graph(4)
         inputs = {v: v % 2 for v in g.nodes}
 
@@ -335,7 +335,10 @@ class TestAckMode:
         )
         assert ack.consensus
         for node in sorted(g.nodes):
-            assert wrapped[node]._own_sent == bare[node]._own_sent
+            own = (node,)
+            assert wrapped[node]._flood2.delivered[own] == (
+                bare[node]._flood2.delivered[own]
+            )
 
     def test_markers_trail_their_round_payloads(self):
         """Per-link FIFO: every round-r payload precedes marker r."""

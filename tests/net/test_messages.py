@@ -8,7 +8,6 @@ from repro.net import (
     DecisionPayload,
     DirectMessage,
     FloodMessage,
-    ReportPayload,
     ValuePayload,
 )
 from repro.net.messages import VotePayload
@@ -43,10 +42,6 @@ class TestPayloads:
     def test_decision_payload(self):
         assert DecisionPayload(1).value == 1
 
-    def test_report_payload_fields(self):
-        r = ReportPayload(reporter=1, subject=2, payload=ValuePayload(0), path=())
-        assert r.reporter == 1 and r.subject == 2
-
     def test_direct_message_default_payload(self):
         d = DirectMessage(tag="ping")
         assert d.payload is None
@@ -60,10 +55,6 @@ class TestRecordSemantics:
     RECORDS = [
         FloodMessage(1, ValuePayload(0), (1, 2)),
         ValuePayload(1),
-        ReportPayload(3, 4, ValuePayload(0), (4,)),
-        FloodMessage(
-            ("alg2", 2), ReportPayload("a", "b", ValuePayload(1), ()), ("a",)
-        ),
     ]
 
     @pytest.mark.parametrize("record,text", [
@@ -75,21 +66,6 @@ class TestRecordSemantics:
         (
             FloodMessage("p", ValuePayload(1), ()),
             "FloodMessage(phase='p', payload=ValuePayload(value=1), path=())",
-        ),
-        (
-            ReportPayload(3, 4, ValuePayload(0), (4,)),
-            "ReportPayload(reporter=3, subject=4, "
-            "payload=ValuePayload(value=0), path=(4,))",
-        ),
-        (
-            FloodMessage(
-                ("alg2", 2),
-                ReportPayload("a", "b", ValuePayload(1), ()),
-                ("a",),
-            ),
-            "FloodMessage(phase=('alg2', 2), payload=ReportPayload("
-            "reporter='a', subject='b', payload=ValuePayload(value=1), "
-            "path=()), path=('a',))",
         ),
         (
             FloodMessage(3, DecisionPayload(1), ()),
