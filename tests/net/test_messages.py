@@ -10,7 +10,17 @@ from repro.net import (
     FloodMessage,
     ValuePayload,
 )
+from repro.consensus.reliable import ReportBundle
 from repro.net.messages import VotePayload
+
+# A phase-2 flood message of Algorithm 2: a report bundle relayed once.
+REPORT = FloodMessage(
+    ("efficient", 2),
+    ReportBundle.build(
+        "a", {"b": [(1, FloodMessage(("efficient", 1), ValuePayload(1), ()))]}
+    ),
+    ("a",),
+)
 
 
 class TestFloodMessage:
@@ -55,6 +65,14 @@ class TestRecordSemantics:
     RECORDS = [
         FloodMessage(1, ValuePayload(0), (1, 2)),
         ValuePayload(1),
+        REPORT,
+    ]
+
+    # The rarer messages are frozen dataclasses, not tuple records.
+    DATACLASS_RECORDS = [
+        DecisionPayload(1),
+        VotePayload(2, 0),
+        DirectMessage(("eig", (1, 2)), ValuePayload(0)),
     ]
 
     @pytest.mark.parametrize("record,text", [
@@ -76,6 +94,13 @@ class TestRecordSemantics:
             "FloodMessage(phase=('async', 'vote', 2), "
             "payload=VotePayload(round_no=2, value=0), path=(5,))",
         ),
+        (
+            REPORT,
+            "FloodMessage(phase=('efficient', 2), payload=ReportBundle("
+            "reporter='a', entries=(('b', ((1, FloodMessage(phase=("
+            "'efficient', 1), payload=ValuePayload(value=1), path=())),)),)"
+            "), path=('a',))",
+        ),
     ])
     def test_repr_is_pinned(self, record, text):
         assert repr(record) == text
@@ -86,6 +111,16 @@ class TestRecordSemantics:
         back = pickle.loads(pickle.dumps(record, protocol))
         assert back == record and type(back) is type(record)
         assert repr(back) == repr(record)
+
+    @pytest.mark.parametrize("record", DATACLASS_RECORDS)
+    @pytest.mark.parametrize("protocol", [0, pickle.HIGHEST_PROTOCOL])
+    def test_dataclass_record_pickles_and_is_frozen(self, record, protocol):
+        back = pickle.loads(pickle.dumps(record, protocol))
+        assert back == record and type(back) is type(record)
+        assert hash(back) == hash(record)
+        name = next(iter(record.__dataclass_fields__))
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
 
     def test_value_payload_is_not_another_one_field_payload(self):
         assert ValuePayload(1) != DecisionPayload(1)
