@@ -491,8 +491,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             path = os.path.join(args.capture, f"flight-{index:05d}.ndjson")
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(report.flights[index])
+        # On stderr: without --output, stdout is the one JSON report.
         print(f"captured {len(report.flights)} flight recordings "
-              f"({args.capture_policy}) to {args.capture}")
+              f"({args.capture_policy}) to {args.capture}", file=sys.stderr)
     if args.exit_zero:
         return 0
     return 0 if report.all_consensus else 1

@@ -81,15 +81,20 @@ class ReportBundle:
     transcript.  ``entries`` is sorted by subject for canonical equality.
 
     The :class:`SendTable` of each entry is built on first use and kept
-    on the bundle.  It is a pure function of the immutable bundle, and
-    honest relays hand every node the same bundle object, so every node
-    holding it reads one table, freed with the bundle.  The cache takes
-    no part in equality, hashing, ``repr`` or pickling.
+    on the bundle, and so is the ``repr`` (a flight spells it out in every
+    transmission that relays the bundle).  Both are pure functions of the
+    immutable bundle, and honest relays hand every node the same bundle
+    object, so every node holding it reads one copy, freed with the
+    bundle.  The caches take no part in equality, hashing, ``repr`` or
+    pickling.
     """
 
     reporter: Hashable
     entries: Tuple[Tuple[Hashable, Transcript], ...]
     _tables: Optional[List[Optional[SendTable]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _repr: Optional[str] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -107,6 +112,14 @@ class ReportBundle:
 
     def __reduce__(self):
         return (type(self), (self.reporter, self.entries))
+
+    def __repr__(self) -> str:
+        text = self._repr
+        if text is None:
+            text = (f"{type(self).__qualname__}(reporter={self.reporter!r}, "
+                    f"entries={self.entries!r})")
+            object.__setattr__(self, "_repr", text)
+        return text
 
     def send_table(self, pos: int) -> SendTable:
         """The :class:`SendTable` of ``entries[pos]``'s transcript."""

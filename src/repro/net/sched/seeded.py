@@ -56,7 +56,14 @@ class SeededAsyncScheduler(Scheduler):
         super().bind(graph, channel)
         # Seed from a repr, not the raw int, so seed 0 differs from the
         # unseeded default of other RNG uses in the library.
-        self._rng = random.Random(repr(("seeded-async", self.seed)))
+        self._bits = random.Random(repr(("seeded-async", self.seed))).getrandbits
+        self._width = self.max_delay.bit_length()
 
     def delay(self, send: SendEvent, recipient: Hashable) -> int:
-        return self._rng.randint(1, self.max_delay)
+        # ``randint(1, max_delay)`` in one frame: the same rejection loop
+        # over ``getrandbits`` that CPython's ``randint`` runs, so the
+        # stream is unchanged (pinned against ``randint`` by the tests).
+        r = self._bits(self._width)
+        while r >= self.max_delay:
+            r = self._bits(self._width)
+        return 1 + r

@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from json.encoder import encode_basestring_ascii as _escape
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 #: Must equal ``repro.net.trace.CAUSE_*`` (asserted by the test suite);
 #: re-declared so the obs layer stays import-pure.
@@ -210,6 +211,94 @@ def _conform(value: object, spec: object, where: str, nodes: Set[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Event lines from SCHEMA
+# ---------------------------------------------------------------------------
+
+
+class _OffSchema(Exception):
+    """A value the compiled templates do not render exactly as
+    :func:`canonical_json` would; its line falls back to that."""
+
+
+def _off() -> str:
+    raise _OffSchema
+
+
+def _text(value: object, memo: dict) -> str:
+    """JSON text of an exact ``int`` or ``str``, kept in ``memo``."""
+    out = memo[value] = repr(value) if type(value) is int else _escape(value)
+    return out
+
+
+def _expr(spec: object, x: str, env: dict) -> str:
+    """Source of an expression: the JSON text of variable ``x`` under
+    ``spec``, or a call of ``_off()``.  A plain ``int``/``str`` value or
+    label is looked up in ``memo`` (a ``bool`` never reaches it, so
+    ``True`` cannot meet ``1``); tuple and ``__r`` labels are objects,
+    left to :func:`canonical_json`."""
+    if isinstance(spec, tuple):
+        return f'("null" if {x} is None else {_expr(spec[1], x, env)})'
+    if isinstance(spec, list) and len(spec) == 1:
+        y = x + "_"
+        return (f'("[" + ",".join([{_expr(spec[0], y, env)} for {y} in {x}])'
+                f' + "]" if type({x}) is list else _off())')
+    if isinstance(spec, dict):
+        name = f"_object{len(env)}"
+        env[name] = _compile(spec, env)
+        return f"{name}({x}, memo)"
+    if spec is int:
+        return f"(repr({x}) if type({x}) is int else _off())"
+    types = {str: (str,), NODE: (int, str)}[spec]
+    guard = " or ".join(f"type({x}) is {t.__name__}" for t in types)
+    return f"((memo.get({x}) or _text({x}, memo)) if {guard} else _off())"
+
+
+def _compile(spec: dict, env: dict) -> Callable[[object, dict], str]:
+    """The renderer ``(value, memo) -> JSON text`` of an object ``spec``
+    with exactly its fields, in sorted order.  A missing field raises
+    ``KeyError``; with the length check, no field can be extra."""
+    keys = sorted(spec)
+    names = [f"v{n}" for n in range(len(keys))]
+    form = "{" + ",".join(f"{_escape(k)}:%s" for k in keys) + "}"
+    texts = ", ".join(_expr(spec[k], v, env) for k, v in zip(keys, names))
+    source = "\n".join([
+        "def render(x, memo):",
+        f"    if type(x) is not dict or len(x) != {len(keys)}:",
+        "        _off()",
+        *(f"    {v} = x[{k!r}]" for k, v in zip(keys, names)),
+        f"    return {form!r} % ({texts},)",
+    ])
+    scope = dict(env)
+    exec(source, scope)
+    return scope["render"]
+
+
+#: Event kind -> its line renderer: a cache, filled from :data:`SCHEMA`
+#: on first use (not at import).  A line that finds it empty or partly
+#: filled still gets its canonical bytes.
+_TEMPLATES: Dict[str, Callable[[dict, dict], str]] = {}
+
+
+def event_line(event: dict, memo: dict) -> str:
+    """``canonical_json(event)``, formatted by the event kind's template
+    compiled from :data:`SCHEMA`.  ``memo`` (one per recording) maps each
+    string and label to its JSON text, so a message that several lines
+    carry is escaped once.  An event that is not exactly its kind's shape
+    goes through :func:`canonical_json`."""
+    if not _TEMPLATES:
+        env = {"_off": _off, "_text": _text}
+        _TEMPLATES.update({k: _compile(SCHEMA[k], env) for k in sorted(_RANK)})
+    kind = event.get("type")
+    render = _TEMPLATES.get(kind) if type(kind) is str else None
+    if render is not None:
+        try:
+            return render(event, memo)
+        except (_OffSchema, KeyError):
+            pass
+    return canonical_json(event)
+
+
+# ---------------------------------------------------------------------------
 # The record
 # ---------------------------------------------------------------------------
 
@@ -247,8 +336,9 @@ class FlightRecord:
     # -- serialization -------------------------------------------------
     def lines(self) -> Iterator[str]:
         yield canonical_json(self.header)
+        memo: dict = {}
         for event in self.events:
-            yield canonical_json(event)
+            yield event_line(event, memo)
         yield canonical_json(self.outcome)
 
     def to_ndjson(self) -> str:
@@ -328,7 +418,11 @@ def flight_from_trace(trace: object, header: dict, outcome: dict) -> FlightRecor
     Each message is ``repr``-ed once per transmission: a delivery that
     carries its send's very object reuses the send's string, and only a
     delivery whose message is some other object is encoded on its own.
-    Node labels are encoded once per node.
+    A message object that many transmissions relay may keep its own
+    ``repr`` (a phase-2 report bundle does), so it is spelled out once
+    per object.  Node labels are encoded once per node.
+    :meth:`FlightRecord.lines` then escapes each distinct string once
+    (:func:`event_line`).
     """
     codes: Dict[object, object] = {}
 

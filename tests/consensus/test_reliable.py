@@ -1,6 +1,7 @@
 """Definition C.1 machinery: reliable values, claims, fault detection."""
 
 import copy
+import dataclasses
 import pickle
 
 import pytest
@@ -336,8 +337,9 @@ class TestSendTable:
 
 
 class TestReportBundleTables:
-    """Send tables are built once per bundle entry and kept on the
-    bundle, invisible to equality, hashing, ``repr`` and pickling."""
+    """Send tables (once per bundle entry) and the ``repr`` (once per
+    bundle) are built on first use and kept on the bundle, invisible to
+    equality, hashing, ``repr`` and pickling."""
 
     def bundle(self):
         return ReportBundle.build(0, {
@@ -365,6 +367,26 @@ class TestReportBundleTables:
         for clone in (pickle.loads(pickle.dumps(b)), copy.deepcopy(b)):
             assert clone == b
             assert clone._tables is None  # a copy builds its own
+
+    def test_repr_is_built_once_and_changes_no_observable(self):
+        """The cached ``repr`` is the dataclass ``repr`` of the shown
+        fields, and like the tables it stays off equality, hashing and
+        pickles."""
+        b, twin = self.bundle(), self.bundle()
+        blob = pickle.dumps(twin)
+        text = repr(b)
+        shown = ", ".join(f"{f.name}={getattr(b, f.name)!r}"
+                          for f in dataclasses.fields(b) if f.repr)
+        assert text == f"ReportBundle({shown})"
+        assert [f.name for f in dataclasses.fields(b) if f.repr] == [
+            "reporter", "entries"]
+        assert repr(b) is text
+        assert b == twin and hash(b) == hash(twin)
+        assert pickle.dumps(b) == blob
+        for clone in (pickle.loads(pickle.dumps(b)), copy.deepcopy(b)):
+            assert clone == b
+            assert clone._repr is None  # a copy builds its own
+            assert repr(clone) == text
 
     def test_equal_bundles_keep_separate_tables(self):
         b, twin = self.bundle(), self.bundle()

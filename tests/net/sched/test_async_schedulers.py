@@ -7,6 +7,7 @@ must additionally keep broadcasts atomic in time and actually stretch
 cut-straddling traffic.
 """
 
+import random
 from collections import defaultdict
 
 import pytest
@@ -23,6 +24,7 @@ from repro.net import (
     SeededAsyncScheduler,
     TamperForwardAdversary,
 )
+from repro.net.channels import local_broadcast_model
 from repro.net.sched import parse_scheduler
 
 
@@ -72,6 +74,18 @@ class TestSeededAsync:
         a = run_network(g, SeededAsyncScheduler(seed=1, max_delay=4))
         b = run_network(g, SeededAsyncScheduler(seed=2, max_delay=4))
         assert a.trace.deliveries != b.trace.deliveries
+
+    @pytest.mark.parametrize("max_delay", range(1, 9))
+    def test_delay_stream_is_randint(self, max_delay):
+        """``delay`` inlines ``randint``'s rejection loop; the draws must
+        stay ``random.Random(seed).randint(1, max_delay)``'s stream."""
+        for seed in (0, 7, 11, 1007):
+            scheduler = SeededAsyncScheduler(seed=seed, max_delay=max_delay)
+            scheduler.bind(cycle_graph(4), local_broadcast_model())
+            reference = random.Random(repr(("seeded-async", seed)))
+            draws = [scheduler.delay(None, 0) for _ in range(10_000)]
+            assert draws == [reference.randint(1, max_delay)
+                             for _ in range(10_000)]
 
     @pytest.mark.parametrize("max_delay", [1, 2, 4])
     def test_physics_constraints(self, max_delay):

@@ -853,6 +853,22 @@ class TestTraceCommand:
         assert main(["trace", "blame", str(blobs[0])]) == 0
         capsys.readouterr()
 
+    def test_sweep_capture_stdout_is_one_json_report(self, tmp_path, capsys):
+        capture = tmp_path / "cap"
+        code = main([
+            "sweep", "--graph", "wheel:5", "--f", "1", "--algorithm", "2",
+            "--scheduler", "seeded-async", "--seed", "7", "--max-delay", "3",
+            "--patterns", "alternating", "--fault-limit", "2", "--exit-zero",
+            "--capture", str(capture),
+        ])
+        captured = capsys.readouterr()
+        assert code == 0
+        report = json.loads(captured.out)
+        blobs = len(list(capture.glob("flight-*.ndjson")))
+        assert blobs and report["records"]
+        assert captured.err == (
+            f"captured {blobs} flight recordings (anomalies) to {capture}\n")
+
     @pytest.mark.parametrize("action", ["summary", "replay"])
     @pytest.mark.parametrize("damage,fragment", [
         ("truncate-last", "is not valid JSON"),
