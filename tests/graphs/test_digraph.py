@@ -180,6 +180,57 @@ class TestDerivedGraphs:
         assert s.node_index().nodes == (0, 1, 2, 3)
 
 
+class TestDerivedGraphsKeepClass:
+    """``subgraph``/``remove_nodes``/``add_nodes``/``relabeled`` return
+    the receiver's class and equal the graph built directly from the
+    expected node and edge lists, for both graph kinds."""
+
+    # A 5-cycle with a chord: asymmetric as a digraph (one orientation
+    # per pair), so a lost or doubled orientation shows as inequality.
+    LINKS = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]
+
+    @pytest.fixture(params=[Graph, Digraph], ids=["graph", "digraph"])
+    def kind(self, request):
+        return request.param
+
+    def test_subgraph(self, kind):
+        s = kind(range(5), self.LINKS).subgraph([0, 1, 2, 9])
+        assert type(s) is kind
+        assert s == kind([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
+
+    def test_remove_nodes(self, kind):
+        s = kind(range(5), self.LINKS).remove_nodes([3, 9])
+        assert type(s) is kind
+        assert s == kind([0, 1, 2, 4], [(0, 1), (1, 2), (4, 0), (0, 2)])
+
+    def test_add_nodes(self, kind):
+        s = kind(range(5), self.LINKS).add_nodes(["x", 0])
+        assert type(s) is kind
+        assert s == kind([*range(5), "x"], self.LINKS)
+        assert s.neighbors("x") == frozenset()
+
+    def test_relabeled(self, kind):
+        s = kind(range(5), self.LINKS).relabeled({0: "a", 4: "e"})
+        assert type(s) is kind
+        name = {0: "a", 4: "e"}
+        assert s == kind(
+            ["a", 1, 2, 3, "e"],
+            [(name.get(u, u), name.get(v, v)) for u, v in self.LINKS],
+        )
+        assert s.edge_count == len(self.LINKS)
+
+    def test_relabel_collapse_rejected(self, kind):
+        with pytest.raises(GraphError, match="collapses"):
+            kind(range(5), self.LINKS).relabeled({0: 1})
+
+    def test_graph_from_both_orientations_equals_edge_built(self):
+        g = Graph(range(5), self.LINKS)
+        both = Graph(range(5), [*self.LINKS, *((v, u) for u, v in self.LINKS)])
+        assert both == g and hash(both) == hash(g)
+        assert both.edge_count == g.edge_count == len(self.LINKS)
+        assert list(both.edges()) == list(g.edges())
+
+
 class TestNodeIndexDirections:
     def test_digraph_in_masks_differ_from_out(self):
         d = Digraph.from_arcs([(0, 1), (1, 2), (2, 0)])

@@ -1076,3 +1076,105 @@ class TestDirectedCommands:
         payload = json.loads(out_file.read_text())
         assert payload["all_consensus"]
         assert all(rec["directed"] for rec in payload["records"])
+
+
+# The full stdout of ``check`` and ``compare`` for both graph kinds,
+# verbatim: a report whose wording, model label or clause order drifts
+# fails here even when every verdict still holds.
+PINNED_OUTPUT = {
+    'check --graph wheel:6 --f 1': (
+        'graph: n=6, m=10, min degree=3, kappa=3\n'
+        'local-broadcast (f=1): FEASIBLE\n'
+        '  n > f (trivial solvability bound): need >= 2, have 6 [ok]\n'
+        '  minimum degree >= 2f: need >= 2, have 3 [ok]\n'
+        '  connectivity >= floor(3f/2) + 1: need >= 2, have 3 [ok]\n'
+        'async-local-broadcast (f=1): FEASIBLE\n'
+        '  n >= 3f + 1 (vote-quorum intersection): need >= 4, have 6 [ok]\n'
+        '  connectivity >= 2f + 1: need >= 3, have 3 [ok]\n'
+        '  minimum degree >= floor(3f/2) + 1: need >= 2, have 3 [ok]\n'
+        'point-to-point (f=1): FEASIBLE\n'
+        '  n >= 3f + 1: need >= 4, have 6 [ok]\n'
+        '  connectivity >= 2f + 1: need >= 3, have 3 [ok]\n'
+        'max f (local broadcast): 1\n'
+        'max f (async LB):        1\n'
+        'max f (point-to-point):  1\n'
+    ),
+    'check --graph complete:4 --f 1 --t 1': (
+        'graph: n=4, m=6, min degree=3, kappa=3\n'
+        'local-broadcast (f=1): FEASIBLE\n'
+        '  n > f (trivial solvability bound): need >= 2, have 4 [ok]\n'
+        '  minimum degree >= 2f: need >= 2, have 3 [ok]\n'
+        '  connectivity >= floor(3f/2) + 1: need >= 2, have 3 [ok]\n'
+        'async-local-broadcast (f=1): FEASIBLE\n'
+        '  n >= 3f + 1 (vote-quorum intersection): need >= 4, have 4 [ok]\n'
+        '  connectivity >= 2f + 1: need >= 3, have 3 [ok]\n'
+        '  minimum degree >= floor(3f/2) + 1: need >= 2, have 3 [ok]\n'
+        'point-to-point (f=1): FEASIBLE\n'
+        '  n >= 3f + 1: need >= 4, have 4 [ok]\n'
+        '  connectivity >= 2f + 1: need >= 3, have 3 [ok]\n'
+        'hybrid (f=1, t=1): FEASIBLE\n'
+        '  n > f (trivial solvability bound): need >= 2, have 4 [ok]\n'
+        '  connectivity >= floor(3(f-t)/2) + 2t + 1: need >= 3, have 3 [ok]\n'
+        '  every S with 0 < |S| <= t has >= 2f + 1 neighbors: need >= 3, have 3 [ok]\n'
+        'max f (local broadcast): 1\n'
+        'max f (async LB):        1\n'
+        'max f (point-to-point):  1\n'
+    ),
+    'check --graph oneway:9:2 --f 1': (
+        'digraph: n=9, arcs=18, min in-degree=2, min out-degree=2, strong kappa=2\n'
+        'directed-local-broadcast (f=1): FEASIBLE\n'
+        '  n > f (trivial solvability bound): need >= 2, have 9 [ok]\n'
+        '  minimum in-degree >= 2f: need >= 2, have 2 [ok]\n'
+        '  strong connectivity >= floor(3f/2) + 1: need >= 2, have 2 [ok]\n'
+        'directed-decomposition (f=1): FEASIBLE\n'
+        '  n > f (trivial solvability bound): need >= 2, have 9 [ok]\n'
+        '  condensation has a unique source component (1 = yes): need >= 1, have 1 [ok]\n'
+        '  core minimum in-degree >= 2f: need >= 2, have 2 [ok]\n'
+        '  core strong connectivity >= floor(3f/2) + 1: need >= 2, have 2 [ok]\n'
+        'max f (directed local broadcast): 1\n'
+        'max f (symmetric closure):        2\n'
+    ),
+    'check --graph oneway:5 --f 1': (
+        'digraph: n=5, arcs=5, min in-degree=1, min out-degree=1, strong kappa=1\n'
+        'directed-local-broadcast (f=1): infeasible\n'
+        '  n > f (trivial solvability bound): need >= 2, have 5 [ok]\n'
+        '  minimum in-degree >= 2f: need >= 2, have 1 [FAIL]\n'
+        '  strong connectivity >= floor(3f/2) + 1: need >= 2, have 1 [FAIL]\n'
+        'directed-decomposition (f=1): infeasible\n'
+        '  n > f (trivial solvability bound): need >= 2, have 5 [ok]\n'
+        '  condensation has a unique source component (1 = yes): need >= 1, have 1 [ok]\n'
+        '  core minimum in-degree >= 2f: need >= 2, have 1 [FAIL]\n'
+        '  core strong connectivity >= floor(3f/2) + 1: need >= 2, have 1 [FAIL]\n'
+        'max f (directed local broadcast): 0\n'
+        'max f (symmetric closure):        1\n'
+    ),
+    'check --graph random_digraph:8:0.45:5 --f 2': (
+        'digraph: n=8, arcs=24, min in-degree=1, min out-degree=1, strong kappa=1\n'
+        'directed-local-broadcast (f=2): infeasible\n'
+        '  n > f (trivial solvability bound): need >= 3, have 8 [ok]\n'
+        '  minimum in-degree >= 2f: need >= 4, have 1 [FAIL]\n'
+        '  strong connectivity >= floor(3f/2) + 1: need >= 4, have 1 [FAIL]\n'
+        'directed-decomposition (f=2): infeasible\n'
+        '  n > f (trivial solvability bound): need >= 3, have 8 [ok]\n'
+        '  condensation has a unique source component (1 = yes): need >= 1, have 1 [ok]\n'
+        '  core minimum in-degree >= 2f: need >= 4, have 1 [FAIL]\n'
+        '  core strong connectivity >= floor(3f/2) + 1: need >= 4, have 1 [FAIL]\n'
+        'max f (directed local broadcast): 0\n'
+        'max f (symmetric closure):        2\n'
+    ),
+    'compare --max-f 5': (
+        '  f  kappa p2p  kappa LB  min n p2p  min n LB\n'
+        '  1          3         2          4         3\n'
+        '  2          5         4          7         5\n'
+        '  3          7         5         10         7\n'
+        '  4          9         7         13         9\n'
+        '  5         11         8         16        11\n'
+    ),
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("command", sorted(PINNED_OUTPUT))
+    def test_stdout_verbatim(self, command, capsys):
+        assert main(command.split()) == 0
+        assert capsys.readouterr().out == PINNED_OUTPUT[command]
