@@ -25,16 +25,14 @@ Run:  python examples/radio_network.py
 
 from repro.consensus import (
     algorithm2_factory,
-    check_directed_local_broadcast,
     check_local_broadcast,
-    max_f_directed_local_broadcast,
     max_f_local_broadcast,
 )
 from repro.consensus.runner import run_consensus
 from repro.graphs import (
     circulant_graph,
-    directed_vertex_connectivity,
     is_k_connected,
+    vertex_connectivity,
     oneway_ring,
 )
 from repro.net import EventDrivenNetwork, FaultSpec, TamperForwardAdversary
@@ -106,7 +104,7 @@ def main() -> None:
     digraph = mesh.to_digraph()
     print(f"\n=== Native digraph: {digraph.n} stations, "
           f"{digraph.arc_count} one-way links ===")
-    print(f"strong connectivity: {directed_vertex_connectivity(digraph)}")
+    print(f"strong connectivity: {vertex_connectivity(digraph)}")
     directed_result = run_consensus(
         digraph, algorithm2_factory(digraph, f), inputs,
         f=f, faulty=[byzantine], adversary=TamperForwardAdversary(),
@@ -125,8 +123,8 @@ def main() -> None:
     relay = oneway_ring(9, 2)
     print(f"\n=== One-way relay ring: {relay.n} stations, "
           f"{relay.arc_count} one-way links ===")
-    print(check_directed_local_broadcast(relay, 1))
-    directed_max = max_f_directed_local_broadcast(relay)
+    print(check_local_broadcast(relay, 1))
+    directed_max = max_f_local_broadcast(relay)
     closure_max = max_f_local_broadcast(relay.to_undirected())
     print(f"max f directed: {directed_max}; "
           f"symmetric closure pretends: {closure_max}")

@@ -305,10 +305,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(f"digraph: n={graph.n}, arcs={graph.arc_count}, "
               f"min in-degree={graph.min_in_degree()}, "
               f"min out-degree={graph.min_out_degree()}, "
-              f"strong kappa={graphs.directed_vertex_connectivity(graph)}")
-        print(consensus.check_directed_local_broadcast(graph, args.f))
+              f"strong kappa={graphs.vertex_connectivity(graph)}")
+        print(consensus.check_local_broadcast(graph, args.f))
         print(consensus.check_directed_decomposition(graph, args.f))
-        directed_max = consensus.max_f_directed_local_broadcast(graph)
+        directed_max = consensus.max_f_local_broadcast(graph)
         closure_max = consensus.max_f_local_broadcast(graph.to_undirected())
         print(f"max f (directed local broadcast): {directed_max}")
         print(f"max f (symmetric closure):        {closure_max}")

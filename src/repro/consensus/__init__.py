@@ -48,14 +48,12 @@ from .conditions import (
     async_threshold_connectivity,
     check_async_local_broadcast,
     check_directed_decomposition,
-    check_directed_local_broadcast,
     check_hybrid,
     check_local_broadcast,
     check_point_to_point,
     hybrid_threshold_connectivity,
     local_broadcast_threshold_connectivity,
     max_f_async_local_broadcast,
-    max_f_directed_local_broadcast,
     max_f_hybrid,
     max_f_local_broadcast,
     max_f_point_to_point,
@@ -145,7 +143,6 @@ __all__ = [
     "candidate_pairs",
     "check_async_local_broadcast",
     "check_directed_decomposition",
-    "check_directed_local_broadcast",
     "check_hybrid",
     "check_local_broadcast",
     "check_point_to_point",
@@ -158,7 +155,6 @@ __all__ = [
     "local_broadcast_threshold_connectivity",
     "majority",
     "max_f_async_local_broadcast",
-    "max_f_directed_local_broadcast",
     "max_f_hybrid",
     "max_f_local_broadcast",
     "max_f_point_to_point",

@@ -15,11 +15,11 @@ conditions that are simultaneously necessary and sufficient:
   directed generalization implemented here — minimum *in*-degree ≥
   ``2f`` and strong vertex connectivity ≥ ``⌊3f/2⌋ + 1`` on strongly
   connected digraphs, plus a source-component/relay decomposition for
-  arbitrary digraphs (see :func:`check_directed_local_broadcast` /
-  :func:`check_directed_decomposition`).  On a symmetric view both
-  collapse clause-for-clause to the undirected Theorem 4.1/5.1 form —
-  an equality the property suite tests — so the undirected checkers
-  delegate their measured values to the directed primitives.
+  arbitrary digraphs (:func:`check_directed_decomposition`).  An
+  undirected graph is the symmetric case — its in-degree is its degree
+  and its strong κ its κ — so :func:`check_local_broadcast` is one
+  checker for both graph kinds, its wording following
+  ``graph.directed``.
 
 Each checker returns a :class:`ConditionReport` listing every clause with
 its required and measured value, so experiments can show *which*
@@ -34,7 +34,6 @@ from typing import List, Optional, Tuple
 from ..graphs import (
     Digraph,
     Graph,
-    directed_vertex_connectivity,
     max_set_disjoint_paths,
     min_set_neighborhood,
     source_components,
@@ -104,66 +103,45 @@ def hybrid_threshold_connectivity(f: int, t: int) -> int:
     return (3 * (f - t)) // 2 + 2 * t + 1
 
 
-def check_local_broadcast(graph: Graph, f: int) -> ConditionReport:
+def check_local_broadcast(graph: Digraph, f: int) -> ConditionReport:
     """Theorem 4.1/5.1: consensus under local broadcast iff these hold.
 
-    Delegates its measured values to the directed layer on the symmetric
-    view — minimum degree is the symmetric view's minimum in-degree (the
-    same adjacency dict) and κ is :func:`directed_vertex_connectivity`,
-    which routes undirected graphs to the memoized pruning algorithm —
-    while keeping the historical clause names and report shape.  The
-    property suite checks clause-for-clause equality against
-    :func:`check_directed_local_broadcast` on the symmetric lift.
-    """
-    if f < 0:
-        raise ValueError("f must be non-negative")
-    clauses = (
-        Clause("n > f (trivial solvability bound)", f + 1, graph.n),
-        Clause("minimum degree >= 2f", 2 * f, graph.min_in_degree()),
-        Clause(
-            "connectivity >= floor(3f/2) + 1",
-            local_broadcast_threshold_connectivity(f),
-            directed_vertex_connectivity(graph),
-        ),
-    )
-    return ConditionReport("local-broadcast", f, None, clauses)
-
-
-def check_directed_local_broadcast(graph: Digraph, f: int) -> ConditionReport:
-    """Directed local broadcast (arXiv:1911.07298 regime, strong form).
-
-    The generalization implemented for strongly connected digraphs:
-
     * ``n > f`` — trivial solvability;
-    * minimum *in*-degree ≥ ``2f`` — a node must hear ``2f`` neighbors
-      so that, with ``f`` of them faulty, honest witnesses still form a
-      majority of what it heard (the directed reading of Theorem 4.1(i):
-      only in-arcs deliver information under local broadcast);
-    * strong vertex connectivity ≥ ``⌊3f/2⌋ + 1`` — the directed Menger
-      form of Theorem 4.1(ii): ``⌊3f/2⌋ + 1`` internally node-disjoint
+    * minimum degree ≥ ``2f`` — on a digraph the minimum *in*-degree: a
+      node must hear ``2f`` neighbors so that, with ``f`` of them
+      faulty, honest witnesses still form a majority of what it heard
+      (only in-arcs deliver information under local broadcast);
+    * connectivity ≥ ``⌊3f/2⌋ + 1`` — on a digraph the strong form
+      (arXiv:1911.07298): ``⌊3f/2⌋ + 1`` internally node-disjoint
       *directed* paths between every ordered pair.
 
-    On a symmetric view every clause collapses to its undirected
-    counterpart exactly (in-degree = degree, strong κ = κ, including
-    κ = 0 for disconnected graphs), so this checker and
-    :func:`check_local_broadcast` agree on all symmetric lifts for every
-    ``f`` — the equality the property suite tests.  For digraphs that
-    are not strongly connected this strong form reports κ = 0 and hence
-    infeasibility; :func:`check_directed_decomposition` refines that
-    verdict via the condensation.
+    A :class:`~repro.graphs.graph.Graph` is the symmetric case: its
+    in-degree is its degree and its strong κ its κ, so one set of
+    clauses serves both kinds.  The model label and clause names follow
+    ``graph.directed`` (``directed-local-broadcast``, "minimum
+    in-degree", "strong connectivity").  A digraph that is not strongly
+    connected has κ = 0 and so is infeasible here;
+    :func:`check_directed_decomposition` refines that verdict via the
+    condensation.
     """
     if f < 0:
         raise ValueError("f must be non-negative")
+    directed = graph.directed
     clauses = (
         Clause("n > f (trivial solvability bound)", f + 1, graph.n),
-        Clause("minimum in-degree >= 2f", 2 * f, graph.min_in_degree()),
         Clause(
-            "strong connectivity >= floor(3f/2) + 1",
+            f"minimum {'in-' if directed else ''}degree >= 2f",
+            2 * f,
+            graph.min_in_degree(),
+        ),
+        Clause(
+            f"{'strong ' if directed else ''}connectivity >= floor(3f/2) + 1",
             local_broadcast_threshold_connectivity(f),
-            directed_vertex_connectivity(graph),
+            vertex_connectivity(graph),
         ),
     )
-    return ConditionReport("directed-local-broadcast", f, None, clauses)
+    model = "directed-local-broadcast" if directed else "local-broadcast"
+    return ConditionReport(model, f, None, clauses)
 
 
 def check_directed_decomposition(graph: Digraph, f: int) -> ConditionReport:
@@ -210,7 +188,7 @@ def check_directed_decomposition(graph: Digraph, f: int) -> ConditionReport:
         Clause(
             "core strong connectivity >= floor(3f/2) + 1",
             local_broadcast_threshold_connectivity(f),
-            directed_vertex_connectivity(core_graph),
+            vertex_connectivity(core_graph),
         ),
     ]
     relay_nodes = sorted(graph.nodes - set(core), key=repr)
@@ -317,21 +295,11 @@ def check_hybrid(graph: Graph, f: int, t: int) -> ConditionReport:
     return ConditionReport("hybrid", f, t, tuple(clauses))
 
 
-def max_f_local_broadcast(graph: Graph) -> int:
-    """The largest ``f`` for which Theorem 5.1 declares ``G`` feasible.
-
-    Delegates to :func:`max_f_directed_local_broadcast`: on a symmetric
-    view the directed clauses measure the identical quantities, so the
-    verdicts — and hence the maximal ``f`` — coincide for every ``f``
-    (property-tested).
-    """
-    return max_f_directed_local_broadcast(graph)
-
-
-def max_f_directed_local_broadcast(graph: Digraph) -> int:
-    """The largest ``f`` the directed strong-form conditions allow."""
+def max_f_local_broadcast(graph: Digraph) -> int:
+    """The largest ``f`` for which Theorem 5.1 (its strong form on a
+    digraph) declares ``G`` feasible."""
     f = 0
-    while check_directed_local_broadcast(graph, f + 1).feasible:
+    while check_local_broadcast(graph, f + 1).feasible:
         f += 1
     return f
 

@@ -19,9 +19,12 @@ library itself has no third-party dependencies.
 The same machinery serves *directed* graphs (arXiv:1911.07298): the
 split network simply inserts one arc per digraph arc instead of both
 orientations per edge, so every disjoint-path query below works
-unchanged on a :class:`~repro.graphs.graph.Digraph`, and the directed
-analogues — strong connectivity, strongly connected components, the
-directed κ — live at the bottom of this module.
+unchanged on a :class:`~repro.graphs.graph.Digraph`.  An undirected
+graph is the symmetric case, so there is one κ,
+:func:`vertex_connectivity`, for both kinds: it is the strong vertex
+connectivity, which on a symmetric view is the undirected κ.  The
+reachability helpers it needs — strong connectivity, strongly connected
+components, source components — live at the bottom of this module.
 """
 
 from __future__ import annotations
@@ -323,18 +326,41 @@ def max_set_disjoint_paths(
     return value, _decompose_paths(flow, value)
 
 
-def local_connectivity(graph: Graph, u: Node, v: Node) -> int:
-    """κ(u, v): the maximum number of internally node-disjoint ``uv``-paths."""
+def local_connectivity(graph: Digraph, u: Node, v: Node) -> int:
+    """κ(u, v): the maximum number of internally node-disjoint ``uv``-paths
+    (directed ``u → v`` paths on a digraph)."""
     return max_disjoint_paths(graph, u, v)
 
 
 @lru_cache(maxsize=512)
-def _vertex_connectivity_uncached(graph: Graph) -> int:
+def _vertex_connectivity_uncached(graph: Digraph) -> int:
+    if graph.n <= 1 or not is_strongly_connected(graph):
+        return 0
+    if graph.directed:
+        return _ordered_pair_connectivity(graph)
+    return _pruned_connectivity(graph)
+
+
+def _ordered_pair_connectivity(graph: Digraph) -> int:
+    """The directed Menger form: the minimum over ordered non-adjacent
+    pairs ``(u, v)`` of the number of internally node-disjoint directed
+    ``u → v`` paths (``n - 1`` when there is no such pair)."""
+    nodes = sorted(graph.nodes, key=repr)
+    best = graph.n - 1
+    for u in nodes:
+        for v in nodes:
+            if u == v or graph.has_edge(u, v):
+                continue
+            best = min(best, max_disjoint_paths(graph, u, v))
+            if best == 0:
+                return 0
+    return best
+
+
+def _pruned_connectivity(graph: Graph) -> int:
+    """Undirected κ of a connected graph by pruning the pairs to check
+    (see :func:`vertex_connectivity`)."""
     n = graph.n
-    if n <= 1:
-        return 0
-    if not graph.is_connected():
-        return 0
     if all(graph.degree(v) == n - 1 for v in graph.nodes):
         return n - 1
     x = min(graph.nodes, key=lambda v: (graph.degree(v), repr(v)))
@@ -351,17 +377,24 @@ def _vertex_connectivity_uncached(graph: Graph) -> int:
     return best
 
 
-def vertex_connectivity(graph: Graph) -> int:
-    """Global vertex connectivity κ(G).
+def vertex_connectivity(graph: Digraph) -> int:
+    """Global vertex connectivity κ(G), strong κ on a digraph.
 
     Definition used by the paper (Section 3): ``G`` is ``k``-connected if
     ``n > k`` and removing fewer than ``k`` nodes never disconnects it.
-    Consequently κ(K_n) = n - 1 and κ of a disconnected graph is 0.
+    Consequently κ(K_n) = n - 1 and κ of a disconnected graph is 0.  On
+    a digraph "disconnects" means "breaks strong connectivity", so κ is
+    0 unless the digraph is strongly connected; on a symmetric view the
+    two readings coincide.
 
-    Uses the classic pruning: fix a minimum-degree vertex ``x``; a minimum
-    cut either avoids ``x`` (then some non-neighbor of ``x`` is separated
-    from it) or contains ``x`` (then two of ``x``'s neighbors lie on
-    opposite sides), so checking those pairs suffices.
+    A :class:`~repro.graphs.graph.Graph` takes the classic pruning: fix
+    a minimum-degree vertex ``x``; a minimum cut either avoids ``x``
+    (then some non-neighbor of ``x`` is separated from it) or contains
+    ``x`` (then two of ``x``'s neighbors lie on opposite sides), so
+    checking those pairs suffices.  The argument needs symmetric
+    adjacency, so a :class:`~repro.graphs.graph.Digraph` (a symmetric
+    one included) takes the directed Menger form instead: the minimum
+    of κ(u → v) over every ordered non-adjacent pair.
 
     Memoized on the (immutable, hashable) graph behind a module-level
     LRU: feasibility checkers and sweeps re-ask κ(G) of the same graph
@@ -376,8 +409,9 @@ vertex_connectivity.cache_info = _vertex_connectivity_uncached.cache_info
 vertex_connectivity.cache_clear = _vertex_connectivity_uncached.cache_clear
 
 
-def is_k_connected(graph: Graph, k: int) -> bool:
-    """``G`` is ``k``-connected: ``n > k`` and no cut of size < k."""
+def is_k_connected(graph: Digraph, k: int) -> bool:
+    """``G`` is ``k``-connected (strongly, on a digraph): ``n > k`` and
+    no cut of size < k."""
     if k <= 0:
         return graph.n > k
     if graph.n <= k:
@@ -454,14 +488,16 @@ def is_strongly_connected(graph: Digraph) -> bool:
 
     Graphs with at most one node count as strongly connected.  On a
     symmetric view this is ordinary connectivity.  One forward and one
-    backward BFS from the canonical (repr-minimal) node suffice.
+    backward BFS from the canonical (repr-minimal) node suffice; on a
+    :class:`~repro.graphs.graph.Graph` the backward walk would repeat
+    the forward one and is skipped.
     """
     if graph.n <= 1:
         return True
     start = min(graph.nodes, key=repr)
     if len(graph.bfs_reachable(start)) != graph.n:
         return False
-    return len(graph.bfs_reaching(start)) == graph.n
+    return not graph.directed or len(graph.bfs_reaching(start)) == graph.n
 
 
 def strongly_connected_components(graph: Digraph) -> list[set[Node]]:
@@ -541,65 +577,3 @@ def source_components(graph: Digraph) -> list[set[Node]]:
         if i not in has_incoming
     ]
     return sorted(sources, key=lambda component: repr(min(component, key=repr)))
-
-
-def directed_local_connectivity(graph: Digraph, u: Node, v: Node) -> int:
-    """κ(u → v): the maximum number of internally node-disjoint directed
-    ``u → v`` paths (:func:`max_disjoint_paths` on a digraph builds the
-    one-arc-per-arc split network)."""
-    return max_disjoint_paths(graph, u, v)
-
-
-@lru_cache(maxsize=512)
-def _directed_vertex_connectivity_uncached(graph: Digraph) -> int:
-    n = graph.n
-    if n <= 1:
-        return 0
-    if not is_strongly_connected(graph):
-        return 0
-    nodes = sorted(graph.nodes, key=repr)
-    best = n - 1
-    for u in nodes:
-        for v in nodes:
-            if u == v or graph.has_edge(u, v):
-                continue
-            best = min(best, max_disjoint_paths(graph, u, v))
-            if best == 0:
-                return 0
-    return best
-
-
-def directed_vertex_connectivity(graph: Digraph) -> int:
-    """Strong vertex connectivity κ(D) of a digraph.
-
-    The directed Menger form: the minimum over ordered non-adjacent
-    pairs ``(u, v)`` of the number of internally node-disjoint directed
-    ``u → v`` paths; ``n - 1`` for complete digraphs, 0 when not
-    strongly connected.  Equals the undirected κ on a symmetric view
-    (every ``u → v`` path family is a ``uv``-path family and vice
-    versa), and the undirected branch delegates to the memoized pruned
-    :func:`vertex_connectivity` rather than paying the O(n²) max-flow
-    loop.  The directed branch is memoized separately on the (immutable,
-    hashable) digraph; ``cache_info`` / ``cache_clear`` are exposed.
-    """
-    if not graph.directed:
-        return vertex_connectivity(graph)
-    return _directed_vertex_connectivity_uncached(graph)
-
-
-directed_vertex_connectivity.cache_info = (
-    _directed_vertex_connectivity_uncached.cache_info
-)
-directed_vertex_connectivity.cache_clear = (
-    _directed_vertex_connectivity_uncached.cache_clear
-)
-
-
-def is_strongly_k_connected(graph: Digraph, k: int) -> bool:
-    """``D`` is strongly ``k``-connected: ``n > k`` and no vertex set of
-    size < k whose removal breaks strong connectivity."""
-    if k <= 0:
-        return graph.n > k
-    if graph.n <= k:
-        return False
-    return directed_vertex_connectivity(graph) >= k

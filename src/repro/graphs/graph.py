@@ -11,9 +11,11 @@ reach).  This module provides both, dependency-free:
   with distinct out-/in-adjacency, ``repr``-sorted everywhere so every
   traversal is a pure function of the graph and never of
   ``PYTHONHASHSEED``.
-* :class:`Graph` is the undirected API preserved exactly as a symmetric
-  view: construction symmetrizes the edge list, out- and in-adjacency
-  are the *same* dict, and every method keeps its pre-directed behavior.
+* :class:`Graph` is the undirected API as a symmetric view:
+  construction symmetrizes the edge list and out- and in-adjacency are
+  the *same* dict, so the digraph's methods (derived graphs, equality,
+  hashing, traversal) serve it unchanged; it adds only the
+  undirected vocabulary (edges, degree, components).
 
 Throughout the library ``neighbors(v)`` means **out-neighbors**: the
 nodes that hear ``v``'s broadcasts.  On a :class:`Graph` the two
@@ -28,7 +30,7 @@ node ``u``).
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Hashable, Iterable, Iterator
+from collections.abc import Callable, Hashable, Iterable, Iterator
 from typing import FrozenSet, Tuple
 
 Node = Hashable
@@ -264,40 +266,44 @@ class Digraph:
     # ------------------------------------------------------------------
     # Derived graphs
     # ------------------------------------------------------------------
+    # Each builds ``type(self)`` from arcs: a Graph fed both orientations
+    # of an edge stores it once, so one body serves both graph kinds.
     def subgraph(self, keep: Iterable[Node]) -> "Digraph":
-        """The induced subdigraph on ``keep`` (unknown nodes are ignored).
+        """The induced subgraph on ``keep`` (unknown nodes are ignored),
+        of the receiver's class.
 
-        Returns a fresh instance: caches and the node index are rebuilt
-        on demand, never inherited.
+        Returns a fresh instance: sorted-adjacency caches and any
+        attached :class:`~repro.graphs.index.NodeIndex` are rebuilt on
+        demand, never inherited stale.
         """
         keep_set = set(keep) & self._nodes
         kept = sorted(keep_set, key=repr)
         arcs = [
             (u, v) for u in kept for v in self.sorted_neighbors(u) if v in keep_set
         ]
-        return Digraph(kept, arcs)
+        return type(self)(kept, arcs)
 
     def remove_nodes(self, drop: Iterable[Node]) -> "Digraph":
-        """``G - X``: the induced subdigraph on ``V - X``."""
-        drop_set = set(drop)
-        return self.subgraph(self._nodes - drop_set)
+        """``G - X``: the induced subgraph on ``V - X``."""
+        return self.subgraph(self._nodes - set(drop))
 
     def add_nodes(self, new_nodes: Iterable[Node]) -> "Digraph":
-        """A new digraph with isolated ``new_nodes`` added."""
-        return Digraph(set(self._nodes) | set(new_nodes), self.arcs())
+        """A new graph of the receiver's class with isolated
+        ``new_nodes`` added."""
+        return type(self)(set(self._nodes) | set(new_nodes), self.arcs())
 
     def relabeled(self, mapping: dict[Node, Node]) -> "Digraph":
         """A copy with nodes renamed via ``mapping`` (identity for
-        absentees).  The copy is freshly constructed, so any node index
-        attached to the original is invalidated, not carried over with
-        stale labels."""
+        absentees).  The copy is freshly constructed, so a node index
+        attached to the original (which maps the *old* labels) is
+        invalidated, not carried over stale."""
         def name(v: Node) -> Node:
             return mapping.get(v, v)
 
         new_nodes = [name(v) for v in sorted(self._nodes, key=repr)]
         if len(set(new_nodes)) != len(new_nodes):
             raise GraphError("relabeling collapses distinct nodes")
-        return Digraph(new_nodes, [(name(u), name(v)) for u, v in self.arcs()])
+        return type(self)(new_nodes, [(name(u), name(v)) for u, v in self.arcs()])
 
     def reverse(self) -> "Digraph":
         """The digraph with every arc flipped."""
@@ -325,35 +331,33 @@ class Digraph:
         adjacency so the visit order (and any downstream consumer of it)
         is hash-seed independent by construction.
         """
-        blocked = set(forbidden)
-        if source in blocked:
-            raise GraphError("source may not be in the forbidden set")
-        if source not in self._nodes:
-            raise GraphError(f"node {source!r} is not in the graph")
-        seen = {source}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for v in self.sorted_neighbors(u):
-                if v not in seen and v not in blocked:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
+        return self._bfs(source, forbidden, self.sorted_neighbors, "source")
 
     def bfs_reaching(self, target: Node, forbidden: Iterable[Node] = ()) -> set[Node]:
         """Nodes that can reach ``target`` along arcs without entering
         ``forbidden`` (reverse-direction counterpart of
         :meth:`bfs_reachable`)."""
+        return self._bfs(target, forbidden, self.sorted_in_neighbors, "target")
+
+    def _bfs(
+        self,
+        start: Node,
+        forbidden: Iterable[Node],
+        step: Callable[[Node], Iterable[Node]],
+        role: str,
+    ) -> set[Node]:
+        """The walk behind both BFS methods: ``step(u)`` lists the nodes
+        one arc away from ``u`` in the walk's direction; ``role`` names
+        ``start`` in the error messages."""
         blocked = set(forbidden)
-        if target in blocked:
-            raise GraphError("target may not be in the forbidden set")
-        if target not in self._nodes:
-            raise GraphError(f"node {target!r} is not in the graph")
-        seen = {target}
-        queue = deque([target])
+        if start in blocked:
+            raise GraphError(f"{role} may not be in the forbidden set")
+        if start not in self._nodes:
+            raise GraphError(f"node {start!r} is not in the graph")
+        seen = {start}
+        queue = deque([start])
         while queue:
-            u = queue.popleft()
-            for v in self.sorted_in_neighbors(u):
+            for v in step(queue.popleft()):
                 if v not in seen and v not in blocked:
                     seen.add(v)
                     queue.append(v)
@@ -403,9 +407,13 @@ class Graph(Digraph):
     Construction symmetrizes the edge list, and out- and in-adjacency
     are the *same* dict, so every directed accessor inherited from
     :class:`Digraph` (``in_neighbors``, ``arcs``, ``min_in_degree``, ...)
-    collapses to its undirected meaning.  All pre-directed ``Graph``
-    behavior — method semantics, iteration orders, hashes on a fixed
-    seed — is preserved exactly.
+    collapses to its undirected meaning.  Derived graphs
+    (:meth:`subgraph`, :meth:`relabeled`, ...), equality and hashing are
+    the digraph's own: they rebuild ``type(self)`` from arcs, and a
+    ``Graph`` built from both orientations of each edge equals (and
+    hashes like) the edge-built one.  The hash includes the
+    ``directed`` flag; no output depends on hash values (every
+    traversal is ``repr``-sorted).
     """
 
     __slots__ = ()
@@ -484,69 +492,15 @@ class Graph(Digraph):
             return 0
         return max(len(nbrs) for nbrs in self._adj.values())
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Graph):
-            # Defer to Digraph.__eq__ for Graph-vs-Digraph comparisons
-            # (always unequal: directedness is part of identity).
-            return Digraph.__eq__(self, other)
-        return self._adj == other._adj
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(
-                (self._nodes, frozenset((u, frozenset(nb)) for u, nb in self._adj.items()))
-            )
-        return self._hash
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
     # ------------------------------------------------------------------
     # Derived graphs
     # ------------------------------------------------------------------
-    def subgraph(self, keep: Iterable[Node]) -> "Graph":
-        """The induced subgraph on ``keep`` (unknown nodes are ignored).
-
-        Returns a freshly constructed ``Graph``: sorted-adjacency caches
-        and any attached :class:`~repro.graphs.index.NodeIndex` are
-        invalidated (the new instance rebuilds them on demand), never
-        copied stale.
-        """
-        keep_set = set(keep) & self._nodes
-        kept = sorted(keep_set, key=repr)
-        edges = [
-            (u, v) for u in kept for v in self.sorted_neighbors(u) if v in keep_set
-        ]
-        return Graph(kept, edges)
-
-    def remove_nodes(self, drop: Iterable[Node]) -> "Graph":
-        """``G - X``: the induced subgraph on ``V - X``."""
-        drop_set = set(drop)
-        return self.subgraph(self._nodes - drop_set)
-
     def add_edges(self, new_edges: Iterable[Edge]) -> "Graph":
         """A new graph with ``new_edges`` added (idempotent for existing edges)."""
         return Graph(self._nodes, list(self.edges()) + list(new_edges))
-
-    def add_nodes(self, new_nodes: Iterable[Node]) -> "Graph":
-        """A new graph with isolated ``new_nodes`` added."""
-        return Graph(set(self._nodes) | set(new_nodes), self.edges())
-
-    def relabeled(self, mapping: dict[Node, Node]) -> "Graph":
-        """A copy with nodes renamed via ``mapping`` (identity for absentees).
-
-        The copy is freshly constructed: a :class:`NodeIndex` attached to
-        the original maps the *old* labels and is invalidated here — the
-        relabeled graph builds its own index over the new labels on first
-        use.
-        """
-        def name(v: Node) -> Node:
-            return mapping.get(v, v)
-
-        new_nodes = [name(v) for v in sorted(self._nodes, key=repr)]
-        if len(set(new_nodes)) != len(new_nodes):
-            raise GraphError("relabeling collapses distinct nodes")
-        return Graph(new_nodes, [(name(u), name(v)) for u, v in self.edges()])
 
     def reverse(self) -> "Graph":
         """Reversal is the identity on a symmetric view."""

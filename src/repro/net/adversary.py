@@ -230,8 +230,16 @@ class TamperForwardAdversary(Adversary):
         return _WrapperProtocol(spec.honest(), transform)
 
 
-class LyingInitAdversary(Adversary):
-    """Initiates flooding with the wrong value but forwards honestly.
+def _is_initiation(message: FloodMessage, spec: FaultSpec) -> bool:
+    """Selects a node's own initiations (empty path).  Module-level, so
+    the adversary that holds it pickles into sweep workers."""
+    return len(message.path) == 0
+
+
+class LyingInitAdversary(TamperForwardAdversary):
+    """Initiates flooding with the wrong value but forwards honestly:
+    :class:`TamperForwardAdversary` flipping initiations instead of
+    forwards.
 
     Distinct from :class:`WrongInputAdversary` only for protocols whose
     state evolves across phases (Algorithm 1's γ updates): this one lies
@@ -240,26 +248,8 @@ class LyingInitAdversary(Adversary):
 
     name = "lying-init"
 
-    def build(self, spec: FaultSpec) -> Protocol:
-        def transform(outbox, ctx):
-            result = []
-            for message, target in outbox:
-                if (
-                    isinstance(message, FloodMessage)
-                    and isinstance(message.payload, ValuePayload)
-                    and len(message.path) == 0
-                ):
-                    flipped = FloodMessage(
-                        message.phase,
-                        ValuePayload(1 - message.payload.value),
-                        message.path,
-                    )
-                    result.append((flipped, target))
-                else:
-                    result.append((message, target))
-            return result
-
-        return _WrapperProtocol(spec.honest(), transform)
+    def __init__(self) -> None:
+        super().__init__(_is_initiation)
 
 
 class DropForwardAdversary(Adversary):

@@ -18,7 +18,7 @@ determinism comparisons.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 
 def _canonical_labels(labels: Dict[str, object]) -> Dict[str, object]:
@@ -31,34 +31,16 @@ def _sort_key(span: dict) -> Tuple[str, str, int, int]:
 
 
 class SpanTracer:
-    """Records closed spans; optionally tracks open ones for nesting.
+    """Records finished spans.
 
-    Two usage styles:
-
-    * :meth:`record` — the protocol already knows both endpoints
-      (it tracked the start tick in its own state) and reports the
-      finished interval in one call;
-    * :meth:`open` / :meth:`close` — token-based, for callers that
-      want the tracer to hold the start tick.  Tokens nest freely;
-      :attr:`depth` exposes the current open-span depth.
-
-    ``snapshot`` returns a canonically sorted list of plain dicts, so
+    The protocol tracks a span's start tick in its own state and reports
+    the whole interval in one :meth:`record` call.  ``snapshot`` returns a canonically sorted list of plain dicts, so
     equal span sets always serialize identically regardless of the
     order they were recorded in.
     """
 
     def __init__(self) -> None:
         self._spans: List[dict] = []
-        self._active: Dict[int, Tuple[str, int, Dict[str, object]]] = {}
-        self._next_token = 0
-
-    def __len__(self) -> int:
-        return len(self._spans)
-
-    @property
-    def depth(self) -> int:
-        """Number of currently open (un-closed) spans."""
-        return len(self._active)
 
     def record(self, name: str, start: int, end: int, **labels: object) -> None:
         """Record one finished span ``[start, end]`` in virtual ticks."""
@@ -72,18 +54,6 @@ class SpanTracer:
                 "labels": _canonical_labels(labels),
             }
         )
-
-    def open(self, name: str, at: int, **labels: object) -> int:
-        """Open a span at virtual tick ``at``; returns a close token."""
-        token = self._next_token
-        self._next_token += 1
-        self._active[token] = (name, int(at), _canonical_labels(labels))
-        return token
-
-    def close(self, token: int, at: int) -> None:
-        """Close the span behind ``token`` at virtual tick ``at``."""
-        name, start, labels = self._active.pop(token)
-        self.record(name, start, at, **labels)
 
     def snapshot(self) -> List[dict]:
         """All closed spans, canonically sorted."""

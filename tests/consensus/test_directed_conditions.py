@@ -2,9 +2,10 @@
 
 Two layers of guarantees:
 
-* on every *undirected* graph (equivalently, its symmetric digraph
-  lift), the directed checkers agree clause-for-clause with the
-  historical undirected ones — directedness is a strict generalization;
+* on every *undirected* graph, the checker's verdict and measured
+  values equal those on its symmetric digraph lift, where κ comes from
+  the ordered-pair Menger loop instead of the pruning algorithm —
+  directedness is a strict generalization;
 * on genuinely one-way graphs the verdicts *move*: ``oneway:9:2`` is
   the canonical witness, feasible for f = 1 under local broadcast but
   with directed max f strictly below its symmetric closure's.
@@ -15,9 +16,7 @@ from hypothesis import strategies as st
 
 from repro.consensus import (
     check_directed_decomposition,
-    check_directed_local_broadcast,
     check_local_broadcast,
-    max_f_directed_local_broadcast,
     max_f_local_broadcast,
 )
 from repro.graphs import (
@@ -49,28 +48,39 @@ BATTERY = [
 
 class TestDirectedChecker:
     def test_oneway_9_2_feasible_f1(self):
-        report = check_directed_local_broadcast(oneway_ring(9, 2), 1)
+        report = check_local_broadcast(oneway_ring(9, 2), 1)
         assert report.feasible
 
     def test_oneway_9_2_infeasible_f2(self):
-        report = check_directed_local_broadcast(oneway_ring(9, 2), 2)
+        report = check_local_broadcast(oneway_ring(9, 2), 2)
         assert not report.feasible
 
     def test_verdict_gap_against_symmetric_closure(self):
         """The acceptance witness: the directed form changes max f."""
         d = oneway_ring(9, 2)
-        assert max_f_directed_local_broadcast(d) == 1
+        assert max_f_local_broadcast(d) == 1
         assert max_f_local_broadcast(d.to_undirected()) == 2
 
     def test_not_strongly_connected_infeasible(self):
         d = Digraph.from_arcs([(0, 1), (1, 2), (0, 2), (2, 1)])
-        assert not check_directed_local_broadcast(d, 1).feasible
+        assert not check_local_broadcast(d, 1).feasible
 
-    def test_clause_names_directed(self):
-        report = check_directed_local_broadcast(oneway_ring(9, 2), 1)
-        names = [c.name for c in report.clauses]
-        assert any("in-degree" in n for n in names)
-        assert any("strong connectivity" in n for n in names)
+    def test_clause_names_follow_directedness(self):
+        g = wheel_graph(5)
+        undirected = check_local_broadcast(g, 1)
+        directed = check_local_broadcast(g.to_digraph(), 1)
+        assert undirected.model == "local-broadcast"
+        assert directed.model == "directed-local-broadcast"
+        assert [c.name for c in undirected.clauses] == [
+            "n > f (trivial solvability bound)",
+            "minimum degree >= 2f",
+            "connectivity >= floor(3f/2) + 1",
+        ]
+        assert [c.name for c in directed.clauses] == [
+            "n > f (trivial solvability bound)",
+            "minimum in-degree >= 2f",
+            "strong connectivity >= floor(3f/2) + 1",
+        ]
 
 
 class TestDecompositionChecker:
@@ -110,7 +120,7 @@ class TestSymmetricCollapse:
         for g in BATTERY:
             for f in (1, 2, 3):
                 undirected = check_local_broadcast(g, f)
-                directed = check_directed_local_broadcast(g.to_digraph(), f)
+                directed = check_local_broadcast(g.to_digraph(), f)
                 assert undirected.feasible == directed.feasible, (g, f)
                 for cu, cd in zip(undirected.clauses, directed.clauses):
                     assert cu.measured == cd.measured, (g, f, cu.name)
@@ -118,7 +128,7 @@ class TestSymmetricCollapse:
 
     def test_battery_max_f_matches(self):
         for g in BATTERY:
-            assert (max_f_directed_local_broadcast(g.to_digraph())
+            assert (max_f_local_broadcast(g.to_digraph())
                     == max_f_local_broadcast(g)), g
 
     def test_disconnected_symmetric_views_agree(self):
@@ -127,7 +137,7 @@ class TestSymmetricCollapse:
             [(u, v) for u in range(5) for v in range(5) if u != v]
             + [(u, v) for u in range(5, 10) for v in range(5, 10) if u != v],
         )
-        assert not check_directed_local_broadcast(two_cliques, 1).feasible
+        assert not check_local_broadcast(two_cliques, 1).feasible
         assert not check_local_broadcast(two_cliques.to_undirected(), 1).feasible
 
     @settings(max_examples=20, deadline=None)
@@ -136,24 +146,15 @@ class TestSymmetricCollapse:
     def test_random_graphs_verdicts_match(self, seed, f):
         g = gnp_supercritical_graph(8, 2.4, seed)
         undirected = check_local_broadcast(g, f)
-        directed = check_directed_local_broadcast(g.to_digraph(), f)
+        directed = check_local_broadcast(g.to_digraph(), f)
         assert undirected.feasible == directed.feasible
-
-    @settings(max_examples=15, deadline=None)
-    @given(st.integers(min_value=0, max_value=60))
-    def test_undirected_checker_accepts_digraph_symmetric_lift(self, seed):
-        """check_local_broadcast measures through directed primitives,
-        so a symmetric *Digraph* gets the same verdict as its Graph."""
-        g = gnp_supercritical_graph(8, 2.4, seed)
-        assert (check_local_broadcast(g, 1).feasible
-                == check_directed_local_broadcast(g.to_digraph(), 1).feasible)
 
 
 class TestDirectedFamiliesUnderCheckers:
     def test_random_digraph_checkable(self):
         d = random_digraph(8, 0.45, 5)
-        report = check_directed_local_broadcast(d, 2)
+        report = check_local_broadcast(d, 2)
         assert not report.feasible  # sparse one-way arcs: in-degree short
 
     def test_max_f_zero_on_weak_digraph(self):
-        assert max_f_directed_local_broadcast(oneway_ring(5)) == 0
+        assert max_f_local_broadcast(oneway_ring(5)) == 0

@@ -1,9 +1,11 @@
 """Directed connectivity: strong reachability, SCCs, source components,
-and the directed vertex connectivity that backs the feasibility checks.
+and the one vertex connectivity κ that backs the feasibility checks for
+both graph kinds.
 
-The load-bearing property is Menger agreement on symmetric views: for
-any undirected graph, the directed machinery run on its symmetric lift
-must reproduce the undirected answers exactly.
+The load-bearing property is Menger agreement on symmetric views: κ of
+a Graph (the pruning algorithm, undirected split network) and κ of its
+symmetric lift (the ordered-pair Menger loop, directed split network)
+must agree exactly.
 """
 
 from hypothesis import given, settings
@@ -13,11 +15,9 @@ from repro.graphs import (
     Digraph,
     complete_graph,
     cycle_graph,
-    directed_local_connectivity,
-    directed_vertex_connectivity,
     gnp_supercritical_graph,
+    is_k_connected,
     is_strongly_connected,
-    is_strongly_k_connected,
     local_connectivity,
     max_disjoint_paths,
     oneway_ring,
@@ -69,32 +69,44 @@ class TestStrongConnectivity:
 
 class TestDirectedConnectivity:
     def test_oneway_ring_kappa(self):
-        assert directed_vertex_connectivity(oneway_ring(9, 2)) == 2
+        assert vertex_connectivity(oneway_ring(9, 2)) == 2
 
     def test_not_strong_means_zero(self):
-        assert directed_vertex_connectivity(
-            Digraph.from_arcs([(0, 1), (1, 2)])
-        ) == 0
+        # Connected as an undirected graph, but 2 never reaches 0.
+        d = Digraph.from_arcs([(0, 1), (1, 2)])
+        assert vertex_connectivity(d) == 0
+        assert vertex_connectivity(d.to_undirected()) == 1
 
     def test_complete_digraph(self):
         d = complete_graph(5).to_digraph()
-        assert directed_vertex_connectivity(d) == 4
+        assert vertex_connectivity(d) == 4
 
     def test_local_connectivity_directed(self):
         d = oneway_ring(6)
-        assert directed_local_connectivity(d, 0, 3) == 1
+        assert local_connectivity(d, 0, 3) == 1
         assert max_disjoint_paths(d, 0, 3) == 1
 
-    def test_is_strongly_k_connected(self):
+    def test_is_k_connected_on_digraph(self):
         d = oneway_ring(9, 2)
-        assert is_strongly_k_connected(d, 2)
-        assert not is_strongly_k_connected(d, 3)
+        assert is_k_connected(d, 2)
+        assert not is_k_connected(d, 3)
+        assert not is_k_connected(Digraph.from_arcs([(0, 1), (1, 2)]), 1)
 
     def test_asymmetric_example(self):
         """Symmetric closure of oneway:9:2 is C9(1,2): κ jumps 2 → 4."""
         d = oneway_ring(9, 2)
-        assert directed_vertex_connectivity(d) == 2
+        assert vertex_connectivity(d) == 2
         assert vertex_connectivity(d.to_undirected()) == 4
+
+    def test_one_lru_serves_both_kinds(self):
+        """A graph and its symmetric lift are distinct cache keys of the
+        one memo: each is computed once, then answered from the cache."""
+        vertex_connectivity.cache_clear()
+        g = wheel_graph(6)
+        for graph in (g, g.to_digraph(), g, g.to_digraph()):
+            assert vertex_connectivity(graph) == 3
+        info = vertex_connectivity.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
 
 
 class TestSymmetricViewAgreement:
@@ -109,23 +121,18 @@ class TestSymmetricViewAgreement:
     def test_battery_kappa_matches(self):
         for g in self.BATTERY:
             lifted = g.to_digraph()
-            assert (directed_vertex_connectivity(lifted)
-                    == vertex_connectivity(g)), g
+            assert vertex_connectivity(lifted) == vertex_connectivity(g), g
 
     def test_battery_strong_iff_connected(self):
         for g in self.BATTERY:
             assert is_strongly_connected(g.to_digraph()) == g.is_connected()
-
-    def test_undirected_input_delegates(self):
-        g = wheel_graph(6)
-        assert directed_vertex_connectivity(g) == vertex_connectivity(g)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=200))
     def test_random_graphs_kappa_matches(self, seed):
         g = gnp_supercritical_graph(8, 2.2, seed)
         lifted = g.to_digraph()
-        assert directed_vertex_connectivity(lifted) == vertex_connectivity(g)
+        assert vertex_connectivity(lifted) == vertex_connectivity(g)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -138,5 +145,4 @@ class TestSymmetricViewAgreement:
         if s == t or s not in g or t not in g:
             return
         lifted = g.to_digraph()
-        assert (directed_local_connectivity(lifted, s, t)
-                == local_connectivity(g, s, t))
+        assert local_connectivity(lifted, s, t) == local_connectivity(g, s, t)

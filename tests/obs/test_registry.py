@@ -174,18 +174,6 @@ class TestSpanTracer:
         assert [s["name"] for s in snap] == ["a", "b"]
         assert snap[0]["labels"] == {"node": 1}
 
-    def test_open_close_nesting(self):
-        t = SpanTracer()
-        outer = t.open("outer", at=0)
-        inner = t.open("inner", at=1)
-        assert t.depth == 2
-        t.close(inner, at=2)
-        t.close(outer, at=5)
-        assert t.depth == 0
-        assert len(t) == 2
-        ends = {s["name"]: s["end"] for s in t.snapshot()}
-        assert ends == {"inner": 2, "outer": 5}
-
     def test_negative_duration_rejected(self):
         t = SpanTracer()
         with pytest.raises(ValueError):
