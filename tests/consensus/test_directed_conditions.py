@@ -11,16 +11,21 @@ Two layers of guarantees:
   with directed max f strictly below its symmetric closure's.
 """
 
+import inspect
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.consensus import (
     check_directed_decomposition,
     check_local_broadcast,
+    conditions,
     max_f_local_broadcast,
 )
 from repro.graphs import (
     Digraph,
+    GraphError,
     complete_graph,
     cycle_graph,
     gnp_supercritical_graph,
@@ -158,3 +163,68 @@ class TestDirectedFamiliesUnderCheckers:
 
     def test_max_f_zero_on_weak_digraph(self):
         assert max_f_local_broadcast(oneway_ring(5)) == 0
+
+
+# Every public checker, split by whether a directed theorem stands
+# behind it.  Only the local-broadcast condition has a directed (strong)
+# form (arXiv:1911.07298); Theorem 6.1, the Dolev bound and the async
+# condition are stated for undirected graphs, so their checkers refuse a
+# digraph instead of answering without a theorem.
+CHECKERS = sorted(
+    name for name in dir(conditions) if name.startswith(("check_", "max_f_"))
+)
+DIRECTED_THEOREM = {
+    "check_directed_decomposition",
+    "check_local_broadcast",
+    "max_f_local_broadcast",
+}
+SMALL_GRAPHS = [
+    cycle_graph(5),
+    complete_graph(4),
+    path_graph(4),
+    star_graph(4),
+    wheel_graph(6),
+]
+REFUSAL_GRAPHS = (
+    SMALL_GRAPHS
+    + [g.to_digraph() for g in SMALL_GRAPHS]
+    + [oneway_ring(5), oneway_ring(9, 2), oneway_ring(7, 3)]
+    + [random_digraph(7, 0.5, seed) for seed in (0, 1, 2)]
+)
+
+
+class TestNoDirectedTheoremRefuses:
+    def test_checker_table(self):
+        assert CHECKERS == [
+            "check_async_local_broadcast",
+            "check_directed_decomposition",
+            "check_hybrid",
+            "check_local_broadcast",
+            "check_point_to_point",
+            "max_f_async_local_broadcast",
+            "max_f_hybrid",
+            "max_f_local_broadcast",
+            "max_f_point_to_point",
+        ]
+
+    @pytest.mark.parametrize("name", CHECKERS)
+    def test_answers_or_raises_graph_error(self, name):
+        """Each call returns, or raises GraphError naming the condition
+        exactly when the checker has no directed theorem and the graph
+        is directed; nothing else (no AttributeError) escapes."""
+        checker = getattr(conditions, name)
+        params = list(inspect.signature(checker).parameters)
+        model = name.removeprefix("check_").removeprefix("max_f_").replace("_", "-")
+        calls = {
+            tuple({"graph": graph, "f": f, "t": t}[p] for p in params): None
+            for graph in REFUSAL_GRAPHS
+            for f in (0, 1, 2)
+            for t in range(f + 1)
+        }
+        for args in calls:
+            graph = args[0]
+            if graph.directed and name not in DIRECTED_THEOREM:
+                with pytest.raises(GraphError, match=model):
+                    checker(*args)
+            else:
+                checker(*args)

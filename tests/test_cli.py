@@ -1051,6 +1051,14 @@ class TestDirectedCommands:
         assert "max f (directed local broadcast): 1" in out
         assert "max f (symmetric closure):        2" in out
 
+    def test_check_digraph_refuses_t(self, capsys):
+        """Theorem 6.1 has no directed form: ``--t`` on a digraph exits 2
+        with one stderr line before any report is printed."""
+        TestUsageErrors.assert_usage_error(
+            ["check", "--graph", "oneway:9:2", "--f", "1", "--t", "1"],
+            "argument --t: the hybrid condition", capsys,
+        )
+
     def test_check_infeasible_digraph(self, capsys):
         assert main(["check", "--graph", "oneway:5", "--f", "1"]) == 0
         out = capsys.readouterr().out
@@ -1065,6 +1073,35 @@ class TestDirectedCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "agreement     : True" in out
+
+    def test_run_on_digraph_adversarial_scheduler(self, capsys):
+        """The adversary cuts a digraph on its symmetric closure."""
+        code = main([
+            "run", "--graph", "oneway:9:2", "--f", "1", "--algorithm", "2",
+            "--scheduler", "adversarial",
+        ])
+        assert code == 0
+        assert "outcome       : decided" in capsys.readouterr().out
+
+    def test_adversarial_sweep_on_digraph_is_worker_independent(
+        self, tmp_path, capsys,
+    ):
+        reports = []
+        for workers in ("1", "2"):
+            out_file = tmp_path / f"w{workers}.json"
+            code = main([
+                "sweep", "--graph", "oneway:9:2", "--f", "1",
+                "--algorithm", "async", "--scheduler", "adversarial",
+                "--fault-limit", "2", "--patterns", "split", "--exit-zero",
+                "--workers", workers, "--output", str(out_file),
+            ])
+            assert code == 0
+            report = json.loads(out_file.read_text())
+            report.pop("workers")
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["runs"] == len(reports[0]["records"]) > 0
+        assert {r["scheduler"] for r in reports[0]["records"]} == {"adversarial"}
 
     def test_sweep_on_digraph_records_directed(self, tmp_path, capsys):
         out_file = tmp_path / "directed.json"
