@@ -29,7 +29,7 @@ def fig1_rows():
             (
                 name,
                 f,
-                graph.min_degree(),
+                graph.min_in_degree(),
                 2 * f,
                 vertex_connectivity(graph),
                 (3 * f) // 2 + 1,

@@ -29,7 +29,7 @@ def run_all():
             (
                 name,
                 f,
-                graph.min_degree(),
+                graph.min_in_degree(),
                 2 * f,
                 *flags,
                 "yes" if outcome.violation_demonstrated else "NO",

@@ -24,7 +24,7 @@ def main() -> None:
     f = 2
     graph = low_connectivity_graph(f)
     print(f"=== Deficient graph: n={graph.n}, kappa={vertex_connectivity(graph)}, "
-          f"min degree {graph.min_degree()} ===")
+          f"min degree {graph.min_in_degree()} ===")
     report = check_local_broadcast(graph, f)
     print(report)
     assert not report.feasible

@@ -43,7 +43,7 @@ def main() -> None:
     f = 1
     n = 6
     mesh = circulant_graph(n, [1, 2])  # each radio hears 4 neighbors
-    print(f"=== Radio mesh: {n} stations, degree {mesh.min_degree()} ===")
+    print(f"=== Radio mesh: {n} stations, degree {mesh.min_in_degree()} ===")
     print(f"2f-connected (f={f}): {is_k_connected(mesh, 2 * f)}")
     print(check_local_broadcast(mesh, f))
 

@@ -301,6 +301,11 @@ def parse_scheduler_axis(args: argparse.Namespace) -> list:
 
 def cmd_check(args: argparse.Namespace) -> int:
     graph = parse_graph(args.graph)
+    try:  # before any output: a digraph has no hybrid condition
+        hybrid = (None if args.t is None
+                  else consensus.check_hybrid(graph, args.f, args.t))
+    except graphs.GraphError as exc:
+        raise UsageError(f"argument --t: {exc}") from None
     if graph.directed:
         print(f"digraph: n={graph.n}, arcs={graph.arc_count}, "
               f"min in-degree={graph.min_in_degree()}, "
@@ -314,13 +319,13 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(f"max f (symmetric closure):        {closure_max}")
         return 0
     print(f"graph: n={graph.n}, m={graph.edge_count}, "
-          f"min degree={graph.min_degree()}, "
+          f"min degree={graph.min_in_degree()}, "
           f"kappa={graphs.vertex_connectivity(graph)}")
     print(consensus.check_local_broadcast(graph, args.f))
     print(consensus.check_async_local_broadcast(graph, args.f))
     print(consensus.check_point_to_point(graph, args.f))
-    if args.t is not None:
-        print(consensus.check_hybrid(graph, args.f, args.t))
+    if hybrid is not None:
+        print(hybrid)
     print(f"max f (local broadcast): {consensus.max_f_local_broadcast(graph)}")
     print(f"max f (async LB):        {consensus.max_f_async_local_broadcast(graph)}")
     print(f"max f (point-to-point):  {consensus.max_f_point_to_point(graph)}")

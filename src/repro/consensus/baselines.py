@@ -80,7 +80,7 @@ class EIGProtocol(Protocol):
         if input_value not in (0, 1):
             raise ValueError("binary input expected")
         expected = graph.n - 1
-        if any(graph.degree(v) != expected for v in graph.nodes):
+        if any(graph.in_degree(v) != expected for v in graph.nodes):
             raise ValueError("EIGProtocol requires a complete graph")
         self.graph = graph
         self.me = node

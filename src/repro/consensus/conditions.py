@@ -21,6 +21,12 @@ conditions that are simultaneously necessary and sufficient:
   checker for both graph kinds, its wording following
   ``graph.directed``.
 
+Only :func:`check_local_broadcast`, :func:`check_directed_decomposition`
+and :func:`max_f_local_broadcast` take a digraph.  The other conditions
+are stated for undirected graphs, so their checkers and ``max_f_*`` raise
+:class:`~repro.graphs.graph.GraphError` on any digraph rather than
+answer with no theorem behind the answer.
+
 Each checker returns a :class:`ConditionReport` listing every clause with
 its required and measured value, so experiments can show *which*
 condition fails and by how much.
@@ -36,6 +42,7 @@ from ..graphs import (
     Graph,
     max_set_disjoint_paths,
     min_set_neighborhood,
+    require_undirected,
     source_components,
     vertex_connectivity,
 )
@@ -235,6 +242,7 @@ def check_async_local_broadcast(graph: Graph, f: int) -> ConditionReport:
       neighbors to propagate (implied by the connectivity clause, listed
       separately because it is the clause the paper family names).
     """
+    require_undirected(graph, "the async-local-broadcast condition")
     if f < 0:
         raise ValueError("f must be non-negative")
     clauses = (
@@ -247,7 +255,7 @@ def check_async_local_broadcast(graph: Graph, f: int) -> ConditionReport:
         Clause(
             "minimum degree >= floor(3f/2) + 1",
             (3 * f) // 2 + 1,
-            graph.min_degree(),
+            graph.min_in_degree(),
         ),
     )
     return ConditionReport("async-local-broadcast", f, None, clauses)
@@ -255,6 +263,7 @@ def check_async_local_broadcast(graph: Graph, f: int) -> ConditionReport:
 
 def check_point_to_point(graph: Graph, f: int) -> ConditionReport:
     """The classical Dolev bound: ``n ≥ 3f + 1`` and κ ≥ ``2f + 1``."""
+    require_undirected(graph, "the point-to-point condition")
     if f < 0:
         raise ValueError("f must be non-negative")
     clauses = (
@@ -266,6 +275,7 @@ def check_point_to_point(graph: Graph, f: int) -> ConditionReport:
 
 def check_hybrid(graph: Graph, f: int, t: int) -> ConditionReport:
     """Theorem 6.1: consensus under the hybrid model iff these hold."""
+    require_undirected(graph, "the hybrid condition")
     if f < 0:
         raise ValueError("f must be non-negative")
     if not 0 <= t <= f:
@@ -279,7 +289,7 @@ def check_hybrid(graph: Graph, f: int, t: int) -> ConditionReport:
         ),
     ]
     if t == 0:
-        clauses.append(Clause("minimum degree >= 2f (t = 0)", 2 * f, graph.min_degree()))
+        clauses.append(Clause("minimum degree >= 2f (t = 0)", 2 * f, graph.min_in_degree()))
     else:
         if graph.n > 0:
             measured, _ = min_set_neighborhood(graph, t)
@@ -323,9 +333,8 @@ def max_f_point_to_point(graph: Graph) -> int:
 def max_f_hybrid(graph: Graph, t: int) -> int:
     """The largest ``f ≥ t`` for which Theorem 6.1 declares feasibility.
 
-    Returns ``t - 1``-style degenerate answers as ``None``-free ints:
-    if even ``f = t`` is infeasible the result is ``t - 1`` meaning "no
-    valid f for this t" (callers treat values below ``t`` as infeasible).
+    If even ``f = t`` is infeasible, the result is ``t - 1``: any value
+    below ``t`` means that no ``f`` is feasible for this ``t``.
     """
     f = max(t, 0)
     if not check_hybrid(graph, f, t).feasible:

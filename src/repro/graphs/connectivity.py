@@ -361,10 +361,10 @@ def _pruned_connectivity(graph: Graph) -> int:
     """Undirected κ of a connected graph by pruning the pairs to check
     (see :func:`vertex_connectivity`)."""
     n = graph.n
-    if all(graph.degree(v) == n - 1 for v in graph.nodes):
+    if all(graph.in_degree(v) == n - 1 for v in graph.nodes):
         return n - 1
-    x = min(graph.nodes, key=lambda v: (graph.degree(v), repr(v)))
-    best = graph.degree(x)
+    x = min(graph.nodes, key=lambda v: (graph.in_degree(v), repr(v)))
+    best = graph.in_degree(x)
     for v in sorted(graph.nodes - graph.neighbors(x) - {x}, key=repr):
         best = min(best, local_connectivity(graph, x, v))
         if best == 0:
@@ -426,7 +426,7 @@ def minimum_vertex_cut(graph: Graph) -> set[Node]:
     ``G``.  Raises :class:`GraphError` for complete or disconnected
     graphs (where no proper vertex cut exists).
     """
-    if not graph.is_connected():
+    if not is_strongly_connected(graph):
         raise GraphError("graph is disconnected; the empty set is a cut")
     kappa = vertex_connectivity(graph)
     if kappa == graph.n - 1:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import combinations
 
-from .connectivity import minimum_vertex_cut, vertex_connectivity
+from .connectivity import is_strongly_connected, minimum_vertex_cut, vertex_connectivity
 from .graph import Graph, GraphError, Node
 
 
@@ -103,7 +103,7 @@ def find_cut_partition(
     """
     if graph.n == 0:
         return None
-    if not graph.is_connected():
+    if not is_strongly_connected(graph):
         a = graph.connected_components()[0]
         return a, graph.nodes - a, set()
     kappa = vertex_connectivity(graph)

@@ -14,8 +14,8 @@ reach).  This module provides both, dependency-free:
 * :class:`Graph` is the undirected API as a symmetric view:
   construction symmetrizes the edge list and out- and in-adjacency are
   the *same* dict, so the digraph's methods (derived graphs, equality,
-  hashing, traversal) serve it unchanged; it adds only the
-  undirected vocabulary (edges, degree, components).
+  hashing, traversal, degrees) serve it unchanged; it adds only the
+  undirected vocabulary (edges, edge count, components).
 
 Throughout the library ``neighbors(v)`` means **out-neighbors**: the
 nodes that hear ``v``'s broadcasts.  On a :class:`Graph` the two
@@ -40,6 +40,14 @@ Arc = Tuple[Node, Node]
 
 class GraphError(ValueError):
     """Raised for malformed graph constructions or invalid queries."""
+
+
+def require_undirected(graph: "Digraph", claim: str) -> None:
+    """Refuse a digraph for ``claim``, a result stated for undirected
+    graphs only (a symmetric lift included): the feasibility checkers
+    and impossibility constructions with no directed theorem."""
+    if graph.directed:
+        raise GraphError(f"{claim} is stated for undirected graphs only")
 
 
 class Digraph:
@@ -142,10 +150,6 @@ class Digraph:
         except KeyError:
             raise GraphError(f"node {v!r} is not in the graph") from None
 
-    def out_neighbors(self, v: Node) -> FrozenSet[Node]:
-        """Explicitly-named alias of :meth:`neighbors`."""
-        return self.neighbors(v)
-
     def in_neighbors(self, v: Node) -> FrozenSet[Node]:
         """In-neighbors of ``v``: the nodes ``v`` hears (``u`` with
         ``u → v``)."""
@@ -221,17 +225,10 @@ class Digraph:
         symmetric closure of an undirected graph)."""
         return all(self._adj[v] == self._pred[v] for v in self._adj)
 
-    def has_node(self, v: Node) -> bool:
-        return v in self._nodes
-
     def has_edge(self, u: Node, v: Node) -> bool:
         """True iff the arc ``u → v`` exists (on a :class:`Graph`, iff
         the undirected edge ``uv`` exists)."""
         return u in self._adj and v in self._adj[u]
-
-    def has_arc(self, u: Node, v: Node) -> bool:
-        """Explicitly-named alias of :meth:`has_edge`."""
-        return self.has_edge(u, v)
 
     def __contains__(self, v: Node) -> bool:
         return v in self._nodes
@@ -405,9 +402,11 @@ class Graph(Digraph):
     Self-loops and parallel edges are rejected: the source paper's model
     has neither (each edge is a FIFO link between two distinct nodes).
     Construction symmetrizes the edge list, and out- and in-adjacency
-    are the *same* dict, so every directed accessor inherited from
-    :class:`Digraph` (``in_neighbors``, ``arcs``, ``min_in_degree``, ...)
-    collapses to its undirected meaning.  Derived graphs
+    are the *same* dict, so every digraph name keeps its undirected
+    meaning: degree is ``in_degree``, connectivity is
+    :func:`~repro.graphs.connectivity.is_strongly_connected`.  This
+    class adds only what a digraph lacks (:meth:`edges`,
+    :meth:`connected_components`, :meth:`add_edges`).  Derived graphs
     (:meth:`subgraph`, :meth:`relabeled`, ...), equality and hashing are
     the digraph's own: they rebuild ``type(self)`` from arcs, and a
     ``Graph`` built from both orientations of each edge equals (and
@@ -476,22 +475,6 @@ class Graph(Digraph):
                     yield (u, v)
             seen.add(u)
 
-    def degree(self, v: Node) -> int:
-        """Degree of ``v`` — the number of edges incident to it."""
-        return len(self.neighbors(v))
-
-    def min_degree(self) -> int:
-        """Minimum degree over all vertices (0 for the empty graph)."""
-        if not self._nodes:
-            return 0
-        return min(len(nbrs) for nbrs in self._adj.values())
-
-    def max_degree(self) -> int:
-        """Maximum degree over all vertices (0 for the empty graph)."""
-        if not self._nodes:
-            return 0
-        return max(len(nbrs) for nbrs in self._adj.values())
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
@@ -518,15 +501,8 @@ class Graph(Digraph):
         return Digraph(self._nodes, self.arcs())
 
     # ------------------------------------------------------------------
-    # Connectivity (undirected semantics)
+    # Components (undirected semantics)
     # ------------------------------------------------------------------
-    def is_connected(self) -> bool:
-        """True iff the graph is connected (the empty graph counts as connected)."""
-        if self.n <= 1:
-            return True
-        start = min(self._nodes, key=repr)
-        return len(self.bfs_reachable(start)) == self.n
-
     def connected_components(self) -> list[set[Node]]:
         """All connected components, as a list of node sets."""
         remaining = set(self._nodes)

@@ -32,6 +32,7 @@ from ..graphs import (
     find_cut_partition,
     min_set_neighborhood,
     neighbors_of_set,
+    require_undirected,
     split_into_parts,
 )
 from .covering import CopyId, CoveringNetwork
@@ -83,13 +84,14 @@ def degree_scenario(
     graph: Graph, f: int, z: Optional[Hashable] = None
 ) -> ImpossibilityScenario:
     """Build the Figure 2 scenario around a node of degree < 2f."""
+    require_undirected(graph, "degree necessity")
     if f < 1:
         raise GraphError("degree necessity requires f >= 1")
     if z is None:
-        z = min(graph.nodes, key=lambda v: (graph.degree(v), repr(v)))
-    if graph.degree(z) >= 2 * f:
+        z = min(graph.nodes, key=lambda v: (graph.in_degree(v), repr(v)))
+    if graph.in_degree(z) >= 2 * f:
         raise GraphError(f"node {z!r} has degree >= 2f; no scenario exists")
-    if graph.degree(z) < 1:
+    if graph.in_degree(z) < 1:
         raise GraphError("z needs at least one neighbor")
     nbrs = sorted(graph.neighbors(z), key=repr)
     # |F2| <= f and non-empty; |F1| <= f - 1.  deg(z) <= 2f - 1 makes this fit.
@@ -181,6 +183,7 @@ def degree_scenario(
 
 def connectivity_scenario(graph: Graph, f: int) -> ImpossibilityScenario:
     """Build the Figure 3 scenario around a vertex cut of size ≤ ⌊3f/2⌋."""
+    require_undirected(graph, "connectivity necessity")
     if f < 1:
         raise GraphError("connectivity necessity requires f >= 1")
     max_cut = (3 * f) // 2
@@ -291,6 +294,7 @@ def hybrid_neighborhood_scenario(
     graph: Graph, f: int, t: int, s_set: Optional[FrozenSet[Hashable]] = None
 ) -> ImpossibilityScenario:
     """Build the Figure 4 scenario around a set ``S`` with ≤ 2f neighbors."""
+    require_undirected(graph, "hybrid neighborhood necessity")
     if not 0 < t <= f:
         raise GraphError("hybrid neighborhood necessity requires 0 < t <= f")
     phi = f - t
@@ -418,6 +422,7 @@ def hybrid_connectivity_scenario(
     graph: Graph, f: int, t: int
 ) -> ImpossibilityScenario:
     """Build the Figure 5 scenario around a cut of size ≤ ⌊3(f−t)/2⌋ + 2t."""
+    require_undirected(graph, "hybrid connectivity necessity")
     if not 0 < t <= f:
         raise GraphError("use connectivity_scenario for t = 0")
     phi = f - t

@@ -49,7 +49,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, Hashable, Mapping, Optional
 
-from ...graphs import Graph, GraphError, minimum_vertex_cut
+from ...graphs import Graph, GraphError, is_strongly_connected, minimum_vertex_cut
 from ..channels import ChannelModel
 from .base import Scheduler
 from .events import SendEvent
@@ -93,7 +93,7 @@ class AdversarialScheduler(Scheduler):
     def _partition(graph: Graph) -> Dict[Hashable, int]:
         """Label each node with its bottleneck side (cut nodes: boundary)."""
         side: Dict[Hashable, int] = {}
-        if graph.n and not graph.is_connected():
+        if graph.n and not is_strongly_connected(graph):
             # Partition each component on its own bottleneck.  Offsetting
             # the side labels keeps them distinct across components; the
             # cross-component pairs that end up "on different sides" name
@@ -164,5 +164,7 @@ def bottleneck_sides(graph: Graph) -> Mapping[Hashable, int]:
     module-level LRU, like
     :func:`~repro.graphs.connectivity.vertex_connectivity`; the mapping
     is read-only because every scheduler bound to the graph shares it.
+    A digraph is cut on its symmetric closure (on a ``Graph``, itself).
     """
-    return MappingProxyType(AdversarialScheduler._partition(graph))
+    closure = graph.to_undirected()
+    return MappingProxyType(AdversarialScheduler._partition(closure))

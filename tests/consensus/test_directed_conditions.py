@@ -178,16 +178,9 @@ DIRECTED_THEOREM = {
     "check_local_broadcast",
     "max_f_local_broadcast",
 }
-SMALL_GRAPHS = [
-    cycle_graph(5),
-    complete_graph(4),
-    path_graph(4),
-    star_graph(4),
-    wheel_graph(6),
-]
 REFUSAL_GRAPHS = (
-    SMALL_GRAPHS
-    + [g.to_digraph() for g in SMALL_GRAPHS]
+    BATTERY
+    + [g.to_digraph() for g in BATTERY]
     + [oneway_ring(5), oneway_ring(9, 2), oneway_ring(7, 3)]
     + [random_digraph(7, 0.5, seed) for seed in (0, 1, 2)]
 )

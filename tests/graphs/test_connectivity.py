@@ -14,6 +14,7 @@ from repro.graphs import (
     harary_graph,
     is_k_connected,
     is_path,
+    is_strongly_connected,
     local_connectivity,
     max_disjoint_paths,
     max_set_disjoint_paths,
@@ -182,13 +183,13 @@ class TestMinimumCut:
         g = cycle_graph(6)
         cut = minimum_vertex_cut(g)
         assert len(cut) == 2
-        assert not g.remove_nodes(cut).is_connected()
+        assert not is_strongly_connected(g.remove_nodes(cut))
 
     def test_cut_on_harary(self):
         g = harary_graph(3, 8)
         cut = minimum_vertex_cut(g)
         assert len(cut) == 3
-        assert not g.remove_nodes(cut).is_connected()
+        assert not is_strongly_connected(g.remove_nodes(cut))
 
     def test_complete_graph_has_no_cut(self):
         with pytest.raises(GraphError):
@@ -206,7 +207,7 @@ class TestMinimumCut:
             return  # complete: no cut
         cut = minimum_vertex_cut(g)
         assert len(cut) == vertex_connectivity(g)
-        assert not g.remove_nodes(cut).is_connected()
+        assert not is_strongly_connected(g.remove_nodes(cut))
 
 
 class TestConnectivityMemo:

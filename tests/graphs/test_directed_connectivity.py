@@ -125,7 +125,7 @@ class TestSymmetricViewAgreement:
 
     def test_battery_strong_iff_connected(self):
         for g in self.BATTERY:
-            assert is_strongly_connected(g.to_digraph()) == g.is_connected()
+            assert is_strongly_connected(g.to_digraph()) == is_strongly_connected(g)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=200))

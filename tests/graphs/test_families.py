@@ -12,6 +12,7 @@ from repro.graphs import (
     grid_graph,
     harary_graph,
     hybrid_neighborhood_deficient_graph,
+    is_strongly_connected,
     low_connectivity_graph,
     min_set_neighborhood,
     paper_figure_1a,
@@ -33,12 +34,12 @@ class TestClassicalFamilies:
     def test_path(self):
         g = path_graph(5)
         assert g.n == 5 and g.edge_count == 4
-        assert g.min_degree() == 1
+        assert g.min_in_degree() == 1
 
     def test_cycle(self):
         g = cycle_graph(7)
         assert g.edge_count == 7
-        assert g.min_degree() == g.max_degree() == 2
+        assert {g.in_degree(v) for v in g} == {2}
 
     def test_complete(self):
         g = complete_graph(6)
@@ -52,17 +53,17 @@ class TestClassicalFamilies:
 
     def test_star(self):
         g = star_graph(5)
-        assert g.degree(0) == 5
+        assert g.in_degree(0) == 5
         assert vertex_connectivity(g) == 1
 
     def test_wheel(self):
         g = wheel_graph(6)
-        assert g.degree(0) == 5
+        assert g.in_degree(0) == 5
         assert vertex_connectivity(g) == 3
 
     def test_circulant_regularity(self):
         g = circulant_graph(9, [1, 2])
-        assert g.min_degree() == g.max_degree() == 4
+        assert {g.in_degree(v) for v in g} == {4}
         assert vertex_connectivity(g) == 4
 
     def test_circulant_bad_offset(self):
@@ -72,7 +73,7 @@ class TestClassicalFamilies:
     def test_grid(self):
         g = grid_graph(3, 4)
         assert g.n == 12
-        assert g.min_degree() == 2
+        assert g.min_in_degree() == 2
         assert vertex_connectivity(g) == 2
 
     def test_petersen(self):
@@ -107,7 +108,7 @@ class TestPaperFigures:
         g = paper_figure_1b()
         report = check_local_broadcast(g, 2)
         assert report.feasible
-        assert g.min_degree() == 4
+        assert g.min_in_degree() == 4
         assert vertex_connectivity(g) == 4
         assert not check_local_broadcast(g, 3).feasible
 
@@ -125,14 +126,14 @@ class TestDeficientFamilies:
     @pytest.mark.parametrize("f", [1, 2])
     def test_degree_deficient(self, f):
         g = degree_deficient_graph(f)
-        assert g.min_degree() == 2 * f - 1
+        assert g.min_in_degree() == 2 * f - 1
         assert not check_local_broadcast(g, f).feasible
 
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_low_connectivity(self, f):
         g = low_connectivity_graph(f)
         assert vertex_connectivity(g) == (3 * f) // 2
-        assert g.min_degree() >= 2 * f
+        assert g.min_in_degree() >= 2 * f
         report = check_local_broadcast(g, f)
         failing = [c.name for c in report.failing()]
         assert failing == ["connectivity >= floor(3f/2) + 1"]
@@ -150,7 +151,7 @@ class TestRandomGraphs:
         g1 = random_connected_graph(10, 5, seed=42)
         g2 = random_connected_graph(10, 5, seed=42)
         assert g1 == g2
-        assert g1.is_connected()
+        assert is_strongly_connected(g1)
 
     def test_different_seeds_differ(self):
         g1 = random_connected_graph(10, 8, seed=1)
@@ -167,7 +168,7 @@ class TestRandomRegular:
         g1 = random_regular_graph(10, 4, seed=7)
         g2 = random_regular_graph(10, 4, seed=7)
         assert g1 == g2
-        assert all(g1.degree(v) == 4 for v in g1.nodes)
+        assert all(g1.in_degree(v) == 4 for v in g1.nodes)
         assert g1.n == 10
 
     def test_different_seeds_differ(self):

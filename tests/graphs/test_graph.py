@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.graphs import Graph, GraphError, cycle_graph
+from repro.graphs import Graph, GraphError, cycle_graph, is_strongly_connected
 
 
 class TestConstruction:
@@ -16,7 +16,7 @@ class TestConstruction:
         g = Graph(nodes=[1, 2, 3])
         assert g.n == 3
         assert g.edge_count == 0
-        assert g.degree(1) == 0
+        assert g.in_degree(1) == 0
 
     def test_edges_imply_nodes(self):
         g = Graph.from_edges([(1, 2), (2, 3)])
@@ -47,13 +47,13 @@ class TestAccessors:
 
     def test_degree_and_min_max(self):
         g = Graph.from_edges([(0, 1), (0, 2), (0, 3)])
-        assert g.degree(0) == 3
-        assert g.degree(1) == 1
-        assert g.min_degree() == 1
-        assert g.max_degree() == 3
+        assert g.in_degree(0) == 3
+        assert g.in_degree(1) == 1
+        assert g.min_in_degree() == 1
+        assert max(g.in_degree(v) for v in g) == 3
 
     def test_min_degree_empty(self):
-        assert Graph().min_degree() == 0
+        assert Graph().min_in_degree() == 0
 
     def test_contains_len_iter(self):
         g = cycle_graph(3)
@@ -88,7 +88,7 @@ class TestDerivedGraphs:
         g = cycle_graph(5)
         h = g.remove_nodes([0])
         assert h.n == 4
-        assert not h.has_node(0)
+        assert 0 not in h
         assert h.edge_count == 3
 
     def test_add_edges_idempotent(self):
@@ -99,13 +99,13 @@ class TestDerivedGraphs:
 
     def test_add_nodes(self):
         g = cycle_graph(3).add_nodes(["x"])
-        assert g.has_node("x")
-        assert g.degree("x") == 0
+        assert "x" in g
+        assert g.in_degree("x") == 0
 
     def test_relabeled(self):
         g = cycle_graph(3).relabeled({0: "a"})
         assert g.has_edge("a", 1)
-        assert not g.has_node(0)
+        assert 0 not in g
 
     def test_relabeled_collision_rejected(self):
         with pytest.raises(GraphError):
@@ -132,10 +132,10 @@ class TestTraversal:
             cycle_graph(4).bfs_reachable(0, forbidden=[0])
 
     def test_is_connected(self):
-        assert cycle_graph(5).is_connected()
-        assert not Graph(nodes=[0, 1]).is_connected()
-        assert Graph().is_connected()
-        assert Graph(nodes=[7]).is_connected()
+        assert is_strongly_connected(cycle_graph(5))
+        assert not is_strongly_connected(Graph(nodes=[0, 1]))
+        assert is_strongly_connected(Graph())
+        assert is_strongly_connected(Graph(nodes=[7]))
 
     def test_connected_components(self):
         g = Graph.from_edges([(0, 1), (2, 3)])

@@ -9,6 +9,7 @@ from repro.graphs import (
     cycle_graph,
     degree_deficient_graph,
     low_connectivity_graph,
+    oneway_ring,
     path_graph,
 )
 from repro.lowerbounds import (
@@ -120,3 +121,19 @@ class TestHybridScenarios:
     def test_connectivity_rejects_t0(self):
         with pytest.raises(GraphError):
             hybrid_connectivity_scenario(cycle_graph(5), 1, 0)
+
+
+class TestDigraphsRefused:
+    """Lemmas A.1, A.2, D.1 and D.2 are stated for undirected graphs, so
+    no construction is built on a digraph, a symmetric lift included."""
+
+    @pytest.mark.parametrize("build,args", [
+        (degree_scenario, (1,)),
+        (connectivity_scenario, (2,)),
+        (hybrid_neighborhood_scenario, (2, 1)),
+        (hybrid_connectivity_scenario, (2, 1)),
+    ], ids=["degree", "connectivity", "hybrid-neighborhood", "hybrid-connectivity"])
+    def test_rejects_a_digraph(self, build, args):
+        for d in (oneway_ring(5), oneway_ring(9, 2), path_graph(4).to_digraph()):
+            with pytest.raises(GraphError, match="undirected graphs only"):
+                build(d, *args)

@@ -28,7 +28,7 @@ class TestParseGraph:
         assert parse_graph("fig1b") == paper_figure_1b()
         assert parse_graph("circulant:8:1,2") == paper_figure_1b()
         assert parse_graph("complete:4").n == 4
-        assert parse_graph("harary:3:8").min_degree() == 3
+        assert parse_graph("harary:3:8").min_in_degree() == 3
 
     def test_unknown_family(self):
         with pytest.raises(UsageError):

@@ -58,21 +58,21 @@ class TestStructuralIdentities:
     @given(st.integers(0, 100_000))
     def test_connectivity_lower_bounds_degree(self, seed):
         g = random_connected_graph(n=8, extra_edges=seed % 12, seed=seed)
-        assert vertex_connectivity(g) <= g.min_degree()
+        assert vertex_connectivity(g) <= g.min_in_degree()
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 100_000))
     def test_neighborhood_of_singleton_is_degree(self, seed):
         g = random_connected_graph(n=8, extra_edges=seed % 8, seed=seed)
         for v in sorted(g.nodes)[:3]:
-            assert len(neighbors_of_set(g, [v])) == g.degree(v)
+            assert len(neighbors_of_set(g, [v])) == g.in_degree(v)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 100_000))
     def test_min_set_neighborhood_bounded_by_min_degree(self, seed):
         g = random_connected_graph(n=7, extra_edges=seed % 8, seed=seed)
         value, _ = min_set_neighborhood(g, 2)
-        assert value <= g.min_degree()
+        assert value <= g.min_in_degree()
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 100_000))
