@@ -9,7 +9,7 @@ executions, and the forced violation in E2.
 from _tables import print_table
 from repro.consensus import algorithm3_factory
 from repro.graphs import Graph, vertex_connectivity
-from repro.lowerbounds import hybrid_connectivity_scenario, run_scenario
+from repro.lowerbounds import connectivity_scenario, run_scenario
 
 
 def two_k4_sharing_two():
@@ -33,7 +33,7 @@ CASES = [
 def run_all():
     rows = []
     for name, graph, f, t in CASES:
-        scenario = hybrid_connectivity_scenario(graph, f, t)
+        scenario = connectivity_scenario(graph, f, t)
         outcome = run_scenario(scenario, algorithm3_factory(graph, f, t))
         need = (3 * (f - t)) // 2 + 2 * t + 1
         flags = ["V" if e.violated else "ok" for e in outcome.executions]

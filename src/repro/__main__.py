@@ -885,9 +885,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_demo_impossibility(args: argparse.Namespace) -> int:
     if args.kind == "degree":
-        graph = graphs.path_graph(3) if args.f == 1 else (
-            graphs.degree_deficient_graph(args.f)
-        )
+        graph = graphs.path_graph(3)
         scenario = degree_scenario(graph, args.f)
     else:  # argparse restricts --kind to degree or connectivity
         graph = graphs.low_connectivity_graph(args.f)
@@ -1068,7 +1066,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run a covering-network violation demo")
     p.add_argument("--kind", default="degree",
                    choices=["degree", "connectivity"])
-    p.add_argument("--f", type=_fault_bound, default=1)
+    p.add_argument("--f", type=_fault_bound, default=1, choices=[1, 2],
+                   help="fault bound (the f = 3 cut demo needs GBs)")
     p.set_defaults(fn=cmd_demo_impossibility)
     return parser
 

@@ -16,7 +16,7 @@ from collections.abc import Iterable
 from itertools import combinations
 
 from .connectivity import is_strongly_connected, minimum_vertex_cut, vertex_connectivity
-from .graph import Graph, GraphError, Node
+from .graph import Graph, GraphError, Node, require_undirected
 
 
 def neighbors_of_set(graph: Graph, s: Iterable[Node]) -> set[Node]:
@@ -78,8 +78,10 @@ def cut_partition(
     """Split ``V - C`` into two non-adjacent halves ``(A, B)`` for a cut ``C``.
 
     ``A`` is one connected component of ``G - C``; ``B`` is everything
-    else outside the cut.  Raises if ``C`` is not actually a cut.
+    else outside the cut.  Raises if ``C`` is not actually a cut, or on
+    a digraph (the sides are components of an undirected graph).
     """
+    require_undirected(graph, "a cut partition")
     cut_set = set(cut)
     rest = graph.remove_nodes(cut_set)
     if rest.n == 0:
@@ -100,7 +102,9 @@ def find_cut_partition(
 
     Returns ``None`` when the graph is ``(max_cut_size + 1)``-connected
     (no such cut exists).  For complete graphs there is never a cut.
+    Refuses a digraph, like :func:`cut_partition`.
     """
+    require_undirected(graph, "a cut partition")
     if graph.n == 0:
         return None
     if not is_strongly_connected(graph):

@@ -11,7 +11,6 @@ from .constructions import (
     ImpossibilityScenario,
     connectivity_scenario,
     degree_scenario,
-    hybrid_connectivity_scenario,
     hybrid_neighborhood_scenario,
 )
 from .covering import CopyId, CopyTranscript, CoveringNetwork, CoveringSimulator
@@ -28,7 +27,6 @@ __all__ = [
     "ScenarioReport",
     "connectivity_scenario",
     "degree_scenario",
-    "hybrid_connectivity_scenario",
     "hybrid_neighborhood_scenario",
     "run_scenario",
 ]

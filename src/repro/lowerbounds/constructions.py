@@ -3,22 +3,25 @@
 Each builder takes a *condition-violating* graph and produces an
 :class:`ImpossibilityScenario`: the covering network ``𝒢``, the inputs of
 the execution ``E`` on it, and the three projected executions
-``E1, E2, E3`` with their fault sets, replay sources and (where validity
-pins them down) forced outputs.
+``E1, E2, E3`` with their fault sets, equivocators' split replays and
+(where validity pins them down) forced outputs.  Every non-equivocating
+faulty node replays its copy ``0``, so an :class:`ExecutionSpec` stores
+only the split replays; its equivocators are their keys.
 
-The listen maps are transcribed from the proofs:
+The listen maps are transcribed from the proofs.  There are three
+builders, since Figure 3 is Figure 5 with ``R`` and ``T`` empty:
 
 * **Figure 2 / Lemma A.1** (min degree < 2f): a node ``z`` with at most
   ``2f - 1`` neighbors, split ``(F¹, F²)``; ``W = V − N(z) − {z}``
   doubled.
-* **Figure 3 / Lemma A.2** (connectivity ≤ ⌊3f/2⌋): a cut partition
-  ``(A, B, C)`` with ``C = C¹ ∪ C² ∪ C³``; ``A`` and ``B`` doubled.
 * **Figure 4 / Lemma D.1** (hybrid: some ``S``, ``|S| ≤ t``, with ≤ 2f
   neighbors): ``N(S)`` split ``(F¹, F², R, T)``; ``W`` and ``T``
   doubled; ``T`` equivocates in ``E2``.
-* **Figure 5 / Lemma D.2** (hybrid connectivity ≤ ⌊3(f−t)/2⌋ + 2t):
-  cut partition with ``C = C¹ ∪ C² ∪ C³ ∪ R ∪ T``; ``A, B, R, T``
-  doubled; ``T`` equivocates in ``E1``/``E3`` and ``R`` in ``E2``.
+* **Figures 3 and 5 / Lemmas A.2 and D.2** (connectivity
+  ≤ ⌊3(f−t)/2⌋ + 2t, which is ⌊3f/2⌋ at ``t = 0``): a cut partition
+  ``(A, B, C)`` with ``C = C¹ ∪ C² ∪ C³ ∪ R ∪ T``, ``|R| = |T| = t``;
+  ``A, B, R, T`` doubled; ``T`` equivocates in ``E1``/``E3`` and ``R``
+  in ``E2``.
 """
 
 from __future__ import annotations
@@ -44,17 +47,22 @@ class ExecutionSpec:
 
     name: str
     faulty: FrozenSet[Hashable]
-    equivocators: FrozenSet[Hashable]
     inputs: Dict[Hashable, int]
-    # Non-equivocating faulty node -> the 𝒢-copy whose transcript it replays.
-    replay_map: Dict[Hashable, CopyId]
-    # Equivocating faulty node -> [(target set, copy to replay to them)].
-    split_replay: Dict[Hashable, List[Tuple[FrozenSet[Hashable], CopyId]]]
     # Honest node -> the copy that models it (for indistinguishability checks).
     honest_model: Dict[Hashable, CopyId]
     # Output forced by validity (all honest inputs equal), or None for the
     # middle execution where the contradiction appears.
     forced_output: Optional[int]
+    # Equivocating faulty node -> [(target set, copy to replay to them)].
+    # Every other faulty node x replays copy (x, 0) to all its neighbors.
+    split_replay: Dict[Hashable, List[Tuple[FrozenSet[Hashable], CopyId]]] = (
+        field(default_factory=dict)
+    )
+
+    @property
+    def equivocators(self) -> FrozenSet[Hashable]:
+        """The faulty nodes that need unicast (hybrid-channel) power."""
+        return frozenset(self.split_replay)
 
 
 @dataclass(frozen=True)
@@ -137,18 +145,6 @@ def degree_scenario(
             else:  # F2
                 copy_inputs[(u, i)] = 1
 
-    def spec(name, faulty, inputs, model, forced) -> ExecutionSpec:
-        return ExecutionSpec(
-            name=name,
-            faulty=frozenset(faulty),
-            equivocators=frozenset(),
-            inputs=inputs,
-            replay_map={x: (x, 0) for x in faulty},
-            split_replay={},
-            honest_model=model,
-            forced_output=forced,
-        )
-
     all_zero = {v: 0 for v in graph.nodes}
     all_one = {v: 1 for v in graph.nodes}
     e2_inputs = {v: (0 if v == z else 1) for v in graph.nodes}
@@ -160,9 +156,11 @@ def degree_scenario(
         }
 
     executions = (
-        spec("E1", f2, all_zero, model_for(f2, 0), 0),
-        spec("E2", f1, e2_inputs, model_for(f1, 1), None),
-        spec("E3", f1 | {z}, all_one, model_for(f1 | {z}, 1), 1),
+        ExecutionSpec("E1", frozenset(f2), all_zero, model_for(f2, 0), 0),
+        ExecutionSpec("E2", frozenset(f1), e2_inputs, model_for(f1, 1), None),
+        ExecutionSpec(
+            "E3", frozenset(f1 | {z}), all_one, model_for(f1 | {z}, 1), 1
+        ),
     )
     return ImpossibilityScenario(
         kind="degree",
@@ -173,115 +171,6 @@ def degree_scenario(
         copy_inputs=copy_inputs,
         executions=executions,
         notes={"z": z, "F1": frozenset(f1), "F2": frozenset(f2), "W": frozenset(w_set)},
-    )
-
-
-# ---------------------------------------------------------------------------
-# Figure 3 — Lemma A.2 (connectivity necessity)
-# ---------------------------------------------------------------------------
-
-
-def connectivity_scenario(graph: Graph, f: int) -> ImpossibilityScenario:
-    """Build the Figure 3 scenario around a vertex cut of size ≤ ⌊3f/2⌋."""
-    require_undirected(graph, "connectivity necessity")
-    if f < 1:
-        raise GraphError("connectivity necessity requires f >= 1")
-    max_cut = (3 * f) // 2
-    parts = find_cut_partition(graph, max_cut)
-    if parts is None:
-        raise GraphError(
-            f"graph is ({max_cut + 1})-connected; no Figure 3 scenario exists"
-        )
-    a_side, b_side, cut = parts
-    c1, c2, c3 = (
-        set(p) for p in split_into_parts(cut, [f // 2, f // 2, (f + 1) // 2])
-    )
-
-    copies: Dict[Hashable, Tuple[int, ...]] = _single(graph.nodes)
-    for v in a_side | b_side:
-        copies[v] = (0, 1)
-
-    def cut_listen(u: Hashable) -> Tuple[int, int]:
-        """(copy of A heard, copy of B heard) for a cut node."""
-        if u in c1:
-            return 0, 0
-        if u in c2:
-            return 0, 1
-        return 1, 1  # C3
-
-    def listen_for(u: Hashable, i: int) -> Dict[Hashable, int]:
-        lmap: Dict[Hashable, int] = {}
-        for v in graph.neighbors(u):
-            if u in a_side or u in b_side:
-                # Same-side edges stay in-layer; cut nodes are single.
-                lmap[v] = i if (v in a_side or v in b_side) else 0
-            else:  # u in the cut
-                if v in a_side:
-                    lmap[v] = cut_listen(u)[0]
-                elif v in b_side:
-                    lmap[v] = cut_listen(u)[1]
-                else:
-                    lmap[v] = 0
-        return lmap
-
-    listen = {(u, i): listen_for(u, i) for u in graph.nodes for i in copies[u]}
-    network = CoveringNetwork(graph, copies, listen)
-
-    copy_inputs: Dict[CopyId, int] = {}
-    for u in graph.nodes:
-        for i in copies[u]:
-            if u in a_side or u in b_side:
-                copy_inputs[(u, i)] = i
-            else:
-                copy_inputs[(u, i)] = 0 if u in c1 else 1
-
-    def spec(name, faulty, inputs, model, forced) -> ExecutionSpec:
-        return ExecutionSpec(
-            name=name,
-            faulty=frozenset(faulty),
-            equivocators=frozenset(),
-            inputs=inputs,
-            replay_map={x: (x, 0) for x in faulty},
-            split_replay={},
-            honest_model=model,
-            forced_output=forced,
-        )
-
-    def model(a_copy: int, b_copy: int, faulty) -> Dict[Hashable, CopyId]:
-        out: Dict[Hashable, CopyId] = {}
-        for v in graph.nodes - set(faulty):
-            if v in a_side:
-                out[v] = (v, a_copy)
-            elif v in b_side:
-                out[v] = (v, b_copy)
-            else:
-                out[v] = (v, 0)
-        return out
-
-    all_zero = {v: 0 for v in graph.nodes}
-    all_one = {v: 1 for v in graph.nodes}
-    e2_inputs = {v: (0 if v in a_side else 1) for v in graph.nodes}
-
-    executions = (
-        spec("E1", c2 | c3, all_zero, model(0, 0, c2 | c3), 0),
-        spec("E2", c1 | c3, e2_inputs, model(0, 1, c1 | c3), None),
-        spec("E3", c1 | c2, all_one, model(1, 1, c1 | c2), 1),
-    )
-    return ImpossibilityScenario(
-        kind="connectivity",
-        graph=graph,
-        f=f,
-        t=0,
-        network=network,
-        copy_inputs=copy_inputs,
-        executions=executions,
-        notes={
-            "A": frozenset(a_side),
-            "B": frozenset(b_side),
-            "C1": frozenset(c1),
-            "C2": frozenset(c2),
-            "C3": frozenset(c3),
-        },
     )
 
 
@@ -359,41 +248,19 @@ def hybrid_neighborhood_scenario(
     all_one = {v: 1 for v in graph.nodes}
     e2_inputs = {v: (0 if v in s_set else 1) for v in graph.nodes}
 
-    e1 = ExecutionSpec(
-        name="E1",
-        faulty=frozenset(f2 | r_set),
-        equivocators=frozenset(),
-        inputs=all_zero,
-        replay_map={x: (x, 0) for x in f2 | r_set},
-        split_replay={},
-        honest_model=model(0, f2 | r_set),
-        forced_output=0,
-    )
+    e1 = ExecutionSpec("E1", frozenset(f2 | r_set), all_zero,
+                       model(0, f2 | r_set), 0)
     # E2: T equivocates — S-neighbors hear layer 0's transcript, everyone
     # else layer 1's.
     rest = frozenset(graph.nodes - s_set)
     e2 = ExecutionSpec(
-        name="E2",
-        faulty=frozenset(f1 | t_set),
-        equivocators=frozenset(t_set),
-        inputs=e2_inputs,
-        replay_map={x: (x, 0) for x in f1},
+        "E2", frozenset(f1 | t_set), e2_inputs, model(1, f1 | t_set), None,
         split_replay={
             x: [(frozenset(s_set), (x, 0)), (rest, (x, 1))] for x in t_set
         },
-        honest_model=model(1, f1 | t_set),
-        forced_output=None,
     )
-    e3 = ExecutionSpec(
-        name="E3",
-        faulty=frozenset(f1 | s_set),
-        equivocators=frozenset(),
-        inputs=all_one,
-        replay_map={x: (x, 0) for x in f1 | s_set},
-        split_replay={},
-        honest_model=model(1, f1 | s_set),
-        forced_output=1,
-    )
+    e3 = ExecutionSpec("E3", frozenset(f1 | s_set), all_one,
+                       model(1, f1 | s_set), 1)
     return ImpossibilityScenario(
         kind="hybrid-neighborhood",
         graph=graph,
@@ -414,23 +281,31 @@ def hybrid_neighborhood_scenario(
 
 
 # ---------------------------------------------------------------------------
-# Figure 5 — Lemma D.2 (hybrid connectivity necessity)
+# Figures 3 and 5 — Lemmas A.2 and D.2 (connectivity necessity)
 # ---------------------------------------------------------------------------
 
 
-def hybrid_connectivity_scenario(
-    graph: Graph, f: int, t: int
+def connectivity_scenario(
+    graph: Graph, f: int, t: int = 0
 ) -> ImpossibilityScenario:
-    """Build the Figure 5 scenario around a cut of size ≤ ⌊3(f−t)/2⌋ + 2t."""
-    require_undirected(graph, "hybrid connectivity necessity")
-    if not 0 < t <= f:
-        raise GraphError("use connectivity_scenario for t = 0")
+    """Build the Figure 5 scenario around a cut of size ≤ ⌊3(f−t)/2⌋ + 2t.
+
+    At ``t = 0`` (``R`` and ``T`` empty, no equivocation) this is the
+    Figure 3 scenario around a cut of size ≤ ⌊3f/2⌋.
+    """
+    require_undirected(graph, "connectivity necessity")
+    if f < 1 or not 0 <= t <= f:
+        raise GraphError(
+            "connectivity necessity requires f >= 1 and 0 <= t <= f"
+        )
+    figure = 3 if t == 0 else 5
     phi = f - t
     max_cut = (3 * phi) // 2 + 2 * t
     parts = find_cut_partition(graph, max_cut)
     if parts is None:
         raise GraphError(
-            f"graph is ({max_cut + 1})-connected; no Figure 5 scenario exists"
+            f"graph is ({max_cut + 1})-connected; no Figure {figure} "
+            "scenario exists"
         )
     a_side, b_side, cut = parts
     c1, c2, c3, r_set, t_set = (
@@ -439,80 +314,45 @@ def hybrid_connectivity_scenario(
             cut, [phi // 2, phi // 2, (phi + 1) // 2, t, t]
         )
     )
+    doubled = a_side | b_side | r_set | t_set
 
     copies: Dict[Hashable, Tuple[int, ...]] = _single(graph.nodes)
-    for v in a_side | b_side | r_set | t_set:
+    for v in doubled:
         copies[v] = (0, 1)
 
-    def listen_for(u: Hashable, i: int) -> Dict[Hashable, int]:
-        lmap: Dict[Hashable, int] = {}
-        for v in graph.neighbors(u):
-            if u in a_side:
-                if v in a_side or v in r_set:
-                    lmap[v] = i
-                elif v in t_set:
-                    lmap[v] = 1 - i  # A0 hears T1, A1 hears T0
-                else:
-                    lmap[v] = 0
-            elif u in b_side:
-                if v in a_side or v in b_side or v in r_set or v in t_set:
-                    lmap[v] = i
-                else:
-                    lmap[v] = 0
-            elif u in r_set:
-                if v in a_side or v in b_side or v in r_set:
-                    lmap[v] = i
-                elif v in t_set:
-                    lmap[v] = 0  # both R copies hear T0
-                else:
-                    lmap[v] = 0
-            elif u in t_set:
-                if i == 1:
-                    # T1 models honest T in E2: hears A0, B1, R1, T1.
-                    if v in a_side:
-                        lmap[v] = 0
-                    elif v in b_side or v in r_set or v in t_set:
-                        lmap[v] = 1
-                    else:
-                        lmap[v] = 0
-                else:
-                    # T0 is never honest in a projected execution; mirror.
-                    if v in a_side:
-                        lmap[v] = 1
-                    elif v in b_side or v in r_set or v in t_set:
-                        lmap[v] = 0
-                    else:
-                        lmap[v] = 0
-            elif u in c1:
-                lmap[v] = 0  # C1 models honest only in E1: all layer 0
-            elif u in c2:
-                if v in a_side:
-                    lmap[v] = 0
-                elif v in b_side or v in r_set or v in t_set:
-                    lmap[v] = 1
-                else:
-                    lmap[v] = 0
-            else:  # u in c3
-                if v in t_set:
-                    lmap[v] = 0
-                elif v in a_side or v in b_side or v in r_set:
-                    lmap[v] = 1
-                else:
-                    lmap[v] = 0
-        return lmap
+    def heard(u: Hashable, i: int, v: Hashable) -> int:
+        """The copy of doubled neighbor ``v`` that copy ``(u, i)`` hears."""
+        if u in a_side:
+            return 1 - i if v in t_set else i  # A0 hears T1, A1 hears T0
+        if u in b_side:
+            return i
+        if u in r_set:
+            return 0 if v in t_set else i  # both R copies hear T0
+        if u in t_set:
+            # T1 models honest T in E2: hears A0, B1, R1, T1.  T0 is never
+            # honest in a projected execution; it mirrors T1.
+            return 1 - i if v in a_side else i
+        if u in c1:
+            return 0  # C1 models honest only in E1: all layer 0
+        if u in c2:
+            return 0 if v in a_side else 1
+        return 0 if v in t_set else 1  # C3
 
-    listen = {(u, i): listen_for(u, i) for u in graph.nodes for i in copies[u]}
+    listen = {
+        (u, i): {
+            v: heard(u, i, v) if v in doubled else 0
+            for v in graph.neighbors(u)
+        }
+        for u in graph.nodes
+        for i in copies[u]
+    }
     network = CoveringNetwork(graph, copies, listen)
 
-    copy_inputs: Dict[CopyId, int] = {}
-    for u in graph.nodes:
-        for i in copies[u]:
-            if u in a_side | b_side | r_set | t_set:
-                copy_inputs[(u, i)] = i
-            else:
-                copy_inputs[(u, i)] = 0 if u in c1 else 1
-
-    doubled = a_side | b_side | r_set | t_set
+    copy_inputs: Dict[CopyId, int] = {
+        (u, i): i if u in doubled else (0 if u in c1 else 1)
+        for u in graph.nodes
+        for i in copies[u]
+    }
 
     def model(a_c, b_c, r_c, t_c, faulty) -> Dict[Hashable, CopyId]:
         out: Dict[Hashable, CopyId] = {}
@@ -538,43 +378,28 @@ def hybrid_connectivity_scenario(
     not_b = frozenset(graph.nodes - b_side)
 
     e1 = ExecutionSpec(
-        name="E1",
-        faulty=frozenset(c2 | c3 | t_set),
-        equivocators=frozenset(t_set),
-        inputs=all_zero,
-        replay_map={x: (x, 0) for x in c2 | c3},
+        "E1", frozenset(c2 | c3 | t_set), all_zero,
+        model(0, 0, 0, None, c2 | c3 | t_set), 0,
         split_replay={
             x: [(a_frozen, (x, 1)), (not_a, (x, 0))] for x in t_set
         },
-        honest_model=model(0, 0, 0, None, c2 | c3 | t_set),
-        forced_output=0,
     )
     e2 = ExecutionSpec(
-        name="E2",
-        faulty=frozenset(c1 | c3 | r_set),
-        equivocators=frozenset(r_set),
-        inputs=e2_inputs,
-        replay_map={x: (x, 0) for x in c1 | c3},
+        "E2", frozenset(c1 | c3 | r_set), e2_inputs,
+        model(0, 1, None, 1, c1 | c3 | r_set), None,
         split_replay={
             x: [(a_frozen, (x, 0)), (not_a, (x, 1))] for x in r_set
         },
-        honest_model=model(0, 1, None, 1, c1 | c3 | r_set),
-        forced_output=None,
     )
     e3 = ExecutionSpec(
-        name="E3",
-        faulty=frozenset(c1 | c2 | t_set),
-        equivocators=frozenset(t_set),
-        inputs=all_one,
-        replay_map={x: (x, 0) for x in c1 | c2},
+        "E3", frozenset(c1 | c2 | t_set), all_one,
+        model(1, 1, 1, None, c1 | c2 | t_set), 1,
         split_replay={
             x: [(b_frozen, (x, 1)), (not_b, (x, 0))] for x in t_set
         },
-        honest_model=model(1, 1, 1, None, c1 | c2 | t_set),
-        forced_output=1,
     )
     return ImpossibilityScenario(
-        kind="hybrid-connectivity",
+        kind="connectivity" if t == 0 else "hybrid-connectivity",
         graph=graph,
         f=f,
         t=t,

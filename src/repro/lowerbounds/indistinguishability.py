@@ -103,11 +103,15 @@ class ScenarioReport:
 
 
 def _adversary_for(spec: ExecutionSpec, sim: CoveringSimulator) -> Adversary:
-    """Replay behaviors for one projected execution, from 𝒢 transcripts."""
+    """Replay behaviors for one projected execution, from 𝒢 transcripts.
+
+    An equivocating node replays its split groups; every other faulty
+    node ``x`` replays copy ``(x, 0)``.
+    """
     assignments: Dict[Hashable, Adversary] = {}
     plain_schedules = {
-        node: sim.transcripts[copy].as_schedule()
-        for node, copy in spec.replay_map.items()
+        node: sim.transcripts[(node, 0)].as_schedule()
+        for node in spec.faulty - spec.equivocators
     }
     if plain_schedules:
         replay = ReplayAdversary(plain_schedules)

@@ -13,6 +13,7 @@ from repro.graphs import (
     hybrid_neighborhood_deficient_graph,
     min_set_neighborhood,
     neighbors_of_set,
+    oneway_ring,
     split_into_parts,
     star_graph,
 )
@@ -86,6 +87,15 @@ class TestCutPartition:
     def test_find_cut_partition_none_when_too_connected(self):
         assert find_cut_partition(complete_graph(5), 3) is None
         assert find_cut_partition(cycle_graph(5), 1) is None
+
+    def test_digraph_refused(self):
+        """Both helpers split components of an undirected graph, so a
+        digraph is refused with a GraphError, not an AttributeError."""
+        d = oneway_ring(9, 2)
+        with pytest.raises(GraphError, match="undirected graphs only"):
+            cut_partition(d, {0, 1})
+        with pytest.raises(GraphError, match="undirected graphs only"):
+            find_cut_partition(d, 3)
 
     def test_find_cut_partition_disconnected(self):
         g = Graph(nodes=[0, 1])

@@ -15,7 +15,6 @@ from repro.graphs import (
 from repro.lowerbounds import (
     connectivity_scenario,
     degree_scenario,
-    hybrid_connectivity_scenario,
     hybrid_neighborhood_scenario,
 )
 
@@ -109,7 +108,7 @@ class TestHybridScenarios:
         edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
         edges += [(a, b) for a in [2, 3, 4, 5] for b in [2, 3, 4, 5] if a < b]
         g = Graph(range(6), edges)
-        sc = hybrid_connectivity_scenario(g, 1, 1)
+        sc = connectivity_scenario(g, 1, 1)
         assert len(sc.notes["R"]) <= 1 and len(sc.notes["T"]) <= 1
         cut = (sc.notes["C1"] | sc.notes["C2"] | sc.notes["C3"]
                | sc.notes["R"] | sc.notes["T"])
@@ -118,9 +117,24 @@ class TestHybridScenarios:
             assert len(spec.faulty) <= 1
             assert len(spec.equivocators) <= 1
 
-    def test_connectivity_rejects_t0(self):
-        with pytest.raises(GraphError):
-            hybrid_connectivity_scenario(cycle_graph(5), 1, 0)
+    def test_connectivity_t0_is_figure_3(self):
+        """Figure 3 is Figure 5 with R and T empty: one builder serves
+        both, and at t = 0 nothing equivocates."""
+        sc = connectivity_scenario(low_connectivity_graph(2), 2, 0)
+        assert sc.kind == "connectivity" and sc.t == 0
+        assert sc.notes["R"] == sc.notes["T"] == frozenset()
+        assert all(not spec.equivocators for spec in sc.executions)
+
+    @pytest.mark.parametrize("t", [-1, 2, 3])
+    def test_connectivity_rejects_t_outside_0_to_f(self, t):
+        with pytest.raises(GraphError, match="0 <= t <= f"):
+            connectivity_scenario(low_connectivity_graph(2), 1, t)
+
+    def test_connectivity_refusal_names_the_figure(self):
+        with pytest.raises(GraphError, match="no Figure 3 scenario"):
+            connectivity_scenario(complete_graph(5), 1)
+        with pytest.raises(GraphError, match="no Figure 5 scenario"):
+            connectivity_scenario(complete_graph(5), 1, 1)
 
 
 class TestDigraphsRefused:
@@ -131,7 +145,7 @@ class TestDigraphsRefused:
         (degree_scenario, (1,)),
         (connectivity_scenario, (2,)),
         (hybrid_neighborhood_scenario, (2, 1)),
-        (hybrid_connectivity_scenario, (2, 1)),
+        (connectivity_scenario, (2, 1)),
     ], ids=["degree", "connectivity", "hybrid-neighborhood", "hybrid-connectivity"])
     def test_rejects_a_digraph(self, build, args):
         for d in (oneway_ring(5), oneway_ring(9, 2), path_graph(4).to_digraph()):

@@ -4,10 +4,10 @@ Each builder's output (the covering network's copies and listen map,
 the copy inputs, and every projected execution with the replay source
 of each faulty node) is dumped as repr-keyed, key-sorted JSON and
 hashed; so is ``run_scenario``'s outcome (copy outputs, and each
-execution's outputs and transmissions).  The digests were taken from
-the builders as first written, one per figure, so a refactor of
-``constructions.py`` or ``indistinguishability.py`` that changes any
-scenario or run fails here.
+execution's outputs and transmissions).  The digests were taken while
+Figures 3 and 5 still had separate builders and every execution stored
+its replay map, so a refactor of ``constructions.py`` or
+``indistinguishability.py`` that changes any scenario or run fails here.
 
 ``low_connectivity_graph(2)`` is pinned as a scenario only: its run
 takes seconds, and ``demo-impossibility --kind connectivity --f 2``
@@ -32,7 +32,6 @@ from repro.graphs import Graph, cycle_graph, low_connectivity_graph, path_graph
 from repro.lowerbounds import (
     connectivity_scenario,
     degree_scenario,
-    hybrid_connectivity_scenario,
     hybrid_neighborhood_scenario,
     indistinguishability,
     run_scenario,
@@ -56,7 +55,7 @@ def _two_k4_sharing_two():
 
 
 def _cases():
-    """name -> (graph, scenario builder, honest factory)."""
+    """name -> (scenario builder, honest factory or None)."""
     p3, bridged, c6 = path_graph(3), _bridged_triangles(), cycle_graph(6)
     low1, low2 = low_connectivity_graph(1), low_connectivity_graph(2)
     k4p, k4s = _k4_pendant(), _two_k4_sharing_two()
@@ -77,7 +76,7 @@ def _cases():
             lambda: hybrid_neighborhood_scenario(k4p, 1, 1),
             algorithm3_factory(k4p, 1, 1)),
         "fig5-two-k4-f1-t1": (
-            lambda: hybrid_connectivity_scenario(k4s, 1, 1),
+            lambda: connectivity_scenario(k4s, 1, 1),
             algorithm3_factory(k4s, 1, 1)),
     }
 
@@ -119,7 +118,7 @@ def _labels(nodes):
 
 def _replay_sources(spec):
     """Non-equivocating faulty node -> the copy whose transcript it replays."""
-    return spec.replay_map
+    return {x: (x, 0) for x in spec.faulty - spec.equivocators}
 
 
 def scenario_digest(scenario) -> str:

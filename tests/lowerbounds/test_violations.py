@@ -23,7 +23,6 @@ from repro.graphs import (
 from repro.lowerbounds import (
     connectivity_scenario,
     degree_scenario,
-    hybrid_connectivity_scenario,
     hybrid_neighborhood_scenario,
     run_scenario,
 )
@@ -126,14 +125,14 @@ class TestFigure5HybridConnectivity:
 
     def test_violation(self):
         g = self.graph()
-        sc = hybrid_connectivity_scenario(g, 1, 1)
+        sc = connectivity_scenario(g, 1, 1)
         report = run_scenario(sc, algorithm3_factory(g, 1, 1))
         assert report.violation_demonstrated
         assert report.fully_indistinguishable
 
     def test_summary_text(self):
         g = self.graph()
-        sc = hybrid_connectivity_scenario(g, 1, 1)
+        sc = connectivity_scenario(g, 1, 1)
         report = run_scenario(sc, algorithm3_factory(g, 1, 1))
         text = report.summary()
         assert "violation demonstrated" in text

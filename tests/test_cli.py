@@ -84,6 +84,28 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "violation demonstrated" in out
 
+    def test_demo_impossibility_degree_f2(self, capsys):
+        """The degree demo runs on P3 at every f; at f = 2 it returns in
+        milliseconds instead of running K9 plus a pendant for minutes."""
+        assert main(["demo-impossibility", "--kind", "degree", "--f", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "scenario degree (f=2, t=0) on n=3" in out
+        assert "violation demonstrated" in out
+        assert "indistinguishability: True" in out
+
+    @pytest.mark.parametrize("kind", ["degree", "connectivity"])
+    @pytest.mark.parametrize("f", ["0", "3"])
+    def test_demo_impossibility_f_outside_1_2_exits_2(self, kind, f, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["demo-impossibility", "--kind", kind, "--f", f])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            "python -m repro demo-impossibility: error: argument --f: "
+            f"invalid choice: {f} (choose from 1, 2)"
+        ]
+
     def test_demo_impossibility_connectivity(self, capsys):
         code = main(["demo-impossibility", "--kind", "connectivity",
                      "--f", "2"])
