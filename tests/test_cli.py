@@ -35,6 +35,45 @@ class TestParseGraph:
             parse_graph("doughnut:5")
 
 
+# The stdout of every supported ``demo-impossibility``: both kinds at
+# f = 1 and 2.  Each demo breaks agreement in E2 and every honest node
+# matches the copy of the covering network that models it.
+DEMO_STDOUT = {
+    ('connectivity', 1): (
+        'scenario connectivity (f=1, t=0) on n=5\n'
+        '  E1: faulty=[2] agreement=True validity=True [consensus ok]\n'
+        '  E2: faulty=[2] agreement=False validity=True [VIOLATED]\n'
+        '  E3: faulty=[] agreement=True validity=True [consensus ok]\n'
+        '  => violation demonstrated\n'
+        'indistinguishability: True\n'
+    ),
+    ('connectivity', 2): (
+        'scenario connectivity (f=2, t=0) on n=7\n'
+        '  E1: faulty=[3, 4] agreement=True validity=True [consensus ok]\n'
+        '  E2: faulty=[2, 4] agreement=False validity=True [VIOLATED]\n'
+        '  E3: faulty=[2, 3] agreement=True validity=True [consensus ok]\n'
+        '  => violation demonstrated\n'
+        'indistinguishability: True\n'
+    ),
+    ('degree', 1): (
+        'scenario degree (f=1, t=0) on n=3\n'
+        '  E1: faulty=[1] agreement=True validity=True [consensus ok]\n'
+        '  E2: faulty=[] agreement=False validity=True [VIOLATED]\n'
+        '  E3: faulty=[0] agreement=True validity=True [consensus ok]\n'
+        '  => violation demonstrated\n'
+        'indistinguishability: True\n'
+    ),
+    ('degree', 2): (
+        'scenario degree (f=2, t=0) on n=3\n'
+        '  E1: faulty=[1] agreement=True validity=True [consensus ok]\n'
+        '  E2: faulty=[] agreement=False validity=True [VIOLATED]\n'
+        '  E3: faulty=[0] agreement=True validity=True [consensus ok]\n'
+        '  => violation demonstrated\n'
+        'indistinguishability: True\n'
+    ),
+}
+
+
 class TestCommands:
     def test_check(self, capsys):
         assert main(["check", "--graph", "fig1a", "--f", "1"]) == 0
@@ -79,19 +118,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "kappa LB" in out
 
-    def test_demo_impossibility_degree(self, capsys):
-        assert main(["demo-impossibility", "--kind", "degree", "--f", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "violation demonstrated" in out
-
-    def test_demo_impossibility_degree_f2(self, capsys):
-        """The degree demo runs on P3 at every f; at f = 2 it returns in
-        milliseconds instead of running K9 plus a pendant for minutes."""
-        assert main(["demo-impossibility", "--kind", "degree", "--f", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "scenario degree (f=2, t=0) on n=3" in out
-        assert "violation demonstrated" in out
-        assert "indistinguishability: True" in out
+    @pytest.mark.parametrize(
+        "kind, f", sorted(DEMO_STDOUT), ids=lambda v: str(v))
+    def test_demo_impossibility_stdout(self, kind, f, capsys):
+        """Every supported demo, verbatim.  The degree demo runs on P3 at
+        every f, so at f = 2 it returns in milliseconds."""
+        assert main(["demo-impossibility", "--kind", kind,
+                     "--f", str(f)]) == 0
+        assert capsys.readouterr().out == DEMO_STDOUT[kind, f]
 
     @pytest.mark.parametrize("kind", ["degree", "connectivity"])
     @pytest.mark.parametrize("f", ["0", "3"])
@@ -105,11 +139,6 @@ class TestCommands:
             "python -m repro demo-impossibility: error: argument --f: "
             f"invalid choice: {f} (choose from 1, 2)"
         ]
-
-    def test_demo_impossibility_connectivity(self, capsys):
-        code = main(["demo-impossibility", "--kind", "connectivity",
-                     "--f", "2"])
-        assert code == 0
 
 
 class TestFaultBoundOption:
