@@ -404,6 +404,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         # HybridEquivocatorPolicy, so a sweep record's scenario replays
         # identically here regardless of --faulty argument order.
         channel = analysis.HybridEquivocatorPolicy(args.t)(tuple(faulty))
+    if isinstance(adversary, EquivocatingAdversary):
+        for v in faulty:
+            if not channel.may_unicast(v):
+                _usage_error(
+                    args,
+                    "argument --adversary: equivocate needs unicast, but "
+                    f"faulty node {v!r} is restricted to local broadcast "
+                    "(--algorithm 3 --t T grants it to T faulty nodes)",
+                )
     result = consensus.run_consensus(
         graph, factory, inputs, f=args.f, faulty=faulty,
         adversary=adversary if faulty else None, channel=channel,
@@ -894,7 +903,8 @@ def cmd_demo_impossibility(args: argparse.Namespace) -> int:
     outcome = run_scenario(scenario, factory)
     print(outcome.summary())
     print(f"indistinguishability: {outcome.fully_indistinguishable}")
-    return 0 if outcome.violation_demonstrated else 1
+    shown = outcome.violation_demonstrated and outcome.fully_indistinguishable
+    return 0 if shown else 1
 
 
 def _add_problem(p: argparse.ArgumentParser, algorithm: str = "") -> None:

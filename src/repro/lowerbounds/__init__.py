@@ -13,14 +13,12 @@ from .constructions import (
     degree_scenario,
     hybrid_neighborhood_scenario,
 )
-from .covering import CopyId, CopyTranscript, CoveringNetwork, CoveringSimulator
+from .covering import CopyId, CoveringNetwork, run_covering
 from .indistinguishability import ExecutionReport, ScenarioReport, run_scenario
 
 __all__ = [
     "CopyId",
-    "CopyTranscript",
     "CoveringNetwork",
-    "CoveringSimulator",
     "ExecutionReport",
     "ExecutionSpec",
     "ImpossibilityScenario",
@@ -28,5 +26,6 @@ __all__ = [
     "connectivity_scenario",
     "degree_scenario",
     "hybrid_neighborhood_scenario",
+    "run_covering",
     "run_scenario",
 ]

@@ -13,19 +13,21 @@ replay copy transcripts.  Validity forces the outputs in ``E1`` and
 ``E3``; the projection forces a contradiction in ``E2``.
 
 :class:`CoveringNetwork` stores the copy structure and the listen map;
-:class:`CoveringSimulator` runs protocols on it, giving every copy a
-:class:`~repro.net.node.Context` that looks exactly like running on
-``G`` (same graph object, same node name, local-broadcast channel).
+:func:`run_covering` runs ``E`` on the same engine as ``E1, E2, E3``
+(:class:`~repro.net.EventDrivenNetwork`, over :meth:`CoveringNetwork.digraph`),
+giving every copy a :class:`~repro.net.node.Context` that looks exactly
+like running on ``G`` (same graph object, same node name, local-broadcast
+channel), and returns each copy's transcript as a replay schedule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
-from ..graphs import Graph, GraphError
-from ..net.channels import local_broadcast_model
-from ..net.node import Context, Protocol
+from ..graphs import Digraph, Graph, GraphError
+from ..net.node import Context, Outgoing, Protocol
+from ..net.sched import EventDrivenNetwork
 
 CopyId = Tuple[Hashable, int]  # (original node, copy index)
 
@@ -68,15 +70,19 @@ class CoveringNetwork:
             for i in self.copies[u]
         ]
 
-    def listeners_of(self, speaker: CopyId) -> List[CopyId]:
-        """Every copy that receives ``speaker``'s transmissions."""
-        v, j = speaker
-        out = []
-        for u in sorted(self.base.neighbors(v), key=repr):
-            for i in self.copies[u]:
-                if self.listen[(u, i)][v] == j:
-                    out.append((u, i))
-        return out
+    def digraph(self) -> Digraph:
+        """``𝒢`` as a digraph of copy ids: an arc from each copy to every
+        copy that listens to it.  Only ``G``'s edges are read, so a
+        listen entry naming a non-neighbor carries nothing."""
+        return Digraph(
+            self.all_copies(),
+            (
+                ((v, self.listen[(u, i)][v]), (u, i))
+                for u in self.base.nodes
+                for i in self.copies[u]
+                for v in self.base.neighbors(u)
+            ),
+        )
 
     def check_edge_property(self) -> None:
         """Assert the proofs' invariant: per ``G``-edge ``uv``, each copy
@@ -93,82 +99,52 @@ class CoveringNetwork:
                     )
 
 
-@dataclass
-class CopyTranscript:
-    """What one copy transmitted, per round (all sends are broadcasts —
-    honest protocols under local broadcast never unicast)."""
+class _Copy(Protocol):
+    """Copy ``(u, i)`` of ``𝒢``: runs node ``u``'s protocol as if on ``G``.
 
-    messages: Dict[int, List[object]] = field(default_factory=dict)
-
-    def record(self, round_no: int, message: object) -> None:
-        self.messages.setdefault(round_no, []).append(message)
-
-    def as_schedule(self) -> Dict[int, List[Tuple[object, Optional[Hashable]]]]:
-        """The shape :class:`~repro.net.adversary.ReplayAdversary` expects."""
-        return {
-            r: [(m, None) for m in msgs] for r, msgs in self.messages.items()
-        }
-
-
-class CoveringSimulator:
-    """Run per-node protocols on a covering network.
-
-    Every copy ``(u, i)`` runs a protocol built for node ``u`` on the
-    *base* graph: the context it receives is indistinguishable from a
-    real execution on ``G``.  Delivery follows the listen map; inbox
-    order is deterministic (senders sorted, FIFO per sender).
+    The inner protocol gets ``G``, the name ``u``, senders named by their
+    base nodes and the engine's local-broadcast channel.  Every send must
+    be a broadcast; each is kept in :attr:`schedule` (round →
+    ``[(message, None)]``), the shape
+    :class:`~repro.net.adversary.ReplayAdversary` replays.
     """
 
-    def __init__(
-        self,
-        network: CoveringNetwork,
-        protocols: Mapping[CopyId, Protocol],
-    ):
-        missing = set(network.all_copies()) - set(protocols)
-        if missing:
-            raise GraphError(f"no protocol for copies {sorted(missing)}")
-        self.network = network
-        self.protocols = dict(protocols)
-        self.round_no = 0
-        self.transcripts: Dict[CopyId, CopyTranscript] = {
-            c: CopyTranscript() for c in network.all_copies()
-        }
-        self._pending: Dict[CopyId, List[Tuple[Hashable, object]]] = {
-            c: [] for c in network.all_copies()
-        }
-        self._order = network.all_copies()
-        self._channel = local_broadcast_model()
+    def __init__(self, node: Hashable, base: Graph, inner: Protocol):
+        self.node, self.base, self.inner = node, base, inner
+        self.schedule: Dict[int, Outgoing] = {}
 
-    def step(self) -> None:
-        self.round_no += 1
-        inboxes, self._pending = self._pending, {c: [] for c in self._order}
-        contexts: List[Tuple[CopyId, Context]] = []
-        for cid in self._order:
-            u, _i = cid
-            ctx = Context(
-                node=u,
-                graph=self.network.base,
-                round_no=self.round_no,
-                channel=self._channel,
-                inbox=inboxes[cid],
-            )
-            self.protocols[cid].on_round(ctx)
-            contexts.append((cid, ctx))
-        for cid, ctx in contexts:
-            listeners = self.network.listeners_of(cid)
-            u, _i = cid
-            for message, target in ctx.outbox:
-                if target is not None:
-                    raise GraphError(
-                        "covering executions model local broadcast only"
-                    )
-                self.transcripts[cid].record(self.round_no, message)
-                for lid in listeners:
-                    self._pending[lid].append((u, message))
+    def on_round(self, ctx: Context) -> None:
+        inbox = [(sender[0], message) for sender, message in ctx.inbox]
+        shadow = Context(self.node, self.base, ctx.round_no, ctx.channel, inbox)
+        self.inner.on_round(shadow)
+        for message, target in shadow.outbox:
+            if target is not None:
+                raise GraphError("covering executions model local broadcast only")
+            self.schedule.setdefault(ctx.round_no, []).append((message, None))
+            ctx.broadcast(message)
 
-    def run(self, rounds: int) -> None:
-        for _ in range(rounds):
-            self.step()
+    def output(self) -> Optional[int]:
+        return self.inner.output()
 
-    def outputs(self) -> Dict[CopyId, Optional[int]]:
-        return {c: p.output() for c, p in self.protocols.items()}
+
+def run_covering(
+    network: CoveringNetwork,
+    protocols: Mapping[CopyId, Protocol],
+    rounds: int,
+) -> Tuple[Dict[CopyId, Optional[int]], Dict[CopyId, Dict[int, Outgoing]]]:
+    """Run execution ``E``: ``rounds`` lockstep rounds of ``protocols``
+    (one per copy, built for its base node) on ``𝒢``.
+
+    Returns each copy's output and its transcript as a replay schedule.
+    The engine fills an inbox in ``repr`` order of the sending copies,
+    and a copy hears one copy per neighbor, so its inbox is ordered as
+    ``u``'s inbox on ``G`` would be.
+    """
+    copies = network.all_copies()
+    missing = set(copies) - set(protocols)
+    if missing:
+        raise GraphError(f"no protocol for copies {sorted(missing)}")
+    wrapped = {c: _Copy(c[0], network.base, protocols[c]) for c in copies}
+    EventDrivenNetwork(network.digraph(), wrapped, record_messages=False).run(rounds)
+    outputs = {c: p.output() for c, p in protocols.items()}
+    return outputs, {c: w.schedule for c, w in wrapped.items()}

@@ -3,11 +3,13 @@
 The pipeline mirrors the proofs exactly:
 
 1. run execution ``E`` on the covering network ``𝒢`` — every copy runs
-   the honest per-node procedure with the construction's inputs;
+   the honest per-node procedure with the construction's inputs, on the
+   same engine as the projected executions;
 2. project: build the real executions ``E1, E2, E3`` where the faulty
-   nodes *replay* their copies' transcripts (equivocating faults replay
-   two copies, one per neighbor group, which requires hybrid-channel
-   unicast power);
+   nodes *replay* their copies' transcripts through one
+   :class:`~repro.net.adversary.ReplayAdversary` (equivocating faults
+   unicast two copies' transcripts, one per neighbor group, which
+   requires hybrid-channel unicast power);
 3. verify **indistinguishability**: each honest node of ``Ei`` behaves
    exactly like the copy that models it, so its output equals that
    copy's output in ``E``;
@@ -24,16 +26,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from ..consensus.runner import ConsensusResult, run_consensus
-from ..net.adversary import (
-    Adversary,
-    CompositeAdversary,
-    ReplayAdversary,
-    SplitReplayAdversary,
-)
+from ..graphs import Graph
+from ..net.adversary import ReplayAdversary
 from ..net.channels import hybrid_model, local_broadcast_model
-from ..net.node import Protocol
+from ..net.node import Outgoing, Protocol
 from .constructions import ExecutionSpec, ImpossibilityScenario
-from .covering import CopyId, CoveringSimulator
+from .covering import CopyId, run_covering
 
 HonestFactory = Callable[[Hashable, int], Protocol]
 
@@ -102,33 +100,30 @@ class ScenarioReport:
         return "\n".join(lines)
 
 
-def _adversary_for(spec: ExecutionSpec, sim: CoveringSimulator) -> Adversary:
+def _adversary_for(
+    spec: ExecutionSpec,
+    schedules: Dict[CopyId, Dict[int, Outgoing]],
+    graph: Graph,
+) -> ReplayAdversary:
     """Replay behaviors for one projected execution, from 𝒢 transcripts.
 
-    An equivocating node replays its split groups; every other faulty
-    node ``x`` replays copy ``(x, 0)``.
+    Every non-equivocating faulty node ``x`` replays copy ``(x, 0)``.  An
+    equivocating node unicasts each split group's copy transcript to the
+    group's neighbors: per round, group by group, message by message,
+    neighbors in ``repr`` order.
     """
-    assignments: Dict[Hashable, Adversary] = {}
-    plain_schedules = {
-        node: sim.transcripts[(node, 0)].as_schedule()
-        for node in spec.faulty - spec.equivocators
-    }
-    if plain_schedules:
-        replay = ReplayAdversary(plain_schedules)
-        for node in plain_schedules:
-            assignments[node] = replay
-    if spec.split_replay:
-        group_schedules = {
-            node: [
-                (targets, sim.transcripts[copy].as_schedule())
-                for targets, copy in groups
-            ]
-            for node, groups in spec.split_replay.items()
-        }
-        split = SplitReplayAdversary(group_schedules)
-        for node in spec.split_replay:
-            assignments[node] = split
-    return CompositeAdversary(assignments)
+    plan = {x: schedules[(x, 0)] for x in spec.faulty - spec.equivocators}
+    for node, groups in spec.split_replay.items():
+        neighbors = graph.neighbors(node)
+        unicasts: Dict[int, Outgoing] = {}
+        plan[node] = unicasts
+        for targets, copy in groups:
+            recipients = sorted(targets & neighbors, key=repr)
+            for round_no, sends in schedules[copy].items():
+                unicasts.setdefault(round_no, []).extend(
+                    (message, nbr) for message, _ in sends for nbr in recipients
+                )
+    return ReplayAdversary(plan)
 
 
 def run_scenario(
@@ -147,13 +142,11 @@ def run_scenario(
         if not known:
             raise ValueError("rounds required: protocols expose no budget")
         rounds = max(known)
-    sim = CoveringSimulator(scenario.network, protocols)
-    sim.run(rounds)
-    copy_outputs = sim.outputs()
+    copy_outputs, schedules = run_covering(scenario.network, protocols, rounds)
 
     reports: List[ExecutionReport] = []
     for spec in scenario.executions:
-        adversary = _adversary_for(spec, sim)
+        adversary = _adversary_for(spec, schedules, scenario.graph)
         channel = (
             hybrid_model(spec.equivocators)
             if spec.equivocators

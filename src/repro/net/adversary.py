@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, Optional, Tuple
 
 from ..graphs import Graph
 from .channels import ChannelModel
@@ -386,7 +386,9 @@ class ReplayAdversary(Adversary):
     This is the adversary of the impossibility proofs: "in each round, a
     faulty node broadcasts the same messages as the corresponding node in
     network 𝒢 in execution E in the same round" (Lemmas A.1/A.2/D.1/D.2).
-    ``schedules[node]`` maps round → list of (message, target) pairs.
+    ``schedules[node]`` maps round → list of (message, target) pairs; an
+    equivocating node's split replay (Lemmas D.1/D.2) is a schedule of
+    unicasts, which needs a channel granting that node unicast.
     """
 
     name = "replay"
@@ -419,62 +421,11 @@ class ReplayAdversary(Adversary):
         return self._Replay(self.schedules.get(spec.node, {}))
 
 
-class SplitReplayAdversary(Adversary):
-    """Equivocating replay: different prescribed transcripts per neighbor
-    group.
-
-    This is the faulty behavior of the hybrid-model impossibility proofs
-    (Lemmas D.1/D.2): "the communication by equivocating faulty nodes in
-    T to its neighbors in S is the same as that by the corresponding copy
-    in T0 and to the remaining neighbors the same as that by T1."
-    ``group_schedules[node]`` is a list of ``(targets, schedule)`` pairs;
-    each round, every message of each schedule is unicast to the targets
-    of its group (requires a channel granting this node unicast).
-    """
-
-    name = "split-replay"
-
-    def __init__(
-        self,
-        group_schedules: Dict[
-            Hashable,
-            List[Tuple[FrozenSet[Hashable], Dict[int, Outgoing]]],
-        ],
-    ):
-        self.group_schedules = group_schedules
-
-    class _SplitReplay(Protocol):
-        def __init__(self, groups, neighbors):
-            self.groups = groups
-            self.neighbors = neighbors
-
-        def on_round(self, ctx: Context) -> None:
-            for targets, schedule in self.groups:
-                for message, _target in schedule.get(ctx.round_no, []):
-                    for nbr in sorted(targets & self.neighbors, key=repr):
-                        ctx.send(nbr, message)
-
-        def output(self) -> Optional[int]:
-            return None
-
-        @property
-        def finished(self) -> bool:
-            return True
-
-    def build(self, spec: FaultSpec) -> Protocol:
-        return self._SplitReplay(
-            self.group_schedules.get(spec.node, []),
-            spec.graph.neighbors(spec.node),
-        )
-
-
 class CompositeAdversary(Adversary):
     """Per-node dispatch: different faulty nodes get different behaviors.
 
-    The impossibility executions mix plain transcript replay
-    (non-equivocating faults) with split replay (equivocating faults) in
-    the same run; experiments also use this to combine e.g. one silent
-    and one tampering node.
+    Experiments use this to combine e.g. one silent and one tampering
+    node in the same run.
     """
 
     name = "composite"

@@ -13,11 +13,10 @@ The trace is the simulator's ground truth.  It drives:
 * debugging: a faithful log of who said what, when, to whom.
 
 The impossibility experiments (Appendices A and D) do not replay engine
-traces: they record an execution ``E`` on the covering network with
-:class:`~repro.lowerbounds.covering.CoveringSimulator` and replay faulty
-nodes' per-copy transcripts
-(:meth:`~repro.lowerbounds.covering.CopyTranscript.as_schedule`) into
-the executions ``E1, E2, E3``.
+traces: :func:`~repro.lowerbounds.covering.run_covering` runs an
+execution ``E`` on the covering network, counts-only, keeping each
+copy's transcript as a replay schedule, and faulty nodes replay those
+schedules into the executions ``E1, E2, E3``.
 
 A trace has two levels, chosen when the engine is built: *recorded*
 (per-message :class:`Transmission`/:class:`Delivery` logs plus the

@@ -1,9 +1,9 @@
-"""Covering network structure and simulator semantics."""
+"""Covering network structure and execution ``E`` on the engine."""
 
 import pytest
 
 from repro.graphs import Graph, GraphError, cycle_graph, path_graph
-from repro.lowerbounds import CoveringNetwork, CoveringSimulator, degree_scenario
+from repro.lowerbounds import CoveringNetwork, degree_scenario, run_covering
 from repro.net import Context, Protocol
 
 
@@ -63,19 +63,33 @@ class TestCoveringNetwork:
                 {(0, 0): {1: 0}, (1, 0): {0: 0}, (2, 0): {1: 0}},
             )
 
-    def test_listeners_of(self):
-        net = tiny_network()
-        assert net.listeners_of((2, 0)) == [(1, 0)]
-        assert net.listeners_of((2, 1)) == []  # nobody listens to copy 1
-        assert set(net.listeners_of((1, 0))) == {(0, 0), (2, 0), (2, 1)}
+    def test_digraph_arcs(self):
+        """Each copy has an arc to every copy that listens to it."""
+        g = tiny_network().digraph()
+        assert g.nodes == frozenset(tiny_network().all_copies())
+        assert g.sorted_neighbors((2, 0)) == ((1, 0),)
+        assert g.sorted_neighbors((2, 1)) == ()  # nobody listens to copy 1
+        assert set(g.neighbors((1, 0))) == {(0, 0), (2, 0), (2, 1)}
+
+    def test_listen_entry_for_non_neighbor_carries_nothing(self):
+        """Only G's edges make arcs: (0, 0) names non-neighbor 2 in its
+        listen map, yet hears 1 alone."""
+        g = path_graph(3)
+        net = CoveringNetwork(
+            g, {0: (0,), 1: (0,), 2: (0,)},
+            {(0, 0): {1: 0, 2: 0}, (1, 0): {0: 0, 2: 0}, (2, 0): {1: 0}},
+        )
+        assert (0, 0) not in net.digraph().neighbors((2, 0))
+        protos = {c: Probe(c) for c in net.all_copies()}
+        run_covering(net, protos, 2)
+        assert protos[(0, 0)].heard[1] == [(1, (1, 0))]
 
 
-class TestCoveringSimulator:
+class TestRunCovering:
     def test_delivery_follows_listen_map(self):
         net = tiny_network()
         protos = {c: Probe(c) for c in net.all_copies()}
-        sim = CoveringSimulator(net, protos)
-        sim.run(2)
+        run_covering(net, protos, 2)
         # (1,0) hears 0's copy and 2's copy 0 — not copy 1.
         heard = protos[(1, 0)].heard[1]
         assert (0, (0, 0)) in heard
@@ -85,12 +99,12 @@ class TestCoveringSimulator:
         assert protos[(2, 0)].heard[1] == [(1, (1, 0))]
         assert protos[(2, 1)].heard[1] == [(1, (1, 0))]
 
-    def test_transcripts_recorded(self):
+    def test_transcripts_returned_as_schedules(self):
         net = tiny_network()
         protos = {c: Probe(c) for c in net.all_copies()}
-        sim = CoveringSimulator(net, protos)
-        sim.run(3)
-        schedule = sim.transcripts[(2, 1)].as_schedule()
+        outputs, schedules = run_covering(net, protos, 3)
+        assert outputs == dict.fromkeys(net.all_copies())
+        schedule = schedules[(2, 1)]
         assert set(schedule) == {1, 2, 3}
         assert schedule[1] == [((2, 1), None)]
 
@@ -105,14 +119,13 @@ class TestCoveringSimulator:
         net = tiny_network()
         protos = {c: Probe(c) for c in net.all_copies()}
         protos[(0, 0)] = Rogue()
-        sim = CoveringSimulator(net, protos)
         with pytest.raises(GraphError):
-            sim.run(1)
+            run_covering(net, protos, 1)
 
     def test_missing_protocols_rejected(self):
         net = tiny_network()
         with pytest.raises(GraphError):
-            CoveringSimulator(net, {(0, 0): Probe("x")})
+            run_covering(net, {(0, 0): Probe("x")}, 1)
 
     def test_scenario_networks_pass_structure_check(self):
         sc = degree_scenario(path_graph(3), 1)

@@ -22,7 +22,7 @@ from repro.net import (
     local_broadcast_model,
     standard_adversaries,
 )
-from repro.net.adversary import CompositeAdversary, SplitReplayAdversary
+from repro.net.adversary import CompositeAdversary
 from repro.consensus import Algorithm1Protocol, algorithm1_factory
 
 
@@ -174,15 +174,12 @@ class TestReplay:
             (t.round_no, t.message, t.target) for t in sent
         ]
 
-    def test_split_replay_targets_groups(self, c5):
+    def test_replay_unicasts_per_neighbor(self, c5):
+        """A split replay is a schedule of unicasts: each neighbor group
+        hears its own transcript (needs the hybrid channel's power)."""
         ch = hybrid_model({2})
-        groups = {
-            2: [
-                (frozenset({1}), {1: [("for-one", None)]}),
-                (frozenset({3}), {1: [("for-three", None)]}),
-            ]
-        }
-        net = run_with(c5, SplitReplayAdversary(groups), node=2, rounds=2, channel=ch)
+        schedule = {2: {1: [("for-one", 1), ("for-three", 3)]}}
+        net = run_with(c5, ReplayAdversary(schedule), node=2, rounds=2, channel=ch)
         by_target = {t.target: t.message for t in net.trace.sent_by(2)}
         assert by_target == {1: "for-one", 3: "for-three"}
 

@@ -1,9 +1,11 @@
 """The command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
 
+import repro.__main__ as cli
 from repro.__main__ import UsageError, main, parse_graph
 from repro.analysis import consensus_sweep
 from repro.consensus import Algorithm1Protocol
@@ -108,6 +110,16 @@ class TestCommands:
         assert code == 0
         assert "outcome       : decided" in capsys.readouterr().out
 
+    def test_run_equivocate_on_hybrid_channel_still_runs(self, capsys):
+        """C5 misses the hybrid bound, so an equivocator granted unicast
+        by --t 1 breaks agreement (exit 1) instead of being refused."""
+        code = main([
+            "run", "--graph", "cycle:5", "--f", "1", "--t", "1",
+            "--algorithm", "3", "--faulty", "2", "--adversary", "equivocate",
+        ])
+        assert code == 1
+        assert "outcome       : disagreed" in capsys.readouterr().out
+
     def test_run_unknown_adversary(self):
         with pytest.raises(SystemExit):
             main(["run", "--graph", "cycle:5", "--f", "1",
@@ -126,6 +138,26 @@ class TestCommands:
         assert main(["demo-impossibility", "--kind", kind,
                      "--f", str(f)]) == 0
         assert capsys.readouterr().out == DEMO_STDOUT[kind, f]
+
+    def test_demo_impossibility_needs_indistinguishability(
+            self, monkeypatch, capsys):
+        """A violation whose honest nodes did not all match their model
+        copies shows nothing: the demo exits 1."""
+        real = cli.run_scenario
+
+        def mismatched(scenario, factory):
+            report = real(scenario, factory)
+            first = dataclasses.replace(
+                report.executions[0], indistinguishable=False)
+            return dataclasses.replace(
+                report, executions=(first, *report.executions[1:]))
+
+        monkeypatch.setattr(cli, "run_scenario", mismatched)
+        assert main(["demo-impossibility", "--kind", "degree",
+                     "--f", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "=> violation demonstrated\n" in out
+        assert out.endswith("indistinguishability: False\n")
 
     @pytest.mark.parametrize("kind", ["degree", "connectivity"])
     @pytest.mark.parametrize("f", ["0", "3"])
@@ -199,6 +231,19 @@ class TestUsageErrors:
         self.assert_usage_error(
             ["run", "--graph", "cycle:5", "--f", "1", "--faulty", "0,1"],
             "argument --faulty: 2 faulty nodes exceed f = 1", capsys,
+        )
+
+    @pytest.mark.parametrize("argv, node", [
+        ("--graph cycle:5 --f 1 --algorithm 1 --faulty 2", 2),
+        ("--graph oneway:5 --f 1 --algorithm 2 --faulty 0", 0),
+        ("--graph complete:7 --f 2 --algorithm 3 --t 1 --faulty 0,1", 1),
+    ], ids=["local-broadcast", "digraph", "beyond-t"])
+    def test_equivocate_without_unicast(self, argv, node, capsys):
+        self.assert_usage_error(
+            ["run", *argv.split(), "--adversary", "equivocate"],
+            f"python -m repro run: error: argument --adversary: equivocate "
+            f"needs unicast, but faulty node {node} is restricted to local "
+            "broadcast", capsys,
         )
 
     def test_sweep_zero_workers(self, capsys):
