@@ -44,8 +44,9 @@ no round schedule, and no delay bound read anywhere — pair it with
 
 ``run``, ``sweep`` and ``profile`` map their options to the recipe dicts
 a flight header records (:func:`factory_spec`, an adversary's
-``{name, seed}``) and build them as ``trace replay`` does, so a sweep
-row reproduces through ``run --faulty … --adversary …``.
+``{name, seed}``, which :data:`~repro.net.ADVERSARIES` resolves) and
+build them as ``trace replay`` does, so a sweep row reproduces through
+``run --faulty … --adversary …``.
 """
 
 from __future__ import annotations
@@ -56,13 +57,12 @@ import os
 import sys
 from typing import NoReturn
 
-from . import analysis, consensus, graphs
+from . import analysis, consensus, graphs, net
 from .lowerbounds import (
     connectivity_scenario,
     degree_scenario,
     run_scenario,
 )
-from .net import EquivocatingAdversary, standard_adversaries
 from .net.channels import local_broadcast_model
 from .net.sched import SCHEDULER_KINDS, parse_scheduler
 from .obs import FlightReplayError
@@ -93,18 +93,25 @@ def _spec_float(spec: str, token: str, what: str) -> float:
         ) from None
 
 
-def _fault_bound(token: str) -> int:
-    """argparse type of every ``--f``: a non-negative integer, so a bad
-    bound exits 2 with a usage line instead of a traceback or a report."""
-    try:
-        value = int(token)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {token!r}"
-        ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+def _int_at_least(low: int, what: str):
+    """An argparse type: an integer ``>= low``, so a bad value exits 2
+    with a usage line instead of a traceback or a vacuous report."""
+    def parse(token: str) -> int:
+        try:
+            value = int(token)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {token!r}"
+            ) from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+
+    return parse
+
+
+_fault_bound = _int_at_least(0, "non-negative")  # every --f
+_positive_int = _int_at_least(1, "positive")  # --fault-limit
 
 
 def _usage_error(args: argparse.Namespace, message: str) -> NoReturn:
@@ -392,9 +399,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     faulty = _parse_faulty(args, nodes) if args.faulty else []
     # Resolved even with no faulty node, so a misspelt name never passes
     # silently; seeded as sweep seeds its battery, so a row replays here.
-    adversary = analysis.adversary_from_flight(
-        {"name": args.adversary, "seed": args.seed}
-    )
+    adversary = net.adversary_from_spec({"name": args.adversary, "seed": args.seed})
     axis = parse_scheduler_axis(args)
     factory = analysis.factory_from_flight(graph, factory_spec(args, axis))
     inputs = {v: i % 2 for i, v in enumerate(nodes)}
@@ -404,7 +409,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         # HybridEquivocatorPolicy, so a sweep record's scenario replays
         # identically here regardless of --faulty argument order.
         channel = analysis.HybridEquivocatorPolicy(args.t)(tuple(faulty))
-    if isinstance(adversary, EquivocatingAdversary):
+    if isinstance(adversary, net.EquivocatingAdversary):
         for v in faulty:
             if not channel.may_unicast(v):
                 _usage_error(
@@ -452,8 +457,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             # Every fault placement is fully equivocating, so the
             # equivocation behavior is physically possible on each
             # faulty node — add it to the battery the sweep runs.
-            adversaries = standard_adversaries(args.seed) + [
-                EquivocatingAdversary()
+            adversaries = net.standard_adversaries(args.seed) + [
+                net.EquivocatingAdversary()
             ]
     patterns = args.patterns.split(",") if args.patterns else None
     if patterns is not None:
@@ -954,7 +959,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem(p, algorithm="1")
     p.add_argument("--faulty", default="",
                    help="comma-separated node indices")
-    p.add_argument("--adversary", default="tamper-forward")
+    p.add_argument("--adversary", default="tamper-forward",
+                   help=f"faulty-node behavior: {', '.join(net.ADVERSARIES)}")
     p.add_argument("--scheduler", default="sync",
                    help="timing model: sync, lockstep, seeded-async, "
                         "adversarial")
@@ -981,7 +987,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem(p, algorithm="1")
     p.add_argument("--workers", type=int, default=1,
                    help="process fan-out (1 = serial; report is identical)")
-    p.add_argument("--fault-limit", type=int, default=None,
+    p.add_argument("--fault-limit", type=_positive_int, default=None,
                    help="seeded sample size of fault subsets")
     p.add_argument("--patterns", default="",
                    help="comma-separated input-pattern names "
@@ -1021,7 +1027,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_problem(p, algorithm="2")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--fault-limit", type=int, default=None,
+    p.add_argument("--fault-limit", type=_positive_int, default=None,
                    help="seeded sample size of fault subsets")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--name", default="",

@@ -18,7 +18,6 @@ from .requirements import (
 )
 from .replay import (
     ReplayOutcome,
-    adversary_from_flight,
     factory_from_flight,
     graph_from_flight,
     replay_flight,
@@ -43,7 +42,6 @@ __all__ = [
     "SweepRecord",
     "SweepReport",
     "SweepTask",
-    "adversary_from_flight",
     "consensus_sweep",
     "factory_from_flight",
     "graph_from_flight",

@@ -1,9 +1,9 @@
 """Re-execute flight recordings and verify byte-identity.
 
 A :class:`~repro.obs.FlightRecord` header carries a *recipe*, not
-pickled objects: the graph as an adjacency list, the honest factory as
-its ``flight_spec()`` dict, the adversary by battery name, the scheduler
-as its frozen spec fields, and the resolved round budget.  This module
+pickled objects: the graph as an adjacency list, the honest factory and
+the adversary as their ``flight_spec()`` dicts, the scheduler as its
+frozen spec fields, and the resolved round budget.  This module
 owns the inverse direction — rebuilding live objects from that recipe
 and running :func:`~repro.consensus.runner.run_consensus` again with
 ``flight=True``, so the replay produces a second recording that can be
@@ -22,14 +22,13 @@ differing line localizes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from ..consensus.factory import ProtocolFactory
 from ..consensus.runner import ConsensusResult, run_consensus
 from ..consensus.synchronizer import SynchronizedFactory
 from ..graphs import Digraph, Graph
-from ..net import EquivocatingAdversary
-from ..net.adversary import Adversary, CrashAdversary, standard_adversaries
+from ..net.adversary import adversary_from_spec
 from ..net.channels import ChannelModel
 from ..net.sched import SchedulerSpec
 from ..obs import FlightRecord, FlightReplayError, decode_label
@@ -75,25 +74,6 @@ def factory_from_flight(graph: Graph, spec: dict):
         raise FlightReplayError(f"factory spec {spec!r}: {exc}") from None
 
 
-def adversary_from_flight(spec: Optional[dict]) -> Optional[Adversary]:
-    """Look the adversary up by name in the battery seeded with ``seed``
-    (7 when absent) plus the equivocator; a crash keeps its round."""
-    if spec is None:
-        return None
-    name = spec["name"]
-    if name == "crash" and spec.get("crash_round") is not None:
-        return CrashAdversary(spec["crash_round"])
-    battery: List[Adversary] = standard_adversaries(
-        7 if spec["seed"] is None else spec["seed"]
-    )
-    battery.append(EquivocatingAdversary())
-    for adversary in battery:
-        if adversary.name == name:
-            return adversary
-    names = [adversary.name for adversary in battery]
-    raise FlightReplayError(f"unknown adversary {name!r}; choose from {names}")
-
-
 @dataclass
 class ReplayOutcome:
     """The verdict of one replay: the re-run, its recording, and whether
@@ -127,7 +107,7 @@ def replay_flight(record: FlightRecord) -> ReplayOutcome:
             {decode_label(enc): value for enc, value in header["inputs"]},
             f=header["f"],
             faulty=[decode_label(enc) for enc in header["faulty"]],
-            adversary=adversary_from_flight(header["adversary"]),
+            adversary=adversary_from_spec(header["adversary"]),
             channel=ChannelModel(channel["kind"], frozenset(
                 decode_label(enc) for enc in channel["equivocators"])),
             scheduler=scheduler and SchedulerSpec(**scheduler),

@@ -362,19 +362,11 @@ def _flight_header(
     ``flight_spec()``; one without it is recorded as opaque by its
     ``module.qualname`` (:func:`~repro.consensus.factory.flight_spec_of`)
     — the flight stays fully analyzable, and only ``replay`` refuses it.  The
-    adversary is recorded by battery name (plus its seed/crash knobs
-    when present), the scheduler as its frozen spec fields, and
-    ``max_rounds`` as the *resolved* budget so replay never re-derives.
+    adversary is recorded as its ``flight_spec()``
+    (:data:`~repro.net.adversary.ADVERSARIES`), the scheduler as its
+    frozen spec fields, and ``max_rounds`` as the *resolved* budget so
+    replay never re-derives.
     """
-    adversary_spec = None
-    if adversary is not None:
-        adversary_spec = {
-            "name": adversary.name,
-            "seed": getattr(adversary, "seed", None),
-        }
-        crash_round = getattr(adversary, "crash_round", None)
-        if crash_round is not None:
-            adversary_spec["crash_round"] = crash_round
     nodes = sorted(graph.nodes, key=repr)
     if graph.directed:
         # Arcs are ordered pairs: no endpoint canonicalization, or the
@@ -405,7 +397,7 @@ def _flight_header(
         "f": f,
         "faulty": [encode_label(v) for v in sorted(faulty_set, key=repr)],
         "inputs": [[encode_label(v), inputs[v]] for v in nodes],
-        "adversary": adversary_spec,
+        "adversary": None if adversary is None else adversary.flight_spec(),
         "channel": {
             "kind": channel.kind,
             "equivocators": [

@@ -13,6 +13,7 @@ asynchronous experiments (arXiv:1909.02865).
 """
 
 from .adversary import (
+    ADVERSARIES,
     Adversary,
     CrashAdversary,
     DecisionForgeAdversary,
@@ -28,6 +29,7 @@ from .adversary import (
     SilentReporterAdversary,
     TamperForwardAdversary,
     WrongInputAdversary,
+    adversary_from_spec,
     algorithm2_attack_battery,
     standard_adversaries,
 )
@@ -59,6 +61,7 @@ from .sched import (
 from .trace import Delivery, Trace, TraceLevelError, Transmission
 
 __all__ = [
+    "ADVERSARIES",
     "Adversary",
     "AdversarialScheduler",
     "ChannelModel",
@@ -99,6 +102,7 @@ __all__ = [
     "hybrid_model",
     "local_broadcast_model",
     "point_to_point_model",
+    "adversary_from_spec",
     "algorithm2_attack_battery",
     "parse_scheduler",
     "standard_adversaries",

@@ -25,6 +25,13 @@ entirely (silent, replay).  All sends are routed through the
 enforced on adversaries exactly as on honest nodes: a non-equivocating
 faulty node physically cannot deliver different bits to different
 neighbors.
+
+:data:`ADVERSARIES`, the counterpart of :data:`repro.consensus.KINDS`,
+maps each behavior's name to its class and recorded fields: a flight
+records :meth:`Adversary.flight_spec`, ``{"name", "seed", **fields}``,
+and :func:`adversary_from_spec` rebuilds it.  Any other behavior
+(``replay``, ``re-init``, ``eig-equivocate``) records ``{"name",
+"seed": None}``, and replay refuses it.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Hashable, Optional, Tuple
 
 from ..graphs import Graph
+from ..obs import FlightReplayError
 from .channels import ChannelModel
 from .messages import DecisionPayload, FloodMessage, ValuePayload
 from .node import Context, Outgoing, Protocol
@@ -73,6 +81,15 @@ class Adversary(ABC):
     @abstractmethod
     def build(self, spec: FaultSpec) -> Protocol:
         """Instantiate the behavior for one faulty node."""
+
+    def flight_spec(self) -> dict:
+        """The flight header's recipe: ``{"name", "seed", **fields}``,
+        with the fields :data:`ADVERSARIES` lists for this name (none,
+        and ``"seed": None``, outside the table)."""
+        spec = {"name": self.name, "seed": None}
+        _cls, fields = ADVERSARIES.get(self.name, (None, {}))
+        spec.update((field, getattr(self, field)) for field in fields)
+        return spec
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"
@@ -130,6 +147,28 @@ class _WrapperProtocol(Protocol):
         return self.inner.finished
 
 
+class _Replay(Protocol):
+    """Transmits ``schedule[round]`` each round, and nothing else: a
+    faulty node's whole behavior when it is silent or replays."""
+
+    def __init__(self, schedule: Dict[int, Outgoing]):
+        self.schedule = schedule
+
+    def on_round(self, ctx: Context) -> None:
+        for message, target in self.schedule.get(ctx.round_no, []):
+            if target is None:
+                ctx.broadcast(message)
+            else:
+                ctx.send(target, message)
+
+    def output(self) -> Optional[int]:
+        return None
+
+    @property
+    def finished(self) -> bool:
+        return True
+
+
 # ---------------------------------------------------------------------------
 # Behaviors
 # ---------------------------------------------------------------------------
@@ -141,19 +180,8 @@ class SilentAdversary(Adversary):
 
     name = "silent"
 
-    class _Silent(Protocol):
-        def on_round(self, ctx: Context) -> None:
-            return
-
-        def output(self) -> Optional[int]:
-            return None
-
-        @property
-        def finished(self) -> bool:
-            return True
-
     def build(self, spec: FaultSpec) -> Protocol:
-        return self._Silent()
+        return _Replay({})
 
 
 class CrashAdversary(Adversary):
@@ -280,12 +308,7 @@ class EquivocatingAdversary(Adversary):
 
     name = "equivocate"
 
-    def __init__(self, split: Optional[Callable[[Hashable], int]] = None):
-        self.split = split
-
     def build(self, spec: FaultSpec) -> Protocol:
-        custom_split = self.split
-
         def transform(outbox, ctx):
             neighbors = sorted(ctx.graph.neighbors(ctx.node), key=repr)
             result = []
@@ -296,12 +319,10 @@ class EquivocatingAdversary(Adversary):
                     and isinstance(message.payload, ValuePayload)
                 ):
                     for i, nbr in enumerate(neighbors):
-                        # Default: alternate by neighbor rank, which
-                        # guarantees a genuine split whenever the node
-                        # has at least two neighbors.
-                        value = custom_split(nbr) if custom_split else i % 2
+                        # Alternating by neighbor rank: a genuine split
+                        # whenever the node has two or more neighbors.
                         variant = FloodMessage(
-                            message.phase, ValuePayload(value), message.path
+                            message.phase, ValuePayload(i % 2), message.path
                         )
                         result.append((variant, nbr))
                 else:
@@ -314,24 +335,21 @@ class EquivocatingAdversary(Adversary):
 class RandomAdversary(Adversary):
     """Seeded chaos within the channel's physics.
 
-    Each outgoing flood message is independently delivered honestly,
-    value-flipped, or dropped; occasionally a syntactically valid
-    fabricated message (a lie about a path ending at this node) is
-    broadcast.  Deterministic per (seed, node).
+    Each outgoing flood message is independently dropped (probability
+    0.2), value-flipped (0.4) or delivered honestly; with probability
+    0.2 per activation that sent one, a syntactically valid fabricated
+    message (a lie about a path ending at this node) is broadcast too.
+    Deterministic per (seed, node).
     """
 
     name = "random"
 
-    def __init__(self, seed: int, p_flip: float = 0.4, p_drop: float = 0.2,
-                 p_fabricate: float = 0.2):
+    def __init__(self, seed: int):
         self.seed = seed
-        self.p_flip = p_flip
-        self.p_drop = p_drop
-        self.p_fabricate = p_fabricate
 
     def build(self, spec: FaultSpec) -> Protocol:
         rng = random.Random((self.seed, repr(spec.node)).__repr__())
-        p_flip, p_drop, p_fab = self.p_flip, self.p_drop, self.p_fabricate
+        p_flip, p_drop, p_fab = 0.4, 0.2, 0.2
 
         def fabricate(ctx: Context, phase) -> Optional[FloodMessage]:
             # A lie about a short path that really exists in G and ends
@@ -399,60 +417,15 @@ class ReplayAdversary(Adversary):
     ):
         self.schedules = schedules
 
-    class _Replay(Protocol):
-        def __init__(self, schedule):
-            self.schedule = schedule
-
-        def on_round(self, ctx: Context) -> None:
-            for message, target in self.schedule.get(ctx.round_no, []):
-                if target is None:
-                    ctx.broadcast(message)
-                else:
-                    ctx.send(target, message)
-
-        def output(self) -> Optional[int]:
-            return None
-
-        @property
-        def finished(self) -> bool:
-            return True
-
     def build(self, spec: FaultSpec) -> Protocol:
-        return self._Replay(self.schedules.get(spec.node, {}))
-
-
-class CompositeAdversary(Adversary):
-    """Per-node dispatch: different faulty nodes get different behaviors.
-
-    Experiments use this to combine e.g. one silent and one tampering
-    node in the same run.
-    """
-
-    name = "composite"
-
-    def __init__(self, assignments: Dict[Hashable, Adversary],
-                 default: Optional[Adversary] = None):
-        self.assignments = dict(assignments)
-        self.default = default
-
-    def build(self, spec: FaultSpec) -> Protocol:
-        chosen = self.assignments.get(spec.node, self.default)
-        if chosen is None:
-            raise ValueError(f"no behavior assigned for faulty node {spec.node!r}")
-        return chosen.build(spec)
+        return _Replay(self.schedules.get(spec.node, {}))
 
 
 def standard_adversaries(seed: int = 7) -> list[Adversary]:
     """The battery every correctness sweep runs against."""
-    return [
-        SilentAdversary(),
-        CrashAdversary(crash_round=2),
-        WrongInputAdversary(),
-        LyingInitAdversary(),
-        TamperForwardAdversary(),
-        DropForwardAdversary(),
-        RandomAdversary(seed=seed),
-    ]
+    return [adversary_from_spec({"name": name, "seed": seed}) for name in (
+        "silent", "crash", "wrong-input", "lying-init", "tamper-forward",
+        "drop-forward", "random")]
 
 
 # ---------------------------------------------------------------------------
@@ -603,3 +576,37 @@ def algorithm2_attack_battery() -> list[Adversary]:
         DecisionForgeAdversary(value=0),
         DecisionForgeAdversary(value=1),
     ]
+
+
+#: name -> (class, {field: default}): every replayable behavior, and the
+#: scalar fields its flight spec records and its constructor takes.
+ADVERSARIES: Dict[str, Tuple[type, Dict[str, Optional[int]]]] = {
+    "silent": (SilentAdversary, {}),
+    "crash": (CrashAdversary, {"crash_round": 2}),
+    "wrong-input": (WrongInputAdversary, {}),
+    "lying-init": (LyingInitAdversary, {}),
+    "tamper-forward": (TamperForwardAdversary, {}),
+    "drop-forward": (DropForwardAdversary, {}),
+    "random": (RandomAdversary, {"seed": 7}),
+    "equivocate": (EquivocatingAdversary, {}),
+    "lying-reporter": (LyingReporterAdversary, {}),
+    "silent-reporter": (SilentReporterAdversary, {}),
+    "decision-forge": (DecisionForgeAdversary, {"value": None}),
+}
+
+
+def adversary_from_spec(spec: Optional[dict]) -> Optional[Adversary]:
+    """Rebuild the adversary a :meth:`Adversary.flight_spec` dict names;
+    a field the spec omits or records as ``None`` takes its default."""
+    if spec is None:
+        return None
+    name = spec["name"]
+    if name not in ADVERSARIES:
+        raise FlightReplayError(
+            # repro: allow[REPRO001] the table literal's order, in a message.
+            f"unknown adversary {name!r}; choose from {list(ADVERSARIES)}")
+    cls, fields = ADVERSARIES[name]
+    return cls(**{
+        field: default if spec.get(field) is None else spec[field]
+        # repro: allow[REPRO001] keyword arguments: order cannot matter.
+        for field, default in fields.items()})

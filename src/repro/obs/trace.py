@@ -149,7 +149,7 @@ SCHEMA: Dict[str, dict] = {
                   "directed?": bool},
         "faulty": [NODE], "inputs": [[NODE, int]],
         "adversary": (None, {"name": str, "seed": (None, int),
-                             "crash_round?": int}),
+                             "crash_round?": int, "value?": (None, int)}),
         "channel": {"kind": str, "equivocators": [NODE]},
         "scheduler": (None, {"kind": str, "*": object}),
         "factory": {"kind": str, "*": object}, "metered": bool, "spec": dict,

@@ -12,7 +12,7 @@ from repro.net import (
     TamperForwardAdversary,
     algorithm2_attack_battery,
 )
-from repro.net.adversary import CompositeAdversary
+from composite_adversary import CompositeAdversary
 
 
 class TestPhaseSpecificAttacks:

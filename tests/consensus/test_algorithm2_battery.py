@@ -14,6 +14,11 @@ pattern, synchronous.  Two things are pinned per run:
   decide as phase 3 starts) or ``3n`` — 13 or 18 on C6 and W6 — never
   above the ``predicted_costs`` budget.
 
+Every synchronous run of this module (the battery's and the third
+test's lockstep runs) also checks detection soundness at every honest
+node: its ``detected`` set holds only the faulty node, and at most ``F``
+nodes.
+
 A third test runs the battery plus the report and decision attacks,
 under lockstep and seeded-async timing, once with the shipped protocol
 (whose nodes share the relayed bundle objects and their send tables)
@@ -75,6 +80,16 @@ def fault_free_values(protocol):
     return values
 
 
+def assert_detection_sound(protocols, faulty):
+    """Appendix C's detection claim at every honest node: it detects
+    only the faulty node, and at most ``F`` nodes."""
+    for p in protocols:
+        if p.me != faulty:
+            assert p.detected <= {faulty} and len(p.detected) <= F, (
+                p.me, faulty, p.detected,
+            )
+
+
 class Recording:
     """Algorithm 2 factory that keeps the protocols it builds."""
 
@@ -105,6 +120,7 @@ def battery(request):
                     faulty=(faulty,), adversary=adversary,
                 )
                 assert result.consensus
+                assert_detection_sound(factory.built, faulty)
                 type_a = [
                     (p.output(), *sorted_reading(p), fault_free_values(p))
                     for p in factory.built
@@ -193,6 +209,11 @@ def test_every_node_matches_the_linear_scan_reference(name, scheduler):
                 graph, factory, inputs, f=F, faulty=(faulty,),
                 adversary=adversary, scheduler=SCHEDULERS[scheduler],
             )
+            if scheduler == "lockstep":
+                # A synchronous-model claim: under seeded-async timing
+                # the round-stamped transcripts no longer line up, and
+                # honest nodes detect honest ones in every run.
+                assert_detection_sound(factory.built, faulty)
             states.append(node_states(factory.built))
         assert states[0] == states[1], (faulty, adversary.name, inputs)
         # The shipped code on each node's private copies agrees too.

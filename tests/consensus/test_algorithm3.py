@@ -19,7 +19,7 @@ from repro.net import (
     hybrid_model,
     local_broadcast_model,
 )
-from repro.net.adversary import CompositeAdversary
+from composite_adversary import CompositeAdversary
 
 
 class TestStructure:

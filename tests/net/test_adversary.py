@@ -22,7 +22,6 @@ from repro.net import (
     local_broadcast_model,
     standard_adversaries,
 )
-from repro.net.adversary import CompositeAdversary
 from repro.consensus import Algorithm1Protocol, algorithm1_factory
 
 
@@ -182,17 +181,3 @@ class TestReplay:
         net = run_with(c5, ReplayAdversary(schedule), node=2, rounds=2, channel=ch)
         by_target = {t.target: t.message for t in net.trace.sent_by(2)}
         assert by_target == {1: "for-one", 3: "for-three"}
-
-    def test_composite_dispatches_per_node(self, c5):
-        fac = algorithm1_factory(c5, 1)
-        adv = CompositeAdversary({2: SilentAdversary()}, default=None)
-        spec = make_spec(c5, 2)
-        proto = adv.build(spec)
-        assert proto.finished  # silent protocol reports finished
-        with pytest.raises(ValueError):
-            adv.build(make_spec(c5, 3))
-
-    def test_composite_default(self, c5):
-        adv = CompositeAdversary({}, default=SilentAdversary())
-        proto = adv.build(make_spec(c5, 4))
-        assert proto.finished

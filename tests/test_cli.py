@@ -264,6 +264,16 @@ class TestUsageErrors:
             "argument --workers: must be >= 1, got 0", capsys,
         )
 
+    @pytest.mark.parametrize("command", ["sweep", "profile"])
+    @pytest.mark.parametrize("limit", ["-1", "0"])
+    def test_fault_limit_below_one(self, command, limit, capsys):
+        """No sample (or a negative one) is no sweep: not a traceback,
+        and not ``all_consensus`` over zero runs."""
+        self.assert_usage_error(
+            [command, "--graph", "cycle:5", "--f", "1", "--fault-limit", limit],
+            f"argument --fault-limit: must be positive, got {limit}", capsys,
+        )
+
     # argparse's own errors take the same one-line path.
     GRAPHS = {"run": "cycle:5", "sweep": "cycle:5", "profile": "wheel:5",
               "check": "cycle:5"}
@@ -919,6 +929,19 @@ class TestTraceCommand:
 
     def test_replay_byte_identical(self, tmp_path, capsys):
         path = self._record(tmp_path, capsys)
+        assert main(["trace", "replay", str(path)]) == 0
+        assert "byte for byte" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "adversary", ["lying-reporter", "silent-reporter", "decision-forge"]
+    )
+    def test_algorithm2_attacks_run_and_replay(self, adversary, tmp_path,
+                                               capsys):
+        path = tmp_path / "attack.ndjson"
+        assert main(["run", "--graph", "wheel:5", "--f", "1",
+                     "--algorithm", "2", "--faulty", "1",
+                     "--adversary", adversary, "--trace", str(path)]) == 0
+        capsys.readouterr()
         assert main(["trace", "replay", str(path)]) == 0
         assert "byte for byte" in capsys.readouterr().out
 

@@ -37,7 +37,7 @@ from repro.net import (
     hybrid_model,
     point_to_point_model,
 )
-from repro.net.adversary import CompositeAdversary
+from composite_adversary import CompositeAdversary
 
 
 class TestPaperStoryline:
